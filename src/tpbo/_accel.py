@@ -1,70 +1,14 @@
-"""Hot covariance kernels: numba-compiled loops with pure-numpy twins.
+"""Hot covariance kernels, vectorized in numpy.
 
-Every accelerated function exists in two interchangeable implementations,
-``*_np`` (vectorized numpy) and ``*_nb`` (numba ``@njit``).  The public
-wrappers dispatch on a module flag resolved once from the environment:
-
-    TPBO_NUMBA=1   require the numba path (ImportError if numba is missing)
-    TPBO_NUMBA=0   force the numpy path
-    unset          use numba when importable, numpy otherwise
-
-``set_use_numba`` overrides the flag at runtime; ``benchmarks/`` times the
-two paths against each other.  Results of the two paths agree to floating
-point roundoff but are not bit-identical (summation order differs), so a
-reproducibility-sensitive run should pin one backend.
+Every covariance in the package goes through this module: the plain and
+ARD squared-exponential crosses, and the reweighted (tuned) crosses over
+precomputed auxiliary-pair data.  The tuned paths work in row chunks so the
+temporary arrays stay bounded.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an install-time dependency
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def _resolve_env_flag() -> bool:
-    raw = os.environ.get("TPBO_NUMBA", "").strip().lower()
-    if raw in ("0", "false", "no", "off"):
-        return False
-    if raw in ("1", "true", "yes", "on"):
-        if not HAS_NUMBA:
-            raise ImportError("TPBO_NUMBA=1 but numba is not importable")
-        return True
-    return HAS_NUMBA
-
-
-_USE_NUMBA = _resolve_env_flag()
-
-
-def use_numba() -> bool:
-    """Return True when the numba backend is active."""
-    return _USE_NUMBA
-
-
-def set_use_numba(flag: bool | None) -> None:
-    """Select the backend: True=numba, False=numpy, None=environment default."""
-    global _USE_NUMBA
-    if flag is None:
-        _USE_NUMBA = _resolve_env_flag()
-    elif flag and not HAS_NUMBA:
-        raise ImportError("numba backend requested but numba is not importable")
-    else:
-        _USE_NUMBA = bool(flag)
-
 
 # Cap on temporary-array elements in the chunked numpy paths (~32 MB of f64).
 _CHUNK_ELEMS = 4_000_000
@@ -78,34 +22,13 @@ def _as2d(x: np.ndarray) -> np.ndarray:
 # Squared-exponential cross-covariance: k(x, y) = exp(-nu/2 * |x - y|^2)
 
 
-def _se_cross_np(X1: np.ndarray, X2: np.ndarray, nu: float) -> np.ndarray:
+def se_cross(X1: np.ndarray, X2: np.ndarray, nu: float) -> np.ndarray:
+    X1, X2 = _as2d(X1), _as2d(X2)
     r1 = np.sum(X1 * X1, axis=1)
     r2 = np.sum(X2 * X2, axis=1)
     d2 = r1[:, None] + r2[None, :] - 2.0 * (X1 @ X2.T)
     np.maximum(d2, 0.0, out=d2)
-    return np.exp(-0.5 * nu * d2)
-
-
-@njit(cache=True)
-def _se_cross_nb(X1: np.ndarray, X2: np.ndarray, nu: float) -> np.ndarray:  # pragma: no cover - replaced by numpy twin when numba is off
-    m1, n = X1.shape
-    m2 = X2.shape[0]
-    out = np.empty((m1, m2))
-    for s in range(m1):
-        for t in range(m2):
-            d2 = 0.0
-            for k in range(n):
-                d = X1[s, k] - X2[t, k]
-                d2 += d * d
-            out[s, t] = np.exp(-0.5 * nu * d2)
-    return out
-
-
-def se_cross(X1: np.ndarray, X2: np.ndarray, nu: float) -> np.ndarray:
-    X1, X2 = _as2d(X1), _as2d(X2)
-    if _USE_NUMBA:
-        return _se_cross_nb(X1, X2, float(nu))
-    return _se_cross_np(X1, X2, float(nu))
+    return np.exp(-0.5 * float(nu) * d2)
 
 
 def ard_se_cross(X1: np.ndarray, X2: np.ndarray, nus: np.ndarray) -> np.ndarray:
@@ -122,57 +45,8 @@ def ard_se_cross(X1: np.ndarray, X2: np.ndarray, nus: np.ndarray) -> np.ndarray:
 #   W[q]   pair weight alpha_i*alpha_j*exp(-nu/2(|a_i|^2+|a_j|^2)),
 #          doubled for off-diagonal pairs
 #   c(x) = exp(-nu/2 |x|^2) per probe point.
-# Then K(x, y) = c(x) c(y) sum_q W[q] exp(nu * P[q] . (x*y)).
-
-
-def _tuned_se_cross_np(
-    P: np.ndarray,
-    W: np.ndarray,
-    nu: float,
-    X1: np.ndarray,
-    X2: np.ndarray,
-    c1: np.ndarray,
-    c2: np.ndarray,
-) -> np.ndarray:
-    m1, n = X1.shape
-    m2 = X2.shape[0]
-    q = P.shape[0]
-    out = np.empty((m1, m2))
-    rows = max(1, min(m1, _CHUNK_ELEMS // max(1, m2 * q)))
-    for s0 in range(0, m1, rows):
-        s1 = min(m1, s0 + rows)
-        Z = (X1[s0:s1, None, :] * X2[None, :, :]).reshape(-1, n)
-        out[s0:s1] = (np.exp(nu * (Z @ P.T)) @ W).reshape(s1 - s0, m2)
-    return out * c1[:, None] * c2[None, :]
-
-
-@njit(cache=True)
-def _tuned_se_cross_nb(
-    P: np.ndarray,
-    W: np.ndarray,
-    nu: float,
-    X1: np.ndarray,
-    X2: np.ndarray,
-    c1: np.ndarray,
-    c2: np.ndarray,
-) -> np.ndarray:  # pragma: no cover - replaced by numpy twin when numba is off
-    m1, n = X1.shape
-    m2 = X2.shape[0]
-    q = P.shape[0]
-    out = np.empty((m1, m2))
-    z = np.empty(n)
-    for s in range(m1):
-        for t in range(m2):
-            for k in range(n):
-                z[k] = X1[s, k] * X2[t, k]
-            acc = 0.0
-            for j in range(q):
-                e = 0.0
-                for k in range(n):
-                    e += P[j, k] * z[k]
-                acc += W[j] * np.exp(nu * e)
-            out[s, t] = acc * c1[s] * c2[t]
-    return out
+# Then K(x, y) = c(x) c(y) sum_q W[q] exp(nu * P[q] . (x*y)), the
+# exponential-base tuned cross scaled by the probe norms.
 
 
 def tuned_se_cross(
@@ -184,9 +58,8 @@ def tuned_se_cross(
     c1: np.ndarray,
     c2: np.ndarray,
 ) -> np.ndarray:
-    if _USE_NUMBA:
-        return _tuned_se_cross_nb(P, W, float(nu), _as2d(X1), _as2d(X2), c1, c2)
-    return _tuned_se_cross_np(P, W, float(nu), _as2d(X1), _as2d(X2), c1, c2)
+    out = tuned_dot_cross(P, W, "exponential", float(nu), 0, 0.0, X1, X2)
+    return out * c1[:, None] * c2[None, :]
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,8 @@ from .pretrain import (
     AuxDataset,
     HyperGrid,
     build_tuned,
-    loo_error,
     pretrain,
+    select_by_loo,
 )
 
 logger = logging.getLogger(__name__)
@@ -117,10 +117,6 @@ class NormalizedProblem:
     grid_resolution: int
     neg_lo: float
     neg_hi: float
-
-    @property
-    def range_calibration(self) -> Tuple[float, float]:
-        return (self.neg_lo, self.neg_hi)
 
     def to_native(self, Z: np.ndarray) -> np.ndarray:
         Z = np.asarray(Z, dtype=float)
@@ -226,19 +222,10 @@ def tune_se_loo(X, y, nu_grid, lambda_grid) -> Tuple[float, float]:
     Ties break toward the smallest nu, then the smallest lambda.
     """
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    best = None
-    for nu in nu_grid:
-        gram = _accel.se_cross(X, X, nu)
-        for lam in lambda_grid:
-            err = loo_error(gram, y, lam, "regression")
-            if (
-                best is None
-                or err < best[0]
-                or (err == best[0] and (nu, lam) < (best[1], best[2]))
-            ):
-                best = (err, nu, lam)
-    return best[1], best[2]
+    _, nu, lam = select_by_loo(
+        lambda nu: _accel.se_cross(X, X, nu), y, "regression", nu_grid, lambda_grid
+    )
+    return nu, lam
 
 
 def tune_ard_loo(X, y, nu_grid, lambda_grid, passes: int = 2) -> np.ndarray:
@@ -248,24 +235,19 @@ def tune_ard_loo(X, y, nu_grid, lambda_grid, passes: int = 2) -> np.ndarray:
     two full passes, ties toward the smaller nu.
     """
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
     dims = X.shape[1]
     nus = np.ones(dims)
 
-    def score(trial: np.ndarray) -> float:
-        gram = _accel.ard_se_cross(X, X, trial)
-        return min(loo_error(gram, y, lam, "regression") for lam in lambda_grid)
+    def ard_gram(d: int, nu: float) -> np.ndarray:
+        trial = nus.copy()
+        trial[d] = nu
+        return _accel.ard_se_cross(X, X, trial)
 
     for _ in range(passes):
         for d in range(dims):
-            best_err, best_nu = None, None
-            for nu in nu_grid:
-                trial = nus.copy()
-                trial[d] = nu
-                err = score(trial)
-                if best_err is None or err < best_err or (err == best_err and nu < best_nu):
-                    best_err, best_nu = err, nu
-            nus[d] = best_nu
+            _, nus[d], _ = select_by_loo(
+                lambda nu: ard_gram(d, nu), y, "regression", nu_grid, lambda_grid
+            )
     return nus
 
 

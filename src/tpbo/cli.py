@@ -290,10 +290,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_x_value(argv: List[str]) -> List[str]:
+    """Rewrite ``--x VALUE`` as ``--x=VALUE``.
+
+    argparse takes a separate value that starts with a minus sign, such as
+    ``-0.5,0.25``, for an option and rejects it; the attached form is read
+    as a value whatever its first character.
+    """
+    out: List[str] = []
+    for tok in argv:
+        if out and out[-1] == "--x":
+            out[-1] = "--x=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_x_value(argv))
     except SystemExit as exc:  # argparse reports its own message
         return int(exc.code) if exc.code else 0
     try:

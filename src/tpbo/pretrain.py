@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 from dataclasses import dataclass, replace
+from typing import Callable, Iterable
 
 import numpy as np
 import scipy.linalg
@@ -22,6 +24,8 @@ import scipy.linalg
 from . import _accel
 from .errors import NumericalError, VanishingKernelError
 from .mkernel import VANISH_TOL, FreeKernelSpec, TunedKernel, eval_free
+
+logger = logging.getLogger(__name__)
 
 TASKS = ("regression", "classification")
 
@@ -205,6 +209,7 @@ def train_hinge(
     alpha = np.zeros(n)
     g = np.zeros(n)  # running K @ alpha
     diag = np.diag(gram)
+    worst = float("inf")
     for _ in range(max_sweeps):
         for i in range(n):
             r = g[i] - diag[i] * alpha[i]
@@ -225,8 +230,15 @@ def train_hinge(
             np.maximum(0.0, -grad),
             np.where(a_box >= cap, np.maximum(0.0, grad), np.abs(grad)),
         )
-        if float(viol.max()) < tol:
+        worst = float(viol.max())
+        if worst < tol:
             break
+    else:
+        logger.warning(
+            "hinge training stopped after %d sweeps with KKT violation %.3g "
+            "(tolerance %.3g); the duals are not converged",
+            max_sweeps, worst, tol,
+        )
     return alpha
 
 
@@ -260,6 +272,27 @@ def loo_error(gram: np.ndarray, y: np.ndarray, lam: float, task: str) -> float:
     return errors / n
 
 
+def select_by_loo(
+    gram_for: Callable[[float], np.ndarray],
+    y: np.ndarray,
+    task: str,
+    nu_values: Iterable[float],
+    lambda_values: Iterable[float],
+) -> tuple[float, float, float]:
+    """Scan a (nu, lambda) grid by leave-one-out error; return (err, nu, lam).
+
+    ``gram_for(nu)`` builds the Gram matrix for one nu, once per grid value.
+    Ties break toward the smallest nu, then the smallest lambda, whatever
+    the order of the grids.
+    """
+    lambda_values = [float(lam) for lam in lambda_values]
+    scores = []
+    for nu in map(float, nu_values):
+        gram = gram_for(nu)
+        scores.extend((loo_error(gram, y, lam, task), nu, lam) for lam in lambda_values)
+    return min(scores)
+
+
 def _normalize_targets(data: AuxDataset) -> tuple[np.ndarray, float, float]:
     y = data.targets
     y_min, y_max = float(y.min()), float(y.max())
@@ -288,20 +321,13 @@ def pretrain(
     grid = grid or HyperGrid()
     y, y_min, y_max = _normalize_targets(data)
     nu_values = grid.nu_values if kernel.family in _NU_FAMILIES else (kernel.nu,)
-    best: tuple[float, float, float] | None = None
-    for nu in nu_values:
-        spec = replace(kernel, nu=float(nu))
-        gram = base_gram(spec, data.inputs)
-        for lam in grid.lambda_values:
-            err = loo_error(gram, y, float(lam), data.task)
-            if (
-                best is None
-                or err < best[0]
-                or (err == best[0] and (nu, lam) < (best[1], best[2]))
-            ):
-                best = (err, float(nu), float(lam))
-    assert best is not None
-    err, nu, lam = best
+    err, nu, lam = select_by_loo(
+        lambda nu: base_gram(replace(kernel, nu=nu), data.inputs),
+        y,
+        data.task,
+        nu_values,
+        grid.lambda_values,
+    )
     spec = replace(kernel, nu=nu)
     gram = base_gram(spec, data.inputs)
     if data.task == "regression":

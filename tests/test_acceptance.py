@@ -224,21 +224,16 @@ def test_criterion_7_vanishing_kernel_pathway(tmp_path):
 
 def test_criterion_8_benchmark_trend():
     with verdict(8, "transfer beats plain EI on the flipped benchmark"):
-        prev = _accel.use_numba()
-        _accel.set_use_numba(False)  # fastest backend on this hot path
-        try:
-            spec = BenchmarkSpec(
-                functions=("himmelblau", "ackley"),
-                methods=("tp-ei", "ei"),
-                seeds=10,
-                iterations=40,
-                refine_top=8,
-            )
-            t0 = time.perf_counter()
-            records = run_benchmark(spec)
-            elapsed = time.perf_counter() - t0
-        finally:
-            _accel.set_use_numba(prev)
+        spec = BenchmarkSpec(
+            functions=("himmelblau", "ackley"),
+            methods=("tp-ei", "ei"),
+            seeds=10,
+            iterations=40,
+            refine_top=8,
+        )
+        t0 = time.perf_counter()
+        records = run_benchmark(spec)
+        elapsed = time.perf_counter() - t0
         assert elapsed <= 600.0, f"benchmark took {elapsed:.0f}s"
 
         final = {}

@@ -23,7 +23,24 @@ from tpbo.bench import (
     write_summary,
 )
 from tpbo.errors import VanishingKernelError
-from tpbo.pretrain import DEFAULT_LAMBDA_GRID, DEFAULT_NU_GRID
+from tpbo.gp import ArdSeKernel, SeKernel
+from tpbo.pretrain import DEFAULT_LAMBDA_GRID, DEFAULT_NU_GRID, loo_error
+
+# Unsorted grids with duplicates: selection must not depend on grid order.
+MESSY_NU = (3.0, 0.1, 1.0, 0.1)
+MESSY_LAMBDA = (1e-2, 1e-4, 1.0, 1e-2)
+
+
+def brute_force_pick(kernel_for, X, y):
+    """First strict LOO improvement over the sorted distinct grid."""
+    best = None
+    for nu in sorted(set(MESSY_NU)):
+        gram = kernel_for(nu)(X, X)
+        for lam in sorted(set(MESSY_LAMBDA)):
+            err = loo_error(gram, y, lam, "regression")
+            if best is None or err < best[0]:
+                best = (err, nu, lam)
+    return best[1], best[2]
 
 
 class TestNormalization:
@@ -99,6 +116,37 @@ class TestTuners:
         nu, lam = tune_se_loo(X, y, DEFAULT_NU_GRID, DEFAULT_LAMBDA_GRID)
         assert nu in DEFAULT_NU_GRID
         assert lam in DEFAULT_LAMBDA_GRID
+
+    @pytest.mark.parametrize("signal", [True, False])
+    def test_se_tuner_matches_brute_force(self, signal):
+        # Zero targets give every cell a LOO error of exactly 0, so only the
+        # tie-break decides: smallest nu, then smallest lambda.
+        rng = np.random.default_rng(8)
+        X = rng.uniform(-1, 1, (15, 2))
+        y = np.sin(3 * X[:, 0]) * np.cos(2 * X[:, 1]) if signal else np.zeros(15)
+        got = tune_se_loo(X, y, MESSY_NU, MESSY_LAMBDA)
+        assert got == brute_force_pick(SeKernel, X, y)
+        if not signal:
+            assert got == (0.1, 1e-4)
+
+    @pytest.mark.parametrize("signal", [True, False])
+    def test_ard_tuner_matches_brute_force(self, signal):
+        rng = np.random.default_rng(9)
+        X = rng.uniform(-1, 1, (15, 2))
+        y = np.sin(4.0 * X[:, 0]) + 0.2 * X[:, 1] if signal else np.zeros(15)
+        want = np.ones(2)
+        for _ in range(2):
+            for d in range(2):
+                def kernel_for(nu, d=d):
+                    trial = want.copy()
+                    trial[d] = nu
+                    return ArdSeKernel(trial)
+
+                want[d] = brute_force_pick(kernel_for, X, y)[0]
+        got = tune_ard_loo(X, y, MESSY_NU, MESSY_LAMBDA)
+        assert np.array_equal(got, want)
+        if not signal:
+            assert np.array_equal(got, [0.1, 0.1])
 
     def test_ard_downweights_irrelevant_dimension(self):
         rng = np.random.default_rng(3)

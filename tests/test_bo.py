@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tpbo import _accel
 from tpbo.bo import (
     AcquisitionSpec,
     Box,
@@ -313,16 +312,11 @@ class TestGoldenTrace:
     def test_ten_step_trace(self):
         """Frozen regression run; values regenerate only if the sampler or
         local optimizer implementation changes."""
-        prev = _accel.use_numba()
-        _accel.set_use_numba(False)
-        try:
-            s = small_session(seed=7)
-            trace = []
-            for _ in range(10):
-                s = bo_step(s, scaled_himmelblau, refine_top=4)
-                trace.append(s.best_so_far[1])
-        finally:
-            _accel.set_use_numba(prev)
+        s = small_session(seed=7)
+        trace = []
+        for _ in range(10):
+            s = bo_step(s, scaled_himmelblau, refine_top=4)
+            trace.append(s.best_so_far[1])
         for got, want in zip(trace, GOLDEN_BEST):
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
         x_best = s.best_so_far[0]

@@ -1,7 +1,6 @@
 """End-to-end command-line tests; most drive main() in process."""
 
 import json
-import os
 import subprocess
 import sys
 
@@ -217,6 +216,15 @@ class TestSuggestTell:
         assert main(["tell", "--session", session, "--model", small_model,
                      "--x", "a,b", "--y", "1.0"]) == 2
 
+    def test_tell_negative_first_coordinate(self, small_model, tmp_path, capsys):
+        session = str(tmp_path / "session.json")
+        assert main(["tell", "--session", session, "--model", small_model,
+                     "--x", "-0.5,0.25", "--y", "0.3"]) == 0
+        assert "observations: 1" in capsys.readouterr().out
+        payload = json.loads(open(session).read())
+        assert payload["observations"]["points"] == [[-0.5, 0.25]]
+        assert payload["observations"]["values"] == [0.3]
+
 
 class TestParser:
     def test_no_command_exits_2(self, capsys):
@@ -228,10 +236,9 @@ class TestParser:
         assert "pretrain" in capsys.readouterr().out
 
     def test_subprocess_entry(self, tmp_path):
-        env = dict(os.environ, TPBO_NUMBA="0")
         proc = subprocess.run(
             [sys.executable, "-m", "tpbo.cli", "--help"],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True,
         )
         assert proc.returncode == 0
         assert "suggest" in proc.stdout

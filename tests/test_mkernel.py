@@ -24,7 +24,6 @@ from tpbo import (
     m_dot,
     tuned_weights_oracle,
 )
-from tpbo import _accel
 
 # Exclusive-or fixture: four labelled corners, quadratic kernel, unit ridge.
 XOR_POINTS = np.array([[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]])
@@ -357,36 +356,3 @@ class TestTunedKernel:
         d = t.diag(X)
         for i, x in enumerate(X):
             assert d[i] == pytest.approx(eval_tuned(t, x, x), rel=1e-12)
-
-
-@pytest.mark.skipif(not _accel.HAS_NUMBA, reason="numba not installed")
-class TestBackends:
-    def test_tuned_se_cross_backends_agree(self):
-        rng = np.random.default_rng(16)
-        spec = FreeKernelSpec(family="se", nu=1.3)
-        t = TunedKernel(spec, rng.uniform(-1, 1, (12, 2)), rng.normal(size=12))
-        X1 = rng.uniform(-1, 1, (7, 2))
-        X2 = rng.uniform(-1, 1, (9, 2))
-        prev = _accel.use_numba()
-        try:
-            _accel.set_use_numba(True)
-            a = t(X1, X2)
-            _accel.set_use_numba(False)
-            b = t(X1, X2)
-        finally:
-            _accel.set_use_numba(prev)
-        assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
-
-    def test_se_cross_backends_agree(self):
-        rng = np.random.default_rng(17)
-        X1 = rng.uniform(-2, 2, (6, 3))
-        X2 = rng.uniform(-2, 2, (5, 3))
-        prev = _accel.use_numba()
-        try:
-            _accel.set_use_numba(True)
-            a = _accel.se_cross(X1, X2, 0.8)
-            _accel.set_use_numba(False)
-            b = _accel.se_cross(X1, X2, 0.8)
-        finally:
-            _accel.set_use_numba(prev)
-        assert np.allclose(a, b, rtol=1e-13, atol=1e-15)

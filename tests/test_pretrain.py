@@ -1,5 +1,6 @@
 """Auxiliary-fit tests: dual solvers, leave-one-out forms, grid selection."""
 
+import logging
 import math
 
 import numpy as np
@@ -105,6 +106,18 @@ class TestHinge:
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError):
             train_hinge(np.eye(2), np.array([1.0, 0.5]), 1.0)
+
+    def test_sweep_cap_warns(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="tpbo.pretrain"):
+            train_hinge(XOR_GRAM, XOR_LABELS, 1.0, max_sweeps=1)
+        assert len(caplog.records) == 1
+        message = caplog.records[0].getMessage()
+        assert "after 1 sweeps" in message and "KKT violation 0.125" in message
+
+    def test_converged_fit_does_not_warn(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="tpbo.pretrain"):
+            train_hinge(XOR_GRAM, XOR_LABELS, 1.0)
+        assert caplog.records == []
 
 
 class TestLoo:
