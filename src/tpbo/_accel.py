@@ -1,9 +1,10 @@
-"""Hot covariance kernels, vectorized in numpy.
+"""Free-kernel family maps and hot covariance kernels, vectorized in numpy.
 
-Every covariance in the package goes through this module: the plain and
-ARD squared-exponential crosses, and the reweighted (tuned) crosses over
-precomputed auxiliary-pair data.  The tuned paths work in row chunks so the
-temporary arrays stay bounded.
+Every family map and every covariance in the package goes through this
+module.  ``dot_series`` and ``log_ratio`` say what a family computes from a
+dot product or from coordinate products; ``eval_free``, ``base_gram`` and
+``TunedKernel`` (cross and diagonal, both through the chunked ``tuned_rows``)
+all call them.  The plain and ARD squared-exponential crosses live here too.
 """
 
 from __future__ import annotations
@@ -16,6 +17,30 @@ _CHUNK_ELEMS = 4_000_000
 
 def _as2d(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.atleast_2d(np.asarray(x, dtype=np.float64)))
+
+
+# ---------------------------------------------------------------------------
+# Family maps
+
+
+def dot_series(family: str, nu: float, degree: int, offset: float, D):
+    """Scalar series of a dot-product family, elementwise on a scalar or array."""
+    if family == "linear":
+        return D
+    if family == "polynomial":
+        return (D + offset) ** degree
+    if family == "exponential":
+        return np.exp(nu * D)
+    if family == "hyperbolic-sine":
+        return np.sinh(nu * D)
+    raise ValueError(f"unsupported dot-product family: {family!r}")
+
+
+def log_ratio(Z: np.ndarray) -> np.ndarray:
+    """prod_k log((1 + z_k) / (1 - z_k)) over the last axis of coordinate products."""
+    if np.any(np.abs(Z) >= 1.0):
+        raise ValueError("log-ratio kernel requires every coordinate product in (-1, 1)")
+    return np.prod(np.log((1.0 + Z) / (1.0 - Z)), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -38,15 +63,65 @@ def ard_se_cross(X1: np.ndarray, X2: np.ndarray, nus: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Reweighted (tuned) kernel, squared-exponential base.
+# Reweighted (tuned) kernel.
 #
 # The caller precomputes the symmetric auxiliary-pair data:
 #   P[q]   elementwise product of one pair of auxiliary points
-#   W[q]   pair weight alpha_i*alpha_j*exp(-nu/2(|a_i|^2+|a_j|^2)),
-#          doubled for off-diagonal pairs
-#   c(x) = exp(-nu/2 |x|^2) per probe point.
-# Then K(x, y) = c(x) c(y) sum_q W[q] exp(nu * P[q] . (x*y)), the
-# exponential-base tuned cross scaled by the probe norms.
+#   W[q]   pair weight alpha_i*alpha_j, doubled for off-diagonal pairs
+# Then K(x, y) = sum_q W[q] k(P[q] * (x*y)), where k is the family map: the
+# dot-product series of sum_k P[q]_k x_k y_k, or the log-ratio product over
+# coordinates.  For the squared-exponential base W[q] also carries
+# exp(-nu/2(|a_i|^2+|a_j|^2)), and K(x, y) = c(x) c(y) times the
+# exponential-base sum, with c(x) = exp(-nu/2 |x|^2) per probe point.
+
+
+def tuned_rows(
+    P: np.ndarray,
+    W: np.ndarray,
+    family: str,
+    nu: float,
+    degree: int,
+    offset: float,
+    Z: np.ndarray,
+    group: int = 1,
+) -> np.ndarray:
+    """sum_q W[q] k(P[q] * z) for every row z of Z.
+
+    Rows are taken in chunks that hold a whole number of ``group`` rows and
+    keep the temporaries under ``_CHUNK_ELEMS`` elements.
+    """
+    m, n = Z.shape
+    q = P.shape[0]
+    width = q * n if family == "log-ratio" else q
+    group = max(1, group)
+    rows = group * max(1, _CHUNK_ELEMS // (group * max(1, width)))
+    out = np.empty(m)
+    for r0 in range(0, m, rows):
+        r1 = min(m, r0 + rows)
+        if family == "log-ratio":
+            G = log_ratio(P[None, :, :] * Z[r0:r1, None, :])
+        else:
+            G = dot_series(family, nu, degree, offset, Z[r0:r1] @ P.T)
+        out[r0:r1] = G @ W
+    return out
+
+
+def tuned_cross(
+    P: np.ndarray,
+    W: np.ndarray,
+    family: str,
+    nu: float,
+    degree: int,
+    offset: float,
+    X1: np.ndarray,
+    X2: np.ndarray,
+) -> np.ndarray:
+    """Tuned cross-covariance over the rows x*y of every pair (x in X1, y in X2)."""
+    X1, X2 = _as2d(X1), _as2d(X2)
+    m1, n = X1.shape
+    m2 = X2.shape[0]
+    Z = (X1[:, None, :] * X2[None, :, :]).reshape(-1, n)
+    return tuned_rows(P, W, family, nu, degree, offset, Z, group=m2).reshape(m1, m2)
 
 
 def tuned_se_cross(
@@ -58,63 +133,5 @@ def tuned_se_cross(
     c1: np.ndarray,
     c2: np.ndarray,
 ) -> np.ndarray:
-    out = tuned_dot_cross(P, W, "exponential", float(nu), 0, 0.0, X1, X2)
+    out = tuned_cross(P, W, "exponential", float(nu), 0, 0.0, X1, X2)
     return out * c1[:, None] * c2[None, :]
-
-
-# ---------------------------------------------------------------------------
-# Reweighted kernel, scalar-series bases (linear / polynomial / exponential /
-# hyperbolic sine).  All are elementwise maps of the pair dot products
-# B[st, q] = P[q] . (x_s * y_t), so one chunked numpy path covers them.
-
-
-def tuned_dot_cross(
-    P: np.ndarray,
-    W: np.ndarray,
-    family: str,
-    nu: float,
-    degree: int,
-    offset: float,
-    X1: np.ndarray,
-    X2: np.ndarray,
-) -> np.ndarray:
-    X1, X2 = _as2d(X1), _as2d(X2)
-    m1, n = X1.shape
-    m2 = X2.shape[0]
-    q = P.shape[0]
-    out = np.empty((m1, m2))
-    rows = max(1, min(m1, _CHUNK_ELEMS // max(1, m2 * q)))
-    for s0 in range(0, m1, rows):
-        s1 = min(m1, s0 + rows)
-        B = (X1[s0:s1, None, :] * X2[None, :, :]).reshape(-1, n) @ P.T
-        if family == "linear":
-            G = B
-        elif family == "polynomial":
-            G = (B + offset) ** degree
-        elif family == "exponential":
-            G = np.exp(nu * B)
-        elif family == "hyperbolic-sine":
-            G = np.sinh(nu * B)
-        else:
-            raise ValueError(f"unsupported dot-product family: {family!r}")
-        out[s0:s1] = (G @ W).reshape(s1 - s0, m2)
-    return out
-
-
-def tuned_logratio_cross(
-    P: np.ndarray,
-    W: np.ndarray,
-    X1: np.ndarray,
-    X2: np.ndarray,
-) -> np.ndarray:
-    """Per-coordinate log-ratio base; requires every factor product in (-1, 1)."""
-    X1, X2 = _as2d(X1), _as2d(X2)
-    m1 = X1.shape[0]
-    m2 = X2.shape[0]
-    out = np.empty((m1, m2))
-    for s in range(m1):
-        L = P[None, :, :] * (X1[s] * X2)[:, None, :]  # (m2, q, n)
-        if np.any(np.abs(L) >= 1.0):
-            raise ValueError("log-ratio kernel requires |x_i * y_i * a_i * a_i'| < 1")
-        out[s] = np.prod(np.log((1.0 + L) / (1.0 - L)), axis=2) @ W
-    return out

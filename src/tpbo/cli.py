@@ -31,7 +31,6 @@ from .bench import (
 )
 from .bo import (
     AcquisitionSpec,
-    Box,
     BoSession,
     ask,
     bo_step,
@@ -41,7 +40,6 @@ from .bo import (
     tell,
 )
 from .errors import NumericalError, VanishingKernelError
-from .gp import GpPosterior, Observations
 from .mkernel import FAMILIES, FreeKernelSpec
 from .pretrain import (
     DEFAULT_LAMBDA_GRID,
@@ -144,6 +142,11 @@ def cmd_bench(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    for flag, value in (("--iters", args.iters), ("--init-size", args.init_size)):
+        if value < 0:
+            raise ValueError(f"{flag} must be >= 0, got {value}")
+    if args.iters == 0 and args.init_size == 0:
+        raise ValueError("--iters 0 with --init-size 0 evaluates no point; raise one of them")
     model = load_aux_model(args.model)
     kernel = build_tuned(model)
     if args.function not in FUNCTIONS:
@@ -179,11 +182,13 @@ def _session_for(args) -> BoSession:
         session = load_session(args.session, kernel)
     except FileNotFoundError:
         dim = kernel.input_dim
-        session = BoSession(
-            gp=GpPosterior(kernel, Observations.empty(dim, args.sigma2)),
-            acquisition=AcquisitionSpec(kind=args.acq, dim=dim, delta=args.delta),
-            domain=Box.unit(dim),
-            rng_seed=args.seed,
+        session = new_session(
+            kernel,
+            AcquisitionSpec(kind=args.acq, dim=dim, delta=args.delta),
+            args.seed,
+            args.sigma2,
+            init_points=np.empty((0, dim)),
+            init_values=np.empty(0),
             model_ref=args.model,
         )
     return session

@@ -41,10 +41,6 @@ FAMILIES = (
     "se",
 )
 
-# Families whose scalar series is applied to the m-argument dot product; the
-# log-ratio family multiplies per-coordinate series instead.
-_DOT_FAMILIES = ("linear", "polynomial", "hyperbolic-sine", "exponential", "se")
-
 #: Dual-coefficient magnitude below which a reweighted kernel is considered
 #: identically zero (scaled by max(1, |targets|_inf) where targets are known).
 VANISH_TOL = 1e-12
@@ -105,24 +101,13 @@ def eval_free(spec: FreeKernelSpec, m: int, args) -> float:
     arr = _stack_args(args)
     if arr.shape[0] != m:
         raise ValueError(f"expected {m} arguments, got {arr.shape[0]}")
-    fam = spec.family
-    if fam == "log-ratio":
-        z = np.prod(arr, axis=0)
-        if np.any(np.abs(z) >= 1.0):
-            raise ValueError("log-ratio kernel requires every coordinate product in (-1, 1)")
-        return float(np.prod(np.log((1.0 + z) / (1.0 - z))))
+    if spec.family == "log-ratio":
+        return float(_accel.log_ratio(np.prod(arr, axis=0)))
     md = float(np.sum(np.prod(arr, axis=0)))
-    if fam == "linear":
-        return md
-    if fam == "polynomial":
-        return float((md + spec.offset) ** spec.degree)
-    if fam == "hyperbolic-sine":
-        return float(np.sinh(spec.nu * md))
-    if fam == "exponential":
-        return float(np.exp(spec.nu * md))
-    # se
-    sq = float(np.sum(arr * arr))
-    return float(np.exp(0.5 * spec.nu * (2.0 * md - sq)))
+    if spec.family == "se":
+        sq = float(np.sum(arr * arr))
+        return float(np.exp(0.5 * spec.nu * (2.0 * md - sq)))
+    return float(_accel.dot_series(spec.family, spec.nu, spec.degree, spec.offset, md))
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +246,11 @@ class TunedKernel:
     K_4 the arity-4 member of ``base``.  Pair data over the auxiliary points
     is folded to the upper triangle (off-diagonal weights doubled) at
     construction; evaluation then costs one pass over |A|(|A|+1)/2 pairs per
-    entry.  Instances are immutable and safe to share across threads.
+    entry.  ``__call__`` (over the rows x*x' of every point pair) and
+    ``diag`` (over the rows x*x of one batch) are each one chunked
+    ``_accel.tuned_rows`` evaluation; the squared-exponential base scales the
+    exponential-base sum by the probe norms.  Instances are immutable and
+    safe to share across threads.
     """
 
     def __init__(self, base: FreeKernelSpec, aux_points, alpha) -> None:
@@ -284,54 +273,44 @@ class TunedKernel:
         self._pair_prod = np.ascontiguousarray(aux[iu] * aux[ju])
         w = al[iu] * al[ju]
         w[iu != ju] *= 2.0
-        self._pair_weight = w
         if base.family == "se":
             r2 = np.sum(aux * aux, axis=1)
-            self._pair_weight_se = w * np.exp(-0.5 * base.nu * (r2[iu] + r2[ju]))
+            w = w * np.exp(-0.5 * base.nu * (r2[iu] + r2[ju]))
+        self._pair_weight = w
 
     @property
     def input_dim(self) -> int:
         return self.aux_points.shape[1]
+
+    def _points(self, X) -> np.ndarray:
+        X = np.ascontiguousarray(np.atleast_2d(np.asarray(X, dtype=np.float64)))
+        if X.shape[1] != self.input_dim:
+            raise ValueError("point dimension does not match the auxiliary set")
+        return X
 
     def _norms(self, X: np.ndarray) -> np.ndarray:
         return np.exp(-0.5 * self.base.nu * np.sum(X * X, axis=1))
 
     def __call__(self, X1, X2) -> np.ndarray:
         """Cross-covariance matrix between two batches of points."""
-        X1 = np.ascontiguousarray(np.atleast_2d(np.asarray(X1, dtype=np.float64)))
-        X2 = np.ascontiguousarray(np.atleast_2d(np.asarray(X2, dtype=np.float64)))
-        if X1.shape[1] != self.input_dim or X2.shape[1] != self.input_dim:
-            raise ValueError("point dimension does not match the auxiliary set")
-        fam = self.base.family
-        if fam == "se":
-            return _accel.tuned_se_cross(
-                self._pair_prod,
-                self._pair_weight_se,
-                self.base.nu,
-                X1,
-                X2,
-                self._norms(X1),
-                self._norms(X2),
-            )
-        if fam == "log-ratio":
-            return _accel.tuned_logratio_cross(self._pair_prod, self._pair_weight, X1, X2)
-        return _accel.tuned_dot_cross(
-            self._pair_prod,
-            self._pair_weight,
-            fam,
-            self.base.nu,
-            self.base.degree,
-            self.base.offset,
-            X1,
-            X2,
-        )
+        X1, X2 = self._points(X1), self._points(X2)
+        base, P, W = self.base, self._pair_prod, self._pair_weight
+        if base.family == "se":
+            return _accel.tuned_se_cross(P, W, base.nu, X1, X2, self._norms(X1), self._norms(X2))
+        return _accel.tuned_cross(P, W, base.family, base.nu, base.degree, base.offset, X1, X2)
 
     def diag(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        out = np.empty(X.shape[0])
-        for i, x in enumerate(X):
-            out[i] = self(x[None, :], x[None, :])[0, 0]
-        return out
+        """Prior variances K(x, x): one tuned-row evaluation over the rows x*x."""
+        X = self._points(X)
+        base = self.base
+        family = "exponential" if base.family == "se" else base.family
+        d = _accel.tuned_rows(
+            self._pair_prod, self._pair_weight, family, base.nu, base.degree, base.offset, X * X
+        )
+        if base.family == "se":
+            c = self._norms(X)
+            return d * c * c
+        return d
 
 
 def eval_tuned(t: TunedKernel, x, xp) -> float:

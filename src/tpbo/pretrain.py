@@ -23,7 +23,7 @@ import scipy.linalg
 
 from . import _accel
 from .errors import NumericalError, VanishingKernelError
-from .mkernel import VANISH_TOL, FreeKernelSpec, TunedKernel, eval_free
+from .mkernel import VANISH_TOL, FreeKernelSpec, TunedKernel
 
 logger = logging.getLogger(__name__)
 
@@ -130,24 +130,11 @@ class AuxModel:
 def base_gram(spec: FreeKernelSpec, X: np.ndarray) -> np.ndarray:
     """Arity-2 Gram matrix of a free-kernel member over one batch of points."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    fam = spec.family
-    if fam == "se":
+    if spec.family == "se":
         return _accel.se_cross(X, X, spec.nu)
-    if fam == "linear":
-        return X @ X.T
-    if fam == "polynomial":
-        return (X @ X.T + spec.offset) ** spec.degree
-    if fam == "exponential":
-        return np.exp(spec.nu * (X @ X.T))
-    if fam == "hyperbolic-sine":
-        return np.sinh(spec.nu * (X @ X.T))
-    # log-ratio has no dot-product shortcut
-    n = X.shape[0]
-    out = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            out[i, j] = out[j, i] = eval_free(spec, 2, [X[i], X[j]])
-    return out
+    if spec.family == "log-ratio":
+        return _accel.log_ratio(X[:, None, :] * X[None, :, :])
+    return _accel.dot_series(spec.family, spec.nu, spec.degree, spec.offset, X @ X.T)
 
 
 def _check_gram(gram: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -166,6 +166,29 @@ class TestOptimizeCommand:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "iters, init_size, flag",
+        [("-1", "2", "--iters"), ("3", "-2", "--init-size"), ("0", "0", "--init-size")],
+    )
+    def test_bad_counts_exit_2(self, small_model, capsys, iters, init_size, flag):
+        code = main([
+            "optimize", "--model", small_model, "--function", "himmelblau",
+            "--iters", iters, "--init-size", init_size,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag in err
+
+    def test_initial_design_only(self, small_model, capsys):
+        code = main([
+            "optimize", "--model", small_model, "--function", "himmelblau",
+            "--iters", "0", "--init-size", "2",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "t=" not in out
+        assert "best_value:" in out
+
 
 class TestSuggestTell:
     def test_round_trip(self, small_model, tmp_path, capsys):

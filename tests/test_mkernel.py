@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tpbo import _accel
 from tpbo import (
+    FAMILIES,
     FreeKernelSpec,
     TunedKernel,
     VanishingKernelError,
@@ -349,10 +351,30 @@ class TestTunedKernel:
         expected = eval_free(QUADRATIC, 4, [[0.5, 0.5], [0.5, 0.5], x, x])
         assert eval_tuned(t, x, x) == pytest.approx(expected, rel=1e-12)
 
-    def test_diag_matches_pointwise_values(self):
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_diag_matches_pointwise_values(self, family):
+        # Inputs inside (-0.8, 0.8) keep every log-ratio coordinate product in (-1, 1).
         rng = np.random.default_rng(15)
-        t = TunedKernel(FreeKernelSpec(family="se", nu=2.0), rng.uniform(-1, 1, (6, 2)), rng.normal(size=6))
-        X = rng.uniform(-1, 1, size=(5, 2))
+        spec = FreeKernelSpec(family=family, nu=2.0, degree=3, offset=0.5)
+        t = TunedKernel(spec, rng.uniform(-0.8, 0.8, (6, 2)), rng.normal(size=6))
+        X = rng.uniform(-0.8, 0.8, size=(5, 2))
         d = t.diag(X)
+        # The batched diag sums the pair terms in another order than the 1x1 cross.
+        floor = 1e-13 * float(np.max(np.abs(d)))
         for i, x in enumerate(X):
-            assert d[i] == pytest.approx(eval_tuned(t, x, x), rel=1e-12)
+            assert d[i] == pytest.approx(eval_tuned(t, x, x), rel=1e-12, abs=floor)
+
+    @pytest.mark.parametrize("chunk_elems", [1, 100])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_chunked_evaluation_matches_one_chunk(self, monkeypatch, family, chunk_elems):
+        rng = np.random.default_rng(16)
+        spec = FreeKernelSpec(family=family, nu=0.7, degree=3, offset=0.5)
+        t = TunedKernel(spec, rng.uniform(-0.8, 0.8, (6, 3)), rng.normal(size=6))
+        X1 = rng.uniform(-0.8, 0.8, size=(7, 3))
+        X2 = rng.uniform(-0.8, 0.8, size=(3, 3))
+        cross, diag = t(X1, X2), t.diag(X1)
+        monkeypatch.setattr(_accel, "_CHUNK_ELEMS", chunk_elems)
+        floor = 1e-13 * float(np.max(np.abs(cross)))
+        assert t(X1, X2) == pytest.approx(cross, rel=1e-12, abs=floor)
+        floor = 1e-13 * float(np.max(np.abs(diag)))
+        assert t.diag(X1) == pytest.approx(diag, rel=1e-12, abs=floor)

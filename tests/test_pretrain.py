@@ -6,7 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from tpbo import FreeKernelSpec, VanishingKernelError, eval_tuned, expand_features, tuned_weights_oracle
+from tpbo import (
+    FreeKernelSpec,
+    VanishingKernelError,
+    eval_free,
+    eval_tuned,
+    expand_features,
+    tuned_weights_oracle,
+)
 from tpbo.pretrain import (
     AuxDataset,
     HyperGrid,
@@ -230,6 +237,23 @@ class TestPretrain:
         gram = base_gram(model.kernel, X)
         y01 = (y - y.min()) / (y.max() - y.min())
         assert np.allclose(model.alpha, train_lssvm(gram, y01, model.lambda_), atol=1e-12)
+
+
+class TestBaseGram:
+    def test_log_ratio_matches_pairwise_values(self):
+        rng = np.random.default_rng(34)
+        spec = FreeKernelSpec(family="log-ratio")
+        X = rng.uniform(-0.95, 0.95, size=(12, 3))
+        gram = base_gram(spec, X)
+        for i in range(len(X)):
+            for j in range(len(X)):
+                assert gram[i, j] == pytest.approx(eval_free(spec, 2, [X[i], X[j]]), rel=1e-14)
+
+    @pytest.mark.parametrize("edge", [1.0, -1.0])
+    def test_log_ratio_rejects_unit_coordinate_product(self, edge):
+        X = np.array([[0.5, 0.25], [edge, 0.5], [0.1, -0.2]])
+        with pytest.raises(ValueError, match=r"\(-1, 1\)"):
+            base_gram(FreeKernelSpec(family="log-ratio"), X)
 
 
 class TestPersistence:
