@@ -19,7 +19,6 @@ from .bo import (
     maximize_acquisition,
     new_session,
     rng_for,
-    run_loop,
     save_session,
     tell,
     ucb,
@@ -71,7 +70,6 @@ __all__ = [
     "maximize_acquisition",
     "new_session",
     "rng_for",
-    "run_loop",
     "save_session",
     "tell",
     "tuned_weights_oracle",

@@ -14,12 +14,12 @@ import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from . import _accel
-from .bo import AcquisitionSpec, Box, BoSession, bo_step, maximize_acquisition, new_session
+from .bo import AcquisitionSpec, bo_step, fallback_logger, new_session
 from .errors import VanishingKernelError
 from .gp import ArdSeKernel, GpPosterior, SeKernel
 from .mkernel import FreeKernelSpec
@@ -194,6 +194,8 @@ class BenchmarkSpec:
             raise ValueError("delta must lie strictly inside (0, 1)")
         if self.sigma2 < 0:
             raise ValueError("sigma2 must be nonnegative")
+        if self.refine_top is not None and self.refine_top < 1:
+            raise ValueError("refine_top must be None or at least 1")
 
 
 @dataclass(frozen=True)
@@ -251,110 +253,73 @@ def tune_ard_loo(X, y, nu_grid, lambda_grid, passes: int = 2) -> np.ndarray:
     return nus
 
 
-def _run_fixed_kernel(problem, kernel, kind, X0, y0, session_seed, spec):
-    session = new_session(
-        kernel,
-        AcquisitionSpec(kind=kind, dim=2, delta=spec.delta),
-        seed=session_seed,
-        noise_var=spec.sigma2,
-        init_points=X0,
-        init_values=y0,
-    )
-    best = []
-    for _ in range(spec.iterations):
-        session = bo_step(session, problem.objective, refine_top=spec.refine_top)
-        best.append(session.best_so_far[1])
-    return best
-
-
-def _run_retuned_se(problem, kind, X0, y0, session_seed, spec):
-    # hyperparameters are re-fit on the growing dataset before every pick,
-    # with the ridge weight doubling as observation noise
-    X = np.array(X0, dtype=float)
-    y = np.array(y0, dtype=float)
-    best = []
-    for t in range(spec.iterations):
-        nu_t, lam_t = tune_se_loo(X, y, spec.nu_grid, spec.lambda_grid)
-        session = BoSession(
-            gp=GpPosterior.from_data(SeKernel(nu_t), X, y, lam_t),
-            acquisition=AcquisitionSpec(kind=kind, dim=2, delta=spec.delta),
-            domain=Box.unit(2),
-            rng_seed=session_seed,
-            iteration=t,
-        )
-        x_t = maximize_acquisition(session, refine_top=spec.refine_top)
-        y_t = problem.objective(x_t)
-        X = np.vstack([X, x_t[None, :]])
-        y = np.append(y, y_t)
-        best.append(float(np.max(y)))
-    return best
-
-
-class _FlatEventCounter(logging.Filter):
-    """Collapses per-iteration flat-acquisition warnings into one count.
-
-    Late in a run the expected improvement can underflow everywhere, so the
-    maximizer's random fallback fires on most iterations; one aggregate
-    line per cell says the same thing without the flood.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.count = 0
-
-    def filter(self, record: logging.LogRecord) -> bool:
-        if "flat" in record.getMessage():
-            self.count += 1
-            return False
-        return True
-
-
 def run_cell(function: str, method: str, seed: int, spec: BenchmarkSpec) -> List[RegretRecord]:
-    """One (function, method, seed) run; empty on a vanishing covariance."""
+    """One (function, method, seed) run; empty on a vanishing covariance.
+
+    Every method runs the same `bo_step` loop and differs only in its
+    covariance: the transferred prior (`tp-*`), an ARD SE kernel tuned on
+    the auxiliary data (`ard-*`), or a plain SE kernel whose hyperparameters
+    are re-fit by LOO on the growing data before every pick (`ei`, `ucb`),
+    with the ridge weight doubling as observation noise.
+    """
     fn_idx = FUNCTION_ORDER.index(function)
     problem = normalize_problem(FUNCTIONS[function], spec.grid_resolution)
     X0, y0 = _initial_design(problem, fn_idx, seed, spec.init_size)
-    session_seed = _derived_seed(fn_idx, seed, _TAG_SESSION)
     kind = method.split("-")[-1]
+    retune = method in ("ei", "ucb")
 
-    counter = _FlatEventCounter()
-    bo_logger = logging.getLogger("tpbo.bo")
-    bo_logger.addFilter(counter)
+    # Late in a run the expected improvement can underflow everywhere, so the
+    # maximizer's random fallback fires on most iterations; one aggregate
+    # line per cell says the same thing without the flood.
+    fallbacks: List[logging.LogRecord] = []
+
+    def swallow(record: logging.LogRecord) -> bool:
+        fallbacks.append(record)
+        return False
+
+    fallback_logger.addFilter(swallow)
     try:
-        if method.startswith("tp-"):
-            aux = make_flipped_aux(
-                problem, spec.aux_size, np.random.SeedSequence([fn_idx, seed, _TAG_AUX])
-            )
-            model = pretrain(
-                aux,
-                FreeKernelSpec(family="se"),
-                HyperGrid(spec.nu_grid, spec.lambda_grid),
-            )
-            best = _run_fixed_kernel(
-                problem, build_tuned(model), kind, X0, y0, session_seed, spec
-            )
-        elif method.startswith("ard-"):
-            aux = make_flipped_aux(
-                problem, spec.aux_size, np.random.SeedSequence([fn_idx, seed, _TAG_AUX])
-            )
-            nus = tune_ard_loo(aux.inputs, aux.targets, spec.nu_grid, spec.lambda_grid)
-            best = _run_fixed_kernel(
-                problem, ArdSeKernel(nus), kind, X0, y0, session_seed, spec
-            )
+        if retune:
+            kernel = SeKernel(1.0)  # replaced before the first pick
         else:
-            best = _run_retuned_se(problem, kind, X0, y0, session_seed, spec)
+            aux = make_flipped_aux(
+                problem, spec.aux_size, np.random.SeedSequence([fn_idx, seed, _TAG_AUX])
+            )
+            if method.startswith("tp-"):
+                grid = HyperGrid(spec.nu_grid, spec.lambda_grid)
+                kernel = build_tuned(pretrain(aux, FreeKernelSpec(family="se"), grid))
+            else:
+                kernel = ArdSeKernel(
+                    tune_ard_loo(aux.inputs, aux.targets, spec.nu_grid, spec.lambda_grid)
+                )
+        session = new_session(
+            kernel,
+            AcquisitionSpec(kind=kind, dim=2, delta=spec.delta),
+            seed=_derived_seed(fn_idx, seed, _TAG_SESSION),
+            noise_var=spec.sigma2,
+            init_points=X0,
+            init_values=y0,
+        )
+        best = []
+        for _ in range(spec.iterations):
+            if retune:
+                obs = session.gp.obs
+                nu, lam = tune_se_loo(obs.points, obs.values, spec.nu_grid, spec.lambda_grid)
+                session.gp = GpPosterior.from_data(SeKernel(nu), obs.points, obs.values, lam)
+            session = bo_step(session, problem.objective, refine_top=spec.refine_top)
+            best.append(session.best_so_far[1])
     except VanishingKernelError as exc:
         logger.warning(
             "skipping %s on %s (seed %d): %s", method, function, seed, exc
         )
         return []
     finally:
-        bo_logger.removeFilter(counter)
-    if counter.count:
+        fallback_logger.removeFilter(swallow)
+    if fallbacks:
         logger.info(
             "%s on %s (seed %d): %d of %d picks fell back to random "
             "exploration (flat acquisition)",
-            method, function, seed, counter.count, spec.iterations,
+            method, function, seed, len(fallbacks), spec.iterations,
         )
 
     return [
@@ -370,9 +335,12 @@ def _cell_entry(args) -> List[RegretRecord]:
 def _worker_count(n_cells: int) -> int:
     env = os.environ.get("TPBO_THREADS")
     if env is not None:
-        limit = int(env)
+        try:
+            limit = int(env)
+        except ValueError:
+            limit = 0
         if limit < 1:
-            raise ValueError("TPBO_THREADS must be a positive integer")
+            raise ValueError(f"TPBO_THREADS must be a positive integer, got {env!r}")
     else:
         limit = os.cpu_count() or 1
     return max(1, min(limit, n_cells))

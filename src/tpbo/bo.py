@@ -12,17 +12,20 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.optimize import Bounds, minimize
 from scipy.special import ndtr
 from scipy.stats import qmc
 
-from .gp import GpPosterior, Observations
+from .gp import GpPosterior
 
 logger = logging.getLogger(__name__)
+# The maximizer's random fallbacks log here, so callers can count them
+# without reading message text; records still propagate to `logger`.
+fallback_logger = logging.getLogger(__name__ + ".fallback")
 
 ACQUISITION_KINDS = ("ei", "ucb")
 
@@ -146,7 +149,12 @@ def ucb(mean, sd, t: int, spec: AcquisitionSpec, beta: Optional[float] = None):
 
 @dataclass
 class BoSession:
-    """Mutable state of one optimization run; single-writer."""
+    """Mutable state of one optimization run; single-writer.
+
+    Build one with `new_session`.  `iteration` counts the observations
+    recorded through `tell`; `d0_size` is the rest, the size of the initial
+    design the session started from.
+    """
 
     gp: GpPosterior
     acquisition: AcquisitionSpec
@@ -154,7 +162,6 @@ class BoSession:
     rng_seed: int
     iteration: int = 0
     pending: Optional[np.ndarray] = None
-    d0_size: int = 0
     model_ref: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -162,6 +169,11 @@ class BoSession:
             raise ValueError("domain and acquisition dimensions disagree")
         if self.iteration < 0:
             raise ValueError("iteration must be nonnegative")
+
+    @property
+    def d0_size(self) -> int:
+        """Number of initial-design observations (all but the told ones)."""
+        return self.gp.obs.size - self.iteration
 
     @property
     def best_so_far(self) -> Optional[tuple]:
@@ -192,8 +204,6 @@ def new_session(
         acquisition=acquisition,
         domain=domain if domain is not None else Box.unit(acquisition.dim),
         rng_seed=int(seed),
-        iteration=0,
-        d0_size=init_values.shape[0],
         model_ref=model_ref,
     )
 
@@ -221,15 +231,17 @@ def maximize_acquisition(
     `refine_top` set, only that many of the best probes are polished; the
     returned point still scores at least as high as every raw probe.  A
     flat surface (or expected improvement before any data exists) falls
-    back to a seeded uniform point and logs a warning.
+    back to a seeded uniform point and logs a warning on `fallback_logger`.
     """
+    if refine_top is not None and refine_top < 1:
+        raise ValueError("refine_top must be at least 1")
     spec = session.acquisition
     dom = session.domain
     rng = rng_for(session.rng_seed, session.iteration)
 
     obs = session.gp.obs
     if spec.kind == "ei" and obs.size == 0:
-        logger.warning(
+        fallback_logger.warning(
             "expected improvement is undefined with no observations; "
             "returning a seeded random point"
         )
@@ -244,7 +256,7 @@ def maximize_acquisition(
     vmax = float(np.max(values))
     vmin = float(np.min(values))
     if vmax - vmin <= FLAT_TOL * max(1.0, abs(vmax)):
-        logger.warning(
+        fallback_logger.warning(
             "acquisition surface is flat over the probe set; "
             "returning a seeded random point"
         )
@@ -256,8 +268,6 @@ def maximize_acquisition(
 
     order = np.argsort(-values)
     if refine_top is not None:
-        if refine_top < 1:
-            raise ValueError("refine_top must be at least 1")
         order = order[:refine_top]
 
     best_x = probes[int(order[0])]
@@ -328,18 +338,6 @@ def bo_step(
     return tell(session, x, float(objective(x)))
 
 
-def run_loop(
-    session: BoSession,
-    objective: Callable[[np.ndarray], float],
-    steps: int,
-    refine_top: Optional[int] = None,
-) -> BoSession:
-    """Run `steps` cycles and return the final session."""
-    for _ in range(steps):
-        session = bo_step(session, objective, refine_top=refine_top)
-    return session
-
-
 def save_session(session: BoSession, path: str) -> None:
     obs = session.gp.obs
     payload = {
@@ -393,19 +391,22 @@ def load_session(path: str, kernel) -> BoSession:
         raise ValueError("malformed session file: observation arrays disagree")
     if iteration < 0 or iteration > points.shape[0]:
         raise ValueError("malformed session file: iteration exceeds observations")
-    spec = AcquisitionSpec(kind=kind, dim=dim, delta=delta)
-    session = BoSession(
-        gp=GpPosterior.from_data(kernel, points, values, noise_var),
-        acquisition=spec,
+    session = new_session(
+        kernel,
+        AcquisitionSpec(kind=kind, dim=dim, delta=delta),
+        seed,
+        noise_var,
+        points,
+        values,
         domain=Box(lo, hi),
-        rng_seed=seed,
-        iteration=iteration,
-        d0_size=points.shape[0] - iteration,
         model_ref=model_ref,
     )
+    session.iteration = iteration
     if pending is not None:
         pend = np.asarray(pending, dtype=float).reshape(-1)
         if pend.shape[0] != dim:
             raise ValueError("malformed session file: pending point dimension")
+        if not session.domain.contains(pend):  # NaN and inf fail too: the box is finite
+            raise ValueError("malformed session file: pending point lies outside the domain")
         session.pending = pend
     return session

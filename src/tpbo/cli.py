@@ -54,6 +54,10 @@ from .pretrain import (
 
 KERNEL_ALIASES = {"poly": "polynomial", "exp": "exponential", "sinh": "hyperbolic-sine"}
 
+# Settings `suggest`/`tell` fix when they create a session file; a later
+# value that differs from the stored one is ignored with a warning.
+SESSION_DEFAULTS = {"acq": "ei", "delta": 0.1, "sigma2": 1e-6, "seed": 0}
+
 
 def _parse_float_list(text: str, flag: str) -> tuple:
     try:
@@ -141,10 +145,16 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _check_refine_top(value: Optional[int]) -> None:
+    if value is not None and value < 1:
+        raise ValueError(f"--refine-top must be >= 1, got {value}")
+
+
 def cmd_optimize(args) -> int:
     for flag, value in (("--iters", args.iters), ("--init-size", args.init_size)):
         if value < 0:
             raise ValueError(f"{flag} must be >= 0, got {value}")
+    _check_refine_top(args.refine_top)
     if args.iters == 0 and args.init_size == 0:
         raise ValueError("--iters 0 with --init-size 0 evaluates no point; raise one of them")
     model = load_aux_model(args.model)
@@ -175,14 +185,21 @@ def cmd_optimize(args) -> int:
 
 
 def _session_for(args) -> BoSession:
-    """Load the session file, or start a fresh one around the model."""
+    """Load the session file, or start a fresh one around the model.
+
+    --acq, --delta, --sigma2 and --seed take effect only when the file is
+    created; on a loaded session a differing value draws a warning.
+    """
     model = load_aux_model(args.model)
     kernel = build_tuned(model)
     try:
         session = load_session(args.session, kernel)
     except FileNotFoundError:
+        for flag, default in SESSION_DEFAULTS.items():
+            if getattr(args, flag) is None:
+                setattr(args, flag, default)
         dim = kernel.input_dim
-        session = new_session(
+        return new_session(
             kernel,
             AcquisitionSpec(kind=args.acq, dim=dim, delta=args.delta),
             args.seed,
@@ -191,10 +208,24 @@ def _session_for(args) -> BoSession:
             init_values=np.empty(0),
             model_ref=args.model,
         )
+    stored = {
+        "acq": session.acquisition.kind,
+        "delta": session.acquisition.delta,
+        "sigma2": session.gp.obs.noise_var,
+        "seed": session.rng_seed,
+    }
+    for flag, value in stored.items():
+        given = getattr(args, flag)
+        if given is not None and given != value:
+            print(
+                f"warning: ignoring --{flag} {given}; the session uses {value}",
+                file=sys.stderr,
+            )
     return session
 
 
 def cmd_suggest(args) -> int:
+    _check_refine_top(args.refine_top)
     session = _session_for(args)
     x = ask(session, refine_top=args.refine_top)
     save_session(session, args.session)
@@ -211,6 +242,14 @@ def cmd_tell(args) -> int:
     print(f"observations: {session.gp.obs.size}")
     print(f"best_value: {session.best_so_far[1]!r}")
     return 0
+
+
+def _add_session_flags(p: argparse.ArgumentParser) -> None:
+    # None means "not given": see SESSION_DEFAULTS and _session_for
+    p.add_argument("--acq", choices=("ei", "ucb"))
+    p.add_argument("--delta", type=float)
+    p.add_argument("--sigma2", type=float)
+    p.add_argument("--seed", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -274,10 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("suggest", help="propose the next experiment")
     p.add_argument("--session", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--acq", choices=("ei", "ucb"), default="ei")
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--sigma2", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
+    _add_session_flags(p)
     p.add_argument("--refine-top", type=int, default=None)
     p.set_defaults(func=cmd_suggest)
 
@@ -286,10 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--x", required=True, help="comma-separated coordinates")
     p.add_argument("--y", type=float, required=True)
-    p.add_argument("--acq", choices=("ei", "ucb"), default="ei")
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--sigma2", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
+    _add_session_flags(p)
     p.set_defaults(func=cmd_tell)
 
     return parser

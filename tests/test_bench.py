@@ -230,9 +230,10 @@ class TestProtocol:
         assert serial == parallel
 
     def test_thread_env_validated(self, monkeypatch):
-        monkeypatch.setenv("TPBO_THREADS", "0")
-        with pytest.raises(ValueError):
-            run_benchmark(tiny_spec(seeds=1, iterations=1))
+        for value in ("0", "abc"):
+            monkeypatch.setenv("TPBO_THREADS", value)
+            with pytest.raises(ValueError, match="TPBO_THREADS"):
+                run_benchmark(tiny_spec(seeds=1, iterations=1))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -243,6 +244,46 @@ class TestProtocol:
             BenchmarkSpec(seeds=0)
         with pytest.raises(ValueError):
             BenchmarkSpec(iterations=0)
+        with pytest.raises(ValueError, match="refine_top"):
+            BenchmarkSpec(refine_top=0)
+
+    def test_fallbacks_counted_per_cell(self, monkeypatch, caplog):
+        import logging
+
+        import tpbo.bo as bo_mod
+
+        # every probe set counts as flat, so every pick falls back
+        monkeypatch.setattr(bo_mod, "FLAT_TOL", 1e300)
+        spec = tiny_spec()
+        with caplog.at_level(logging.INFO, logger="tpbo"):
+            records = run_cell("himmelblau", "ei", 0, spec)
+        assert len(records) == spec.iterations
+        assert not [r for r in caplog.records if r.name == "tpbo.bo.fallback"]
+        infos = [r for r in caplog.records if r.name == "tpbo.bench"]
+        assert len(infos) == 1 and infos[0].levelno == logging.INFO
+        assert f"{spec.iterations} of {spec.iterations} picks" in infos[0].getMessage()
+        assert bo_mod.fallback_logger.filters == []
+
+
+# run_cell records of each method path on himmelblau, seed 0, five
+# iterations, refine_top=2; regenerate only if the sampler, the local
+# optimizer or a tuner changes.
+GOLDEN_CELLS = {
+    "tp-ei": [0.7997072829807649] * 5,
+    "ei": [0.7997072829807649] * 4 + [0.9293307993584033],
+    "ucb": [0.7997072829807649] * 5,
+    "ard-ei": [0.7997072829807649] * 4 + [0.9899178121670656],
+}
+
+
+class TestGoldenCells:
+    @pytest.mark.parametrize("method", sorted(GOLDEN_CELLS))
+    def test_cell_records(self, method):
+        records = run_cell("himmelblau", method, 0, tiny_spec(methods=(method,)))
+        assert records == [
+            RegretRecord(method, "himmelblau", 0, t + 1, v)
+            for t, v in enumerate(GOLDEN_CELLS[method])
+        ]
 
 
 class TestCsvOutput:

@@ -221,6 +221,22 @@ class TestMaximizer:
     def test_refine_top_validation(self):
         with pytest.raises(ValueError):
             maximize_acquisition(small_session(), refine_top=0)
+        # expected improvement with no data falls back without polishing;
+        # a bad refine_top is still an error there
+        spec = AcquisitionSpec(kind="ei", dim=2)
+        empty = new_session(SeKernel(1.0), spec, seed=3, noise_var=1e-6,
+                            init_points=np.zeros((0, 2)), init_values=[])
+        for refine_top in (0, -3):
+            with pytest.raises(ValueError, match="refine_top"):
+                maximize_acquisition(empty, refine_top=refine_top)
+
+    def test_fallbacks_log_on_child_logger(self, caplog):
+        spec = AcquisitionSpec(kind="ucb", dim=2)
+        session = new_session(SeKernel(1.0), spec, seed=9, noise_var=1e-6,
+                              init_points=np.zeros((0, 2)), init_values=[])
+        with caplog.at_level(logging.WARNING, logger="tpbo.bo"):
+            maximize_acquisition(session)
+        assert [rec.name for rec in caplog.records] == ["tpbo.bo.fallback"]
 
 
 class TestAskTell:
@@ -358,6 +374,17 @@ class TestPersistence:
         bad.write_text("{not json")
         with pytest.raises(ValueError, match="malformed"):
             load_session(str(bad), SeKernel(1.0))
+
+    @pytest.mark.parametrize(
+        "pending", [[5.0, 5.0], [0.0, 1.5], [float("nan"), 0.0], [float("inf"), 0.0]]
+    )
+    def test_pending_outside_box_rejected(self, tmp_path, pending):
+        s = small_session()
+        s.pending = np.array(pending)
+        path = str(tmp_path / "session.json")
+        save_session(s, path)
+        with pytest.raises(ValueError, match="malformed session file: pending"):
+            load_session(path, SeKernel(3.0))
 
     def test_iteration_exceeding_observations_rejected(self, tmp_path):
         s = small_session()

@@ -179,6 +179,17 @@ class TestOptimizeCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and flag in err
 
+    @pytest.mark.parametrize("refine_top", ["0", "-3"])
+    def test_bad_refine_top_exits_2_before_output(self, small_model, capsys, refine_top):
+        code = main([
+            "optimize", "--model", small_model, "--function", "himmelblau",
+            "--iters", "2", "--refine-top", refine_top,
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--refine-top" in captured.err
+
     def test_initial_design_only(self, small_model, capsys):
         code = main([
             "optimize", "--model", small_model, "--function", "himmelblau",
@@ -247,6 +258,55 @@ class TestSuggestTell:
         payload = json.loads(open(session).read())
         assert payload["observations"]["points"] == [[-0.5, 0.25]]
         assert payload["observations"]["values"] == [0.3]
+
+
+    @pytest.mark.parametrize("refine_top", ["0", "-3"])
+    def test_bad_refine_top_exits_2(self, small_model, tmp_path, capsys, refine_top):
+        # neither a fresh EI session nor a pending suggestion polishes a
+        # probe; the flag is still checked
+        session = tmp_path / "session.json"
+        base = ["suggest", "--session", str(session), "--model", small_model]
+        assert main(base + ["--refine-top", refine_top]) == 2
+        assert "--refine-top" in capsys.readouterr().err
+        assert not session.exists()
+        assert main(base) == 0
+        assert main(base + ["--refine-top", refine_top]) == 2
+
+    def test_settings_fixed_at_creation(self, small_model, tmp_path, capsys):
+        session = tmp_path / "session.json"
+        base = ["--session", str(session), "--model", small_model, "--refine-top", "2"]
+        created = ["--acq", "ucb", "--delta", "0.2", "--sigma2", "1e-05", "--seed", "9"]
+        assert main(["suggest"] + base + created) == 0
+        first = capsys.readouterr()
+        assert "ignoring" not in first.err
+        payload = json.loads(session.read_text())
+        assert payload["acquisition"] == {"kind": "ucb", "delta": 0.2}
+        assert (payload["seed"], payload["noise_var"]) == (9, 1e-05)
+
+        # the stored settings win; each differing flag draws one warning
+        assert main(["suggest"] + base + ["--acq", "ei", "--delta", "0.2",
+                                          "--sigma2", "0.5", "--seed", "7"]) == 0
+        second = capsys.readouterr()
+        assert second.out == first.out
+        assert [ln for ln in second.err.splitlines() if "ignoring" in ln] == [
+            "warning: ignoring --acq ei; the session uses ucb",
+            "warning: ignoring --sigma2 0.5; the session uses 1e-05",
+            "warning: ignoring --seed 7; the session uses 9",
+        ]
+
+        # matching or omitted flags are silent
+        assert main(["suggest"] + base + created) == 0
+        assert main(["suggest"] + base) == 0
+        assert "ignoring" not in capsys.readouterr().err
+
+        x_text = first.out.split("suggestion: ")[1].strip()
+        assert main(["tell", "--session", str(session), "--model", small_model,
+                     "--x", x_text, "--y", "0.4", "--seed", "0"]) == 0
+        told = capsys.readouterr()
+        assert "iteration: 1" in told.out
+        assert [ln for ln in told.err.splitlines() if "ignoring" in ln] == [
+            "warning: ignoring --seed 0; the session uses 9"
+        ]
 
 
 class TestParser:

@@ -59,3 +59,17 @@ def test_tracer_records_tuned_kernel_spans_and_uninstalls(spans):
     assert metrics["accel.tuned_se_cross.s"] > 0.0
     assert metrics["mkernel.tuned_diag.points"] == X1.shape[0]
     assert metrics["mkernel.tuned.calls"] == 1
+
+
+def test_traced_ei_cell_spans_per_iteration(spans):
+    spec = tpbo.bench.BenchmarkSpec(
+        functions=("himmelblau",), methods=("ei",), seeds=1, iterations=3, refine_top=2
+    )
+    tracer = spans.Tracer()
+    with tracer:
+        records = tpbo.bench.run_cell("himmelblau", "ei", 0, spec)
+    assert len(records) == spec.iterations
+    metrics = tracer.aggregate(rounds=1)
+    assert metrics["bench.tune_se_loo.calls"] == spec.iterations
+    assert metrics["bo.maximize_acquisition.calls"] == spec.iterations
+    assert metrics["bench.run_cell.ei.s"] > 0.0
