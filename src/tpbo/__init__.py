@@ -9,7 +9,6 @@ squared-exponential baselines on classic 2-D test functions.
 
 from .bo import (
     AcquisitionSpec,
-    Box,
     BoSession,
     ask,
     beta_t,
@@ -44,7 +43,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AcquisitionSpec",
     "ArdSeKernel",
-    "Box",
     "BoSession",
     "FAMILIES",
     "FeatureExpansion",

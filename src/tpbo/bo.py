@@ -1,9 +1,10 @@
 """Acquisition functions and the sequential optimization loop.
 
-The loop proposes points by maximizing an acquisition surface over an
-axis-aligned box, evaluates the objective, and folds the result back into
-the posterior.  An ask/tell split exposes the same cycle to callers that
-run experiments out of process, with JSON session files for persistence.
+The loop proposes points by maximizing an acquisition surface over the
+box [-1, 1]^n, the scale the auxiliary model's inputs were rescaled to,
+evaluates the objective, and folds the result back into the posterior.
+An ask/tell split exposes the same cycle to callers that run experiments
+out of process, with JSON session files for persistence.
 """
 
 from __future__ import annotations
@@ -52,39 +53,9 @@ class AcquisitionSpec:
             raise ValueError("delta must lie strictly inside (0, 1)")
 
 
-@dataclass(frozen=True)
-class Box:
-    """Axis-aligned box domain; bounds are per-coordinate arrays."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self) -> None:
-        lo = np.asarray(self.lo, dtype=float)
-        hi = np.asarray(self.hi, dtype=float)
-        if lo.ndim != 1 or lo.shape != hi.shape:
-            raise ValueError("box bounds must be 1-D arrays of equal length")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise ValueError("box bounds must be finite")
-        if np.any(lo >= hi):
-            raise ValueError("each lower bound must be below its upper bound")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    @classmethod
-    def unit(cls, dim: int) -> "Box":
-        return cls(-np.ones(dim), np.ones(dim))
-
-    @property
-    def dim(self) -> int:
-        return self.lo.shape[0]
-
-    def contains(self, x: np.ndarray) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
-
-    def clip(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(np.asarray(x, dtype=float), self.lo, self.hi)
+def _in_unit_box(x: np.ndarray) -> bool:
+    """True when every coordinate lies in [-1, 1]; NaN and inf fail."""
+    return bool(np.all(np.abs(x) <= 1.0))
 
 
 def beta_t(t: int, dim: int, delta: float) -> float:
@@ -127,20 +98,14 @@ def ei(mean, sd, y_plus):
     return out
 
 
-def ucb(mean, sd, t: int, spec: AcquisitionSpec, beta: Optional[float] = None):
-    """Upper confidence bound mean + sqrt(beta_t) sd.
-
-    `beta` overrides the schedule; useful for pinning the width in tests.
-    """
+def ucb(mean, sd, t: int, spec: AcquisitionSpec):
+    """Upper confidence bound mean + sqrt(beta_t) sd."""
     mean_a, sd_a = np.broadcast_arrays(
         np.asarray(mean, dtype=float), np.asarray(sd, dtype=float)
     )
     if np.any(sd_a < 0):
         raise ValueError("sd must be nonnegative")
-    if beta is None:
-        beta = beta_t(t, spec.dim, spec.delta)
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
+    beta = beta_t(t, spec.dim, spec.delta)
     out = mean_a + math.sqrt(beta) * sd_a
     if out.ndim == 0:
         return float(out)
@@ -151,22 +116,20 @@ def ucb(mean, sd, t: int, spec: AcquisitionSpec, beta: Optional[float] = None):
 class BoSession:
     """Mutable state of one optimization run; single-writer.
 
-    Build one with `new_session`.  `iteration` counts the observations
-    recorded through `tell`; `d0_size` is the rest, the size of the initial
-    design the session started from.
+    Build one with `new_session`.  Points live in the box [-1, 1]^n, with
+    n = `acquisition.dim`.  `iteration` counts the observations recorded
+    through `tell`; `d0_size` is the rest, the size of the initial design
+    the session started from.
     """
 
     gp: GpPosterior
     acquisition: AcquisitionSpec
-    domain: Box
     rng_seed: int
     iteration: int = 0
     pending: Optional[np.ndarray] = None
     model_ref: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.domain.dim != self.acquisition.dim:
-            raise ValueError("domain and acquisition dimensions disagree")
         if self.iteration < 0:
             raise ValueError("iteration must be nonnegative")
 
@@ -192,7 +155,6 @@ def new_session(
     noise_var: float,
     init_points,
     init_values,
-    domain: Optional[Box] = None,
     model_ref: Optional[str] = None,
 ) -> BoSession:
     """Start a session from an initial design (which may be empty)."""
@@ -202,7 +164,6 @@ def new_session(
     return BoSession(
         gp=gp,
         acquisition=acquisition,
-        domain=domain if domain is not None else Box.unit(acquisition.dim),
         rng_seed=int(seed),
         model_ref=model_ref,
     )
@@ -224,7 +185,7 @@ def _acquisition_values(session: BoSession, X: np.ndarray, y_plus) -> np.ndarray
 def maximize_acquisition(
     session: BoSession, refine_top: Optional[int] = None
 ) -> np.ndarray:
-    """Pick the next evaluation point inside the session's box.
+    """Pick the next evaluation point inside the box [-1, 1]^n.
 
     Seeds 32 n Latin-hypercube probes from the session stream, scores them
     in one batch, then polishes starts with bounded Nelder-Mead.  With
@@ -236,7 +197,6 @@ def maximize_acquisition(
     if refine_top is not None and refine_top < 1:
         raise ValueError("refine_top must be at least 1")
     spec = session.acquisition
-    dom = session.domain
     rng = rng_for(session.rng_seed, session.iteration)
 
     obs = session.gp.obs
@@ -245,12 +205,12 @@ def maximize_acquisition(
             "expected improvement is undefined with no observations; "
             "returning a seeded random point"
         )
-        return dom.clip(rng.uniform(dom.lo, dom.hi))
+        return rng.uniform(-1.0, 1.0, spec.dim)
     y_plus = float(np.max(obs.values)) if obs.size else None
 
     n_probes = 32 * spec.dim
     sampler = qmc.LatinHypercube(d=spec.dim, seed=rng)
-    probes = dom.lo + sampler.random(n_probes) * (dom.hi - dom.lo)
+    probes = -1.0 + sampler.random(n_probes) * 2.0
     values = _acquisition_values(session, probes, y_plus)
 
     vmax = float(np.max(values))
@@ -260,11 +220,12 @@ def maximize_acquisition(
             "acquisition surface is flat over the probe set; "
             "returning a seeded random point"
         )
-        return dom.clip(rng.uniform(dom.lo, dom.hi))
+        return rng.uniform(-1.0, 1.0, spec.dim)
 
+    # bounded Nelder-Mead keeps every vertex in the box, and res.fun is
+    # the value at res.x, so a polished point needs no clip or re-score
     def negated(x: np.ndarray) -> float:
-        xc = dom.clip(x)
-        return -float(_acquisition_values(session, xc[None, :], y_plus)[0])
+        return -float(_acquisition_values(session, x[None, :], y_plus)[0])
 
     order = np.argsort(-values)
     if refine_top is not None:
@@ -272,19 +233,18 @@ def maximize_acquisition(
 
     best_x = probes[int(order[0])]
     best_v = float(values[int(order[0])])
+    bounds = Bounds(-np.ones(spec.dim), np.ones(spec.dim))
     for idx in order:
         res = minimize(
             negated,
             probes[int(idx)],
             method="Nelder-Mead",
-            bounds=Bounds(dom.lo, dom.hi),
+            bounds=bounds,
             options={"maxiter": 200, "xatol": 1e-8, "fatol": 1e-8},
         )
-        cand = dom.clip(res.x)
-        val = -negated(cand)
-        if val > best_v:
-            best_x, best_v = cand, val
-    return dom.clip(best_x)
+        if -res.fun > best_v:
+            best_x, best_v = res.x, -res.fun
+    return best_x
 
 
 def ask(session: BoSession, refine_top: Optional[int] = None) -> np.ndarray:
@@ -312,8 +272,8 @@ def tell(session: BoSession, x, y: float) -> BoSession:
         )
     if not np.all(np.isfinite(x)):
         raise ValueError("point coordinates must be finite")
-    if not session.domain.contains(x):
-        raise ValueError("point lies outside the session domain")
+    if not _in_unit_box(x):
+        raise ValueError("point lies outside the box [-1, 1]^n")
     y = float(y)
     if not math.isfinite(y):
         raise ValueError("observed value must be finite")
@@ -340,9 +300,10 @@ def bo_step(
 
 def save_session(session: BoSession, path: str) -> None:
     obs = session.gp.obs
+    dim = session.acquisition.dim
     payload = {
         "model_ref": session.model_ref,
-        "domain": {"lo": session.domain.lo.tolist(), "hi": session.domain.hi.tolist()},
+        "domain": {"lo": [-1.0] * dim, "hi": [1.0] * dim},
         "iteration": session.iteration,
         "observations": {
             "points": obs.points.tolist(),
@@ -364,49 +325,47 @@ def save_session(session: BoSession, path: str) -> None:
 
 
 def load_session(path: str, kernel) -> BoSession:
-    """Rebuild a session from its JSON file; the kernel is supplied by the caller."""
+    """Rebuild a session from its JSON file; the kernel is supplied by the caller.
+
+    Any defect of the file is a `ValueError` that starts with
+    ``malformed session file``; a missing file raises `FileNotFoundError`.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed session file: {exc}") from exc
-    try:
-        lo = np.asarray(payload["domain"]["lo"], dtype=float)
-        hi = np.asarray(payload["domain"]["hi"], dtype=float)
+        payload = json.loads(text)
+        domain = payload["domain"]
+        dim = len(domain["lo"])
+        if domain != {"lo": [-1.0] * dim, "hi": [1.0] * dim}:
+            raise ValueError("the domain is not the box [-1, 1]^n")
         iteration = int(payload["iteration"])
-        points = np.asarray(payload["observations"]["points"], dtype=float)
-        values = np.asarray(payload["observations"]["values"], dtype=float)
+        points = np.asarray(payload["observations"]["points"], dtype=float).reshape(-1, dim)
+        values = np.asarray(payload["observations"]["values"], dtype=float).reshape(-1)
+        if points.shape[0] != values.shape[0]:
+            raise ValueError("observation arrays disagree")
+        if iteration < 0 or iteration > points.shape[0]:
+            raise ValueError("iteration exceeds observations")
+        acquisition = payload["acquisition"]
+        session = new_session(
+            kernel,
+            AcquisitionSpec(kind=acquisition["kind"], dim=dim, delta=float(acquisition["delta"])),
+            int(payload["seed"]),
+            float(payload["noise_var"]),
+            points,
+            values,
+            model_ref=payload["model_ref"],
+        )
+        session.iteration = iteration
         pending = payload["pending"]
-        seed = int(payload["seed"])
-        kind = payload["acquisition"]["kind"]
-        delta = float(payload["acquisition"]["delta"])
-        noise_var = float(payload["noise_var"])
-        model_ref = payload["model_ref"]
-    except (KeyError, TypeError) as exc:
+        if pending is not None:
+            pend = np.asarray(pending, dtype=float).reshape(-1)
+            if pend.shape[0] != dim:
+                raise ValueError("pending point dimension")
+            if not _in_unit_box(pend):
+                raise ValueError("pending point lies outside the box [-1, 1]^n")
+            session.pending = pend
+    except KeyError as exc:
         raise ValueError(f"malformed session file: missing {exc}") from exc
-    dim = lo.shape[0] if lo.ndim == 1 else 0
-    points = points.reshape(-1, dim) if points.size else np.zeros((0, dim))
-    values = values.reshape(-1)
-    if points.shape[0] != values.shape[0]:
-        raise ValueError("malformed session file: observation arrays disagree")
-    if iteration < 0 or iteration > points.shape[0]:
-        raise ValueError("malformed session file: iteration exceeds observations")
-    session = new_session(
-        kernel,
-        AcquisitionSpec(kind=kind, dim=dim, delta=delta),
-        seed,
-        noise_var,
-        points,
-        values,
-        domain=Box(lo, hi),
-        model_ref=model_ref,
-    )
-    session.iteration = iteration
-    if pending is not None:
-        pend = np.asarray(pending, dtype=float).reshape(-1)
-        if pend.shape[0] != dim:
-            raise ValueError("malformed session file: pending point dimension")
-        if not session.domain.contains(pend):  # NaN and inf fail too: the box is finite
-            raise ValueError("malformed session file: pending point lies outside the domain")
-        session.pending = pend
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed session file: {exc}") from exc
     return session

@@ -98,9 +98,7 @@ def cmd_pretrain(args) -> int:
             f"unknown kernel {args.kernel!r}; valid: "
             f"{', '.join(sorted(FAMILIES) + sorted(KERNEL_ALIASES))}"
         )
-    kernel = FreeKernelSpec(
-        family=family, nu=args.nu, degree=args.degree, offset=args.offset
-    )
+    kernel = FreeKernelSpec(family=family, degree=args.degree, offset=args.offset)
     if args.aux is not None:
         data = load_aux_csv(args.aux, args.task)
     else:
@@ -260,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("pretrain", help="fit a model on auxiliary data")
+    # no abbreviations: `--nu` would silently stand for `--nu-grid`
+    p = sub.add_parser("pretrain", help="fit a model on auxiliary data", allow_abbrev=False)
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--aux", help="auxiliary CSV with header x1,...,xn,y")
     src.add_argument(
@@ -272,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="regression")
     p.add_argument("--kernel", default="se",
                    help="kernel family (aliases: poly, exp, sinh)")
-    p.add_argument("--nu", type=float, default=1.0)
     p.add_argument("--degree", type=int, default=2)
     p.add_argument("--offset", type=float, default=0.0)
     p.add_argument("--nu-grid", default=",".join(str(v) for v in DEFAULT_NU_GRID))

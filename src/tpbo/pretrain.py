@@ -377,8 +377,9 @@ def save_aux_model(model: AuxModel, path) -> None:
 
 def load_aux_model(path) -> AuxModel:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        text = fh.read()
     try:
+        doc = json.loads(text)
         kernel = FreeKernelSpec(
             family=doc["kernel"]["family"],
             nu=float(doc["kernel"]["nu"]),
@@ -401,7 +402,7 @@ def load_aux_model(path) -> AuxModel:
             loo_error=float(doc["loo_error"]),
             input_dim=int(doc["input_dim"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed model file {path}: {exc}") from exc
     if model.task not in TASKS:
         raise ValueError(f"malformed model file {path}: unknown task {model.task!r}")

@@ -1,5 +1,6 @@
 """Acquisition and optimization-loop tests."""
 
+import json
 import logging
 import math
 
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from tpbo.bo import (
     AcquisitionSpec,
-    Box,
     BoSession,
     ask,
     beta_t,
@@ -23,6 +23,7 @@ from tpbo.bo import (
     tell,
     ucb,
 )
+import tpbo.bo
 from tpbo.gp import Observations, SeKernel
 
 
@@ -102,10 +103,6 @@ class TestUcb:
         spec = AcquisitionSpec(kind="ucb", dim=2, delta=0.1)
         assert ucb(0.0, 1.0, 0, spec) == pytest.approx(math.sqrt(expected), rel=1e-14)
 
-    def test_forced_beta(self):
-        spec = AcquisitionSpec(kind="ucb", dim=3)
-        assert ucb(1.0, 2.0, 5, spec, beta=4.0) == pytest.approx(5.0, rel=1e-15)
-
     def test_zero_sd_returns_mean(self):
         spec = AcquisitionSpec(kind="ucb", dim=1)
         assert ucb(-0.7, 0.0, 9, spec) == -0.7
@@ -135,19 +132,6 @@ class TestSpecsAndBox:
         with pytest.raises(ValueError):
             AcquisitionSpec(kind="ei", dim=2, delta=1.0)
 
-    def test_box_membership_and_clip(self):
-        box = Box.unit(2)
-        assert box.contains([1.0, -1.0])
-        assert not box.contains([1.0 + 1e-9, 0.0])
-        clipped = box.clip([2.0, -3.0])
-        assert clipped.tolist() == [1.0, -1.0]
-
-    def test_box_validation(self):
-        with pytest.raises(ValueError):
-            Box(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            Box(np.array([0.0]), np.array([np.inf]))
-
 
 class DeterministicSurrogate:
     """Duck-typed posterior with zero spread; mean is an exact function."""
@@ -171,7 +155,6 @@ class TestMaximizer:
         session = BoSession(
             gp=DeterministicSurrogate(fn, 1, incumbent=-1.0),
             acquisition=AcquisitionSpec(kind="ei", dim=1),
-            domain=Box.unit(1),
             rng_seed=42,
         )
         x = maximize_acquisition(session)
@@ -194,6 +177,26 @@ class TestMaximizer:
         for seed in (0, 1, 2):
             x = maximize_acquisition(small_session(seed=seed, kind="ucb"), refine_top=2)
             assert np.all(x >= -1.0) and np.all(x <= 1.0)
+
+    @pytest.mark.parametrize("refine_top", [1, 2, None])
+    @pytest.mark.parametrize("kind", ["ei", "ucb"])
+    def test_beats_every_probe(self, monkeypatch, kind, refine_top):
+        score = tpbo.bo._acquisition_values
+        batches = []
+
+        def recording(session, X, y_plus):
+            values = score(session, X, y_plus)
+            batches.append((X.copy(), values.copy()))
+            return values
+
+        monkeypatch.setattr(tpbo.bo, "_acquisition_values", recording)
+        session = small_session(seed=4, kind=kind)
+        x = maximize_acquisition(session, refine_top=refine_top)
+        probes, probe_values = batches[0]
+        assert probes.shape == (64, 2)
+        y_plus = float(np.max(session.gp.obs.values))
+        assert score(session, x[None, :], y_plus)[0] >= np.max(probe_values)
+        assert np.all(np.abs(x) <= 1.0)
 
     def test_flat_ucb_on_empty_data(self, caplog):
         # stationary prior with no data gives a constant upper bound
@@ -258,8 +261,13 @@ class TestAskTell:
 
     def test_tell_outside_box_rejected(self):
         s = small_session()
-        with pytest.raises(ValueError):
-            tell(s, [2.0, 0.0], 0.0)
+        for x in ([2.0, 0.0], [1.0 + 1e-9, 0.0]):
+            with pytest.raises(ValueError, match=r"outside the box \[-1, 1\]\^n"):
+                tell(s, x, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            tell(s, [float("nan"), 0.0], 0.0)
+        tell(s, [1.0, -1.0], 0.0)  # the boundary is inside
+        assert s.gp.obs.size == 3
 
     def test_tell_dimension_mismatch_rejected(self):
         s = small_session()
@@ -354,7 +362,8 @@ class TestPersistence:
         assert loaded.d0_size == 2
         assert loaded.model_ref == "model.json"
         assert loaded.acquisition == s.acquisition
-        assert np.array_equal(loaded.domain.lo, s.domain.lo)
+        with open(path, encoding="utf-8") as fh:
+            assert json.load(fh)["domain"] == {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}
         assert np.array_equal(loaded.gp.obs.points, s.gp.obs.points)
         assert np.array_equal(loaded.gp.obs.values, s.gp.obs.values)
         assert loaded.gp.obs.noise_var == s.gp.obs.noise_var
@@ -392,4 +401,41 @@ class TestPersistence:
         s.iteration = 5  # inconsistent with 2 stored observations
         save_session(s, path)
         with pytest.raises(ValueError, match="malformed"):
+            load_session(path, SeKernel(3.0))
+
+    @staticmethod
+    def _edited_file(tmp_path, **changes):
+        path = tmp_path / "session.json"
+        save_session(small_session(), str(path))
+        payload = json.loads(path.read_text())
+        payload.update(changes)
+        path.write_text(json.dumps(payload))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"iteration": "abc"},
+            {"observations": {"points": [[0.5, -0.5], [-0.25, 0.75]],
+                              "values": [float("nan"), 0.0]}},
+        ],
+        ids=["iteration-not-int", "nan-value"],
+    )
+    def test_malformed_fields_rejected(self, tmp_path, changes):
+        path = self._edited_file(tmp_path, **changes)
+        with pytest.raises(ValueError, match="malformed session file"):
+            load_session(path, SeKernel(3.0))
+
+    @pytest.mark.parametrize(
+        "domain",
+        [
+            {"lo": [0.0, 0.0], "hi": [1.0, 1.0]},
+            {"lo": [-1.0, -1.0], "hi": [1.0, 1.0, 1.0]},
+            {"lo": [-1.0] * 3, "hi": [1.0] * 3},  # the stored points are 2-D
+        ],
+        ids=["zero-one-box", "unequal-lengths", "3d-domain"],
+    )
+    def test_domain_other_than_unit_box_rejected(self, tmp_path, domain):
+        path = self._edited_file(tmp_path, domain=domain)
+        with pytest.raises(ValueError, match="malformed session file"):
             load_session(path, SeKernel(3.0))

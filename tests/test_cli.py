@@ -74,6 +74,17 @@ class TestPretrainCommand:
         assert code == 2
         assert "valid" in capsys.readouterr().err
 
+    def test_unknown_or_abbreviated_flag_exits_2(self, tmp_path, capsys):
+        # pretrain has no --nu (the grid picks nu), and --nu does not
+        # abbreviate --nu-grid
+        code = main([
+            "pretrain", "--aux-from-function", "himmelblau", "--nu", "7.5",
+            "--out", str(tmp_path / "model.json"),
+        ])
+        assert code == 2
+        assert "--nu" in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
+
     def test_aux_from_function(self, tmp_path, capsys):
         model_path = str(tmp_path / "m.json")
         code = main([
@@ -201,6 +212,67 @@ class TestOptimizeCommand:
         assert "best_value:" in out
 
 
+@pytest.fixture()
+def readme_model(tmp_path):
+    """The model of the README's ask/tell example."""
+    path = str(tmp_path / "model.json")
+    code = main([
+        "pretrain", "--aux-from-function", "himmelblau",
+        "--aux-size", "50", "--seed", "0", "--out", path,
+    ])
+    assert code == 0
+    return path
+
+
+GOLDEN_SUGGESTIONS = [
+    "suggestion: 0.25019093320933394,0.794427601939151",
+    "suggestion: -0.015681455930303047,0.012566567664134278",
+    "suggestion: 0.00436847220933478,-1.0",
+]
+
+GOLDEN_SESSION = """{
+  "model_ref": MODEL_REF,
+  "domain": {
+    "lo": [
+      -1.0,
+      -1.0
+    ],
+    "hi": [
+      1.0,
+      1.0
+    ]
+  },
+  "iteration": 2,
+  "observations": {
+    "points": [
+      [
+        -0.5,
+        0.25
+      ],
+      [
+        -0.015681455930303047,
+        0.012566567664134278
+      ]
+    ],
+    "values": [
+      0.31,
+      0.62
+    ]
+  },
+  "pending": [
+    0.00436847220933478,
+    -1.0
+  ],
+  "seed": 7,
+  "acquisition": {
+    "kind": "ei",
+    "delta": 0.1
+  },
+  "noise_var": 1e-06
+}
+"""
+
+
 class TestSuggestTell:
     def test_round_trip(self, small_model, tmp_path, capsys):
         session = str(tmp_path / "session.json")
@@ -307,6 +379,33 @@ class TestSuggestTell:
         assert [ln for ln in told.err.splitlines() if "ignoring" in ln] == [
             "warning: ignoring --seed 0; the session uses 9"
         ]
+
+
+    def test_golden_sequence(self, readme_model, tmp_path, capsys):
+        """Frozen ask/tell run with every probe polished (`suggest` passes
+        no --refine-top); values regenerate only if the sampler or local
+        optimizer implementation changes."""
+        session = tmp_path / "session.json"
+        base = ["--session", str(session), "--model", readme_model]
+        suggestions = []
+
+        def suggest(*flags):
+            assert main(["suggest"] + base + list(flags)) == 0
+            suggestions.append(capsys.readouterr().out.strip())
+
+        def tell(x_text, y):
+            assert main(["tell"] + base + ["--x=" + x_text, "--y", y]) == 0
+            capsys.readouterr()
+
+        suggest("--seed", "7")
+        tell("-0.5,0.25", "0.31")
+        suggest()
+        tell(suggestions[-1].split("suggestion: ")[1], "0.62")
+        suggest()
+        suggest("--acq", "ucb")  # ignored: the pending point is returned
+        assert suggestions == GOLDEN_SUGGESTIONS + GOLDEN_SUGGESTIONS[-1:]
+        expected = GOLDEN_SESSION.replace("MODEL_REF", json.dumps(readme_model))
+        assert session.read_text() == expected
 
 
 class TestParser:

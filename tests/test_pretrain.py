@@ -2,6 +2,7 @@
 
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -281,6 +282,24 @@ class TestPersistence:
         path = tmp_path / "bad.json"
         path.write_text('{"kernel": {"family": "se"}}')
         with pytest.raises(ValueError):
+            load_aux_model(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda text: text.replace("{", "{not json", 1),
+            lambda text: text.replace('"lambda": ', '"lambda": "abc", "was": ', 1),
+            lambda text: text.replace('"input_dim": ', '"input_dim": "two", "was": ', 1),
+        ],
+        ids=["not-json", "lambda-not-float", "input-dim-not-int"],
+    )
+    def test_malformed_values_name_the_file(self, tmp_path, edit):
+        data = AuxDataset(inputs=np.array([[-1.0], [0.0], [1.0]]),
+                          targets=np.array([0.0, 1.0, 0.5]), task="regression")
+        path = tmp_path / "model.json"
+        save_aux_model(pretrain(data, FreeKernelSpec(family="se")), path)
+        path.write_text(edit(path.read_text()))
+        with pytest.raises(ValueError, match=re.escape(f"malformed model file {path}: ")):
             load_aux_model(path)
 
 
