@@ -132,6 +132,15 @@ class TestSpecsAndBox:
         with pytest.raises(ValueError):
             AcquisitionSpec(kind="ei", dim=2, delta=1.0)
 
+    def test_box_membership_and_clip(self):
+        assert tpbo.bo._in_unit_box(np.array([1.0, -1.0]))
+        assert not tpbo.bo._in_unit_box(np.array([1.0 + 1e-9, 0.0]))
+        # a point outside the box is rejected by tell, never clipped into it
+        s = small_session()
+        with pytest.raises(ValueError, match=r"outside the box \[-1, 1\]\^n"):
+            tell(s, [2.0, -3.0], 0.0)
+        assert s.gp.obs.size == 2
+
 
 class DeterministicSurrogate:
     """Duck-typed posterior with zero spread; mean is an exact function."""
