@@ -24,19 +24,7 @@ from .bo import (
 )
 from .errors import NumericalError, TpboError, VanishingKernelError
 from .gp import ArdSeKernel, GpPosterior, Observations, SeKernel
-from .mkernel import (
-    FAMILIES,
-    FeatureExpansion,
-    FreeKernelSpec,
-    TunedKernel,
-    eval_free,
-    eval_tuned,
-    expand_features,
-    expansion_value,
-    feature_values,
-    m_dot,
-    tuned_weights_oracle,
-)
+from .mkernel import FAMILIES, FreeKernelSpec, TunedKernel
 
 __version__ = "0.1.0"
 
@@ -45,7 +33,6 @@ __all__ = [
     "ArdSeKernel",
     "BoSession",
     "FAMILIES",
-    "FeatureExpansion",
     "FreeKernelSpec",
     "GpPosterior",
     "NumericalError",
@@ -58,19 +45,12 @@ __all__ = [
     "beta_t",
     "bo_step",
     "ei",
-    "eval_free",
-    "eval_tuned",
-    "expand_features",
-    "expansion_value",
-    "feature_values",
     "load_session",
-    "m_dot",
     "maximize_acquisition",
     "new_session",
     "rng_for",
     "save_session",
     "tell",
-    "tuned_weights_oracle",
     "ucb",
     "__version__",
 ]

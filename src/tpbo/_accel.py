@@ -2,9 +2,10 @@
 
 Every family map and every covariance in the package goes through this
 module.  ``dot_series`` and ``log_ratio`` say what a family computes from a
-dot product or from coordinate products; ``eval_free``, ``base_gram`` and
+dot product or from coordinate products; ``pretrain.base_gram`` and
 ``TunedKernel`` (cross and diagonal, both through the chunked ``tuned_rows``)
-all call them.  The plain and ARD squared-exponential crosses live here too.
+call them, as does the tests' reference route in ``tests/feature_route.py``.
+The plain and ARD squared-exponential crosses live here too.
 """
 
 from __future__ import annotations

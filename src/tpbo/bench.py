@@ -230,7 +230,7 @@ def tune_se_loo(X, y, nu_grid, lambda_grid) -> Tuple[float, float]:
     return nu, lam
 
 
-def tune_ard_loo(X, y, nu_grid, lambda_grid, passes: int = 2) -> np.ndarray:
+def tune_ard_loo(X, y, nu_grid, lambda_grid) -> np.ndarray:
     """Coordinate-wise greedy per-dimension length-scale search.
 
     Each coordinate sweeps the shared nu grid with lambda minimized out;
@@ -245,7 +245,7 @@ def tune_ard_loo(X, y, nu_grid, lambda_grid, passes: int = 2) -> np.ndarray:
         trial[d] = nu
         return _accel.ard_se_cross(X, X, trial)
 
-    for _ in range(passes):
+    for _ in range(2):
         for d in range(dims):
             _, nus[d], _ = select_by_loo(
                 lambda nu: ard_gram(d, nu), y, "regression", nu_grid, lambda_grid

@@ -11,10 +11,10 @@ form with zero prior mean,
 behind one Cholesky factorization per posterior object.  Instances are
 immutable; adding an observation returns a new posterior.
 
-``weight_space_posterior_oracle`` computes the same posterior through the
-finite feature expansion (prior covariance diag(tau^2) on the feature
-weights).  It exists as an independent cross-check of the function-space
-path and is exact whenever the expansion is.
+``bo`` and ``bench`` build every posterior here.  The tests compare this
+path with the same posterior computed through the finite feature expansion
+(prior covariance diag(tau^2) on the feature weights), which lives in the
+test-support module ``tests/feature_route.py``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import scipy.linalg
 
 from . import _accel
 from .errors import NumericalError
-from .mkernel import FeatureExpansion, feature_values
 
 #: Relative jitter ladder: added to the shifted Gram unconditionally at the
 #: first rung, escalated tenfold per failed factorization.
@@ -166,26 +165,3 @@ class GpPosterior:
         x = np.asarray(x, dtype=np.float64).ravel()
         mean, var = self.posterior_batch(x[None, :])
         return float(mean[0]), float(var[0])
-
-
-def weight_space_posterior_oracle(
-    expansion: FeatureExpansion, obs: Observations, x
-) -> tuple[float, float]:
-    """Posterior via the explicit feature-weight prior diag(tau^2).
-
-    Forms theta-feature matrices densely, so it is only suitable for small
-    expansions; production inference goes through :class:`GpPosterior`.
-    """
-    phi_x = feature_values(expansion, np.asarray(x, dtype=np.float64).ravel())
-    s = expansion.weights**2
-    if not obs.size:
-        return 0.0, float(np.sum(s * phi_x**2))
-    theta = np.stack([feature_values(expansion, p) for p in obs.points], axis=1)  # (d, N)
-    B = theta.T @ (s[:, None] * theta)
-    factor = _factor_shifted(B, obs.noise_var)
-    sol = scipy.linalg.cho_solve(factor, obs.values)
-    mean = float(phi_x @ (s[:, None] * theta) @ sol)
-    st_phi = theta.T @ (s * phi_x)  # (N,)
-    corr = scipy.linalg.cho_solve(factor, st_phi)
-    var = float(np.sum(s * phi_x**2) - st_phi @ corr)
-    return mean, max(var, 0.0)

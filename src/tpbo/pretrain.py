@@ -408,6 +408,14 @@ def load_aux_model(path) -> AuxModel:
         raise ValueError(f"malformed model file {path}: unknown task {model.task!r}")
     if model.aux_inputs.shape != (model.alpha.shape[0], model.input_dim):
         raise ValueError(f"malformed model file {path}: inconsistent shapes")
+    norm = model.normalization
+    if norm.x_lo.shape != (model.input_dim,) or norm.x_hi.shape != (model.input_dim,):
+        raise ValueError(
+            f"malformed model file {path}: normalization x_lo/x_hi need "
+            f"{model.input_dim} entries"
+        )
+    if not (np.all(np.isfinite(model.alpha)) and np.all(np.isfinite(model.aux_inputs))):
+        raise ValueError(f"malformed model file {path}: alpha and aux_inputs must be finite")
     return model
 
 

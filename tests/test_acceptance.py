@@ -13,21 +13,20 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
-from tpbo import _accel
-from tpbo.bench import BenchmarkSpec, run_benchmark
-from tpbo.cli import main
-from tpbo.errors import VanishingKernelError
-from tpbo.gp import GpPosterior, SeKernel, weight_space_posterior_oracle
-from tpbo.mkernel import (
-    FAMILIES,
-    FreeKernelSpec,
-    TunedKernel,
+from feature_route import (
     eval_free,
     eval_tuned,
     expand_features,
     expansion_value,
     tuned_weights_oracle,
+    weight_space_posterior_oracle,
 )
+from tpbo import _accel
+from tpbo.bench import BenchmarkSpec, run_benchmark
+from tpbo.cli import main
+from tpbo.errors import VanishingKernelError
+from tpbo.gp import GpPosterior, SeKernel
+from tpbo.mkernel import FAMILIES, FreeKernelSpec, TunedKernel
 from tpbo.pretrain import (
     AuxDataset,
     HyperGrid,

@@ -1,6 +1,7 @@
 """End-to-end command-line tests; most drive main() in process."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -418,9 +419,11 @@ class TestParser:
         assert "pretrain" in capsys.readouterr().out
 
     def test_subprocess_entry(self, tmp_path):
+        # the child imports tpbo from where this process found it
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         proc = subprocess.run(
             [sys.executable, "-m", "tpbo.cli", "--help"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         assert "suggest" in proc.stdout

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from tpbo import FreeKernelSpec, TunedKernel, expand_features, tuned_weights_oracle
+from feature_route import expand_features, tuned_weights_oracle, weight_space_posterior_oracle
+from tpbo import FreeKernelSpec, TunedKernel
 from tpbo.gp import (
     ArdSeKernel,
     GpPosterior,
     Observations,
     SeKernel,
-    weight_space_posterior_oracle,
 )
 
 
@@ -121,7 +121,7 @@ class TestWeightSpaceOracle:
         mean, var = weight_space_posterior_oracle(exp, Observations.empty(2, 1e-6), x)
         assert mean == 0.0
         # Prior variance equals the kernel's diagonal value.
-        from tpbo import eval_free
+        from feature_route import eval_free
 
         assert var == pytest.approx(eval_free(spec, 2, [x, x]), rel=1e-12)
 

@@ -12,12 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tpbo import _accel
-from tpbo import (
-    FAMILIES,
-    FreeKernelSpec,
-    TunedKernel,
-    VanishingKernelError,
+from feature_route import (
     eval_free,
     eval_tuned,
     expand_features,
@@ -25,6 +20,13 @@ from tpbo import (
     feature_values,
     m_dot,
     tuned_weights_oracle,
+)
+from tpbo import _accel
+from tpbo import (
+    FAMILIES,
+    FreeKernelSpec,
+    TunedKernel,
+    VanishingKernelError,
 )
 
 # Exclusive-or fixture: four labelled corners, quadratic kernel, unit ridge.

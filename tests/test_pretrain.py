@@ -7,14 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from tpbo import (
-    FreeKernelSpec,
-    VanishingKernelError,
-    eval_free,
-    eval_tuned,
-    expand_features,
-    tuned_weights_oracle,
-)
+from feature_route import eval_free, eval_tuned, expand_features, tuned_weights_oracle
+from tpbo import FreeKernelSpec, VanishingKernelError
 from tpbo.pretrain import (
     AuxDataset,
     HyperGrid,
@@ -290,8 +284,13 @@ class TestPersistence:
             lambda text: text.replace("{", "{not json", 1),
             lambda text: text.replace('"lambda": ', '"lambda": "abc", "was": ', 1),
             lambda text: text.replace('"input_dim": ', '"input_dim": "two", "was": ', 1),
+            lambda text: text.replace('"x_lo": [', '"x_lo": [0.0, ', 1),
+            lambda text: text.replace('"x_hi": [', '"x_hi": [], "was": [', 1),
+            lambda text: re.sub(r'("alpha": \[\s*)[^,\s]+', r"\1NaN", text, count=1),
+            lambda text: re.sub(r'("aux_inputs": \[\s*\[\s*)[^,\s]+', r"\1Infinity", text, count=1),
         ],
-        ids=["not-json", "lambda-not-float", "input-dim-not-int"],
+        ids=["not-json", "lambda-not-float", "input-dim-not-int", "x-lo-too-long",
+             "x-hi-empty", "alpha-nan", "aux-inputs-inf"],
     )
     def test_malformed_values_name_the_file(self, tmp_path, edit):
         data = AuxDataset(inputs=np.array([[-1.0], [0.0], [1.0]]),
