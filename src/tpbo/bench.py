@@ -10,6 +10,7 @@ physical instruments.
 
 from __future__ import annotations
 
+import ctypes
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -332,6 +333,32 @@ def _cell_entry(args) -> List[RegretRecord]:
     return run_cell(*args)
 
 
+def _one_blas_thread() -> None:
+    """Pool initializer: every OpenBLAS loaded in the worker runs one thread.
+
+    numpy and scipy each bundle an OpenBLAS, and a forked worker inherits
+    their thread counts.  Cells only factor small matrices, so extra BLAS
+    threads just compete with the other workers for the same cores.  Where
+    the libraries or their setters cannot be found, the worker keeps the
+    counts it inherited.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for sym in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads"):
+            setter = getattr(handle, sym, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+
+
 def _worker_count(n_cells: int) -> int:
     env = os.environ.get("TPBO_THREADS")
     if env is not None:
@@ -341,6 +368,8 @@ def _worker_count(n_cells: int) -> int:
             limit = 0
         if limit < 1:
             raise ValueError(f"TPBO_THREADS must be a positive integer, got {env!r}")
+    elif hasattr(os, "sched_getaffinity"):
+        limit = len(os.sched_getaffinity(0))
     else:
         limit = os.cpu_count() or 1
     return max(1, min(limit, n_cells))
@@ -349,8 +378,9 @@ def _worker_count(n_cells: int) -> int:
 def run_benchmark(spec: BenchmarkSpec) -> List[RegretRecord]:
     """Run every (function, method, seed) cell and merge the records.
 
-    Cells are independent, so they may run in separate processes; the
-    TPBO_THREADS environment variable caps the worker count.
+    Cells are independent, so they may run in separate processes, one per
+    CPU this process may use, each with one BLAS thread; the TPBO_THREADS
+    environment variable caps the worker count.
     """
     cells = [
         (fn, method, seed, spec)
@@ -364,7 +394,7 @@ def run_benchmark(spec: BenchmarkSpec) -> List[RegretRecord]:
         for cell in cells:
             records.extend(_cell_entry(cell))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
             for chunk in pool.map(_cell_entry, cells):
                 records.extend(chunk)
     records.sort(key=lambda r: (r.method, r.function, r.seed, r.iteration))

@@ -1,5 +1,8 @@
 """Benchmark-harness tests: normalization, aux generation, protocol, CSVs."""
 
+import ctypes
+import os
+
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
@@ -158,6 +161,33 @@ class TestTuners:
         assert nus[0] > nus[1]
 
 
+# Kept apart so tests that break `ctypes.CDLL` for the pool can still probe.
+_CDLL = ctypes.CDLL
+
+
+def openblas_threads():
+    """Thread count of every OpenBLAS loaded in this process, by library path."""
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    counts = {}
+    for lib in sorted(libs):
+        handle = _CDLL(lib)
+        for sym in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads"):
+            getter = getattr(handle, sym, None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                counts[lib] = getter()
+    return counts
+
+
+def blas_probe_cell(cell):
+    """Stands in for a benchmark cell: one record per library and its threads."""
+    return [
+        RegretRecord(lib, "threads", n, os.getpid(), 0.0)
+        for lib, n in openblas_threads().items()
+    ]
+
+
 def tiny_spec(**kw):
     base = dict(
         functions=("himmelblau",),
@@ -223,11 +253,64 @@ class TestProtocol:
         assert any("skipping" in rec.message for rec in caplog.records)
 
     def test_parallel_path_matches_serial(self, monkeypatch):
-        spec = tiny_spec(methods=("ei",), seeds=2, iterations=2)
+        # The serial side runs in this process with its own BLAS threads, the
+        # pooled side in workers with one each; records must match bit for bit.
+        spec = tiny_spec(methods=METHODS, seeds=2, iterations=2, refine_top=2)
+        monkeypatch.setenv("TPBO_THREADS", "1")
         serial = run_benchmark(spec)
         monkeypatch.setenv("TPBO_THREADS", "2")
         parallel = run_benchmark(spec)
         assert serial == parallel
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="BLAS runs one thread anyway")
+    def test_pool_workers_run_one_blas_thread(self, monkeypatch):
+        import tpbo.bench as bench_mod
+
+        before = openblas_threads()
+        assert before, "no OpenBLAS found in /proc/self/maps"
+        monkeypatch.setattr(bench_mod, "_cell_entry", blas_probe_cell)
+        monkeypatch.setenv("TPBO_THREADS", "2")
+        records = run_benchmark(tiny_spec(seeds=2))
+        assert openblas_threads() == before
+        assert {r.method for r in records} == set(before)
+        assert {r.seed for r in records} == {1}
+
+    @pytest.mark.parametrize("failure", ["maps", "dlopen", "symbol"])
+    def test_pool_runs_when_blas_lookup_fails(self, monkeypatch, failure):
+        import tpbo.bench as bench_mod
+
+        def no_file(*args, **kwargs):
+            raise FileNotFoundError("/proc/self/maps")
+
+        def no_library(*args, **kwargs):
+            raise OSError("cannot load library")
+
+        class NoSymbols:
+            def __init__(self, path):
+                self.path = path
+
+        spec = tiny_spec(methods=("tp-ei", "ei"), seeds=2, iterations=2)
+        monkeypatch.setenv("TPBO_THREADS", "1")
+        serial = run_benchmark(spec)
+        if failure == "maps":
+            monkeypatch.setattr(bench_mod, "open", no_file, raising=False)
+        else:
+            opener = no_library if failure == "dlopen" else NoSymbols
+            monkeypatch.setattr(ctypes, "CDLL", opener)
+        monkeypatch.setenv("TPBO_THREADS", "2")
+        assert run_benchmark(spec) == serial
+        # The workers kept the thread counts they inherited.
+        before = openblas_threads()
+        monkeypatch.setattr(bench_mod, "_cell_entry", blas_probe_cell)
+        probes = run_benchmark(spec)
+        assert {(r.method, r.seed) for r in probes} == set(before.items())
+
+    def test_default_workers_follow_cpu_affinity(self, monkeypatch):
+        import tpbo.bench as bench_mod
+
+        monkeypatch.delenv("TPBO_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert bench_mod._worker_count(4) == 1
 
     def test_thread_env_validated(self, monkeypatch):
         for value in ("0", "abc"):
