@@ -5,7 +5,9 @@ module.  ``dot_series`` and ``log_ratio`` say what a family computes from a
 dot product or from coordinate products; ``pretrain.base_gram`` and
 ``TunedKernel`` (cross and diagonal, both through the chunked ``tuned_rows``)
 call them, as does the tests' reference route in ``tests/feature_route.py``.
-The plain and ARD squared-exponential crosses live here too.
+The plain and ARD squared-exponential crosses live here too.  Every cross
+also has an input gradient (``tuned_rows(..., grad=True)``, ``tuned_cross_grad``
+and ``se_grad``), which the acquisition maximizer's L-BFGS-B polish reads.
 """
 
 from __future__ import annotations
@@ -37,11 +39,40 @@ def dot_series(family: str, nu: float, degree: int, offset: float, D):
     raise ValueError(f"unsupported dot-product family: {family!r}")
 
 
-def log_ratio(Z: np.ndarray) -> np.ndarray:
-    """prod_k log((1 + z_k) / (1 - z_k)) over the last axis of coordinate products."""
+def _dot_series_slope(family: str, nu: float, degree: int, offset: float, D, G):
+    """Derivative of ``dot_series`` in D, given its value G at D."""
+    if family == "linear":
+        return np.ones_like(D)
+    if family == "polynomial":
+        return degree * (D + offset) ** (degree - 1)
+    if family == "exponential":
+        return nu * G
+    if family == "hyperbolic-sine":
+        return nu * np.cosh(nu * D)
+    raise ValueError(f"unsupported dot-product family: {family!r}")
+
+
+def _log_ratio_factors(Z: np.ndarray) -> np.ndarray:
     if np.any(np.abs(Z) >= 1.0):
         raise ValueError("log-ratio kernel requires every coordinate product in (-1, 1)")
-    return np.prod(np.log((1.0 + Z) / (1.0 - Z)), axis=-1)
+    return np.log((1.0 + Z) / (1.0 - Z))
+
+
+def log_ratio(Z: np.ndarray) -> np.ndarray:
+    """prod_k log((1 + z_k) / (1 - z_k)) over the last axis of coordinate products."""
+    return np.prod(_log_ratio_factors(Z), axis=-1)
+
+
+def _log_ratio_slopes(Z: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """d/dz_k of prod_l F_l over the last axis, with F the factors at Z.
+
+    Each slope multiplies the other coordinates' factors, taken as prefix and
+    suffix products: a factor is 0 at z = 0, so it is never divided out.
+    """
+    others = np.ones_like(F)
+    others[..., 1:] = np.cumprod(F[..., :-1], axis=-1)
+    others[..., :-1] *= np.cumprod(F[..., :0:-1], axis=-1)[..., ::-1]
+    return others * (2.0 / (1.0 - Z * Z))
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +92,16 @@ def ard_se_cross(X1: np.ndarray, X2: np.ndarray, nus: np.ndarray) -> np.ndarray:
     """exp(-1/2 sum_k nu_k (x_k - y_k)^2) via per-axis rescaling."""
     scale = np.sqrt(np.asarray(nus, dtype=np.float64))
     return se_cross(_as2d(X1) * scale, _as2d(X2) * scale, 1.0)
+
+
+def se_grad(X1: np.ndarray, X2: np.ndarray, K: np.ndarray, nus) -> np.ndarray:
+    """dK[i, j, k] = -nu_k (x_ik - y_jk) K[i, j] for the (ARD) SE cross K.
+
+    ``nus`` is one scale or one per axis.
+    """
+    X1, X2 = _as2d(X1), _as2d(X2)
+    nus = np.asarray(nus, dtype=np.float64)
+    return -(X1[:, None, :] - X2[None, :, :]) * nus * K[:, :, None]
 
 
 # ---------------------------------------------------------------------------
@@ -85,11 +126,14 @@ def tuned_rows(
     offset: float,
     Z: np.ndarray,
     group: int = 1,
-) -> np.ndarray:
-    """sum_q W[q] k(P[q] * z) for every row z of Z.
+    grad: bool = False,
+):
+    """sum_q W[q] k(P[q] * z) for every row z of Z; with ``grad``, also its gradient.
 
+    The gradient is the (m, n) array of derivatives in each coordinate of z.
     Rows are taken in chunks that hold a whole number of ``group`` rows and
-    keep the temporaries under ``_CHUNK_ELEMS`` elements.
+    keep the temporaries under ``_CHUNK_ELEMS`` elements.  The values do not
+    depend on ``grad``: both take the same chunks and the same operations.
     """
     m, n = Z.shape
     q = P.shape[0]
@@ -97,14 +141,24 @@ def tuned_rows(
     group = max(1, group)
     rows = group * max(1, _CHUNK_ELEMS // (group * max(1, width)))
     out = np.empty(m)
+    if grad:
+        dout = np.empty((m, n))
+        WP = W[:, None] * P
     for r0 in range(0, m, rows):
         r1 = min(m, r0 + rows)
         if family == "log-ratio":
-            G = log_ratio(P[None, :, :] * Z[r0:r1, None, :])
+            PZ = P[None, :, :] * Z[r0:r1, None, :]
+            F = _log_ratio_factors(PZ)
+            G = np.prod(F, axis=-1)
+            if grad:
+                dout[r0:r1] = np.einsum("rqk,qk->rk", _log_ratio_slopes(PZ, F), WP)
         else:
-            G = dot_series(family, nu, degree, offset, Z[r0:r1] @ P.T)
+            D = Z[r0:r1] @ P.T
+            G = dot_series(family, nu, degree, offset, D)
+            if grad:
+                dout[r0:r1] = _dot_series_slope(family, nu, degree, offset, D, G) @ WP
         out[r0:r1] = G @ W
-    return out
+    return (out, dout) if grad else out
 
 
 def tuned_cross(
@@ -123,6 +177,29 @@ def tuned_cross(
     m2 = X2.shape[0]
     Z = (X1[:, None, :] * X2[None, :, :]).reshape(-1, n)
     return tuned_rows(P, W, family, nu, degree, offset, Z, group=m2).reshape(m1, m2)
+
+
+def tuned_cross_grad(
+    P: np.ndarray,
+    W: np.ndarray,
+    family: str,
+    nu: float,
+    degree: int,
+    offset: float,
+    X1: np.ndarray,
+    X2: np.ndarray,
+):
+    """``tuned_cross`` and its input gradient dK[i, j, k] = dK(x_i, y_j)/dx_ik.
+
+    By the chain rule through z = x * y, dK[i, j, k] is y_jk times the
+    tuned-row gradient in z_k at z = x_i * y_j.
+    """
+    X1, X2 = _as2d(X1), _as2d(X2)
+    m1, n = X1.shape
+    m2 = X2.shape[0]
+    Z = (X1[:, None, :] * X2[None, :, :]).reshape(-1, n)
+    K, dZ = tuned_rows(P, W, family, nu, degree, offset, Z, group=m2, grad=True)
+    return K.reshape(m1, m2), dZ.reshape(m1, m2, n) * X2[None, :, :]
 
 
 def tuned_se_cross(

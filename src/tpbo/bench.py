@@ -10,7 +10,6 @@ physical instruments.
 
 from __future__ import annotations
 
-import ctypes
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -19,7 +18,7 @@ from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from . import _accel
+from . import _accel, _blas
 from .bo import AcquisitionSpec, bo_step, fallback_logger, new_session
 from .errors import VanishingKernelError
 from .gp import ArdSeKernel, GpPosterior, SeKernel
@@ -342,21 +341,8 @@ def _one_blas_thread() -> None:
     the libraries or their setters cannot be found, the worker keeps the
     counts it inherited.
     """
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
-    except OSError:
-        return
-    for lib in libs:
-        try:
-            handle = ctypes.CDLL(lib)
-        except OSError:
-            continue
-        for sym in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads"):
-            setter = getattr(handle, sym, None)
-            if setter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
+    for _, setter in _blas.find_controls():
+        setter(1)
 
 
 def _worker_count(n_cells: int) -> int:

@@ -1,15 +1,23 @@
 """Gaussian-process posterior inference over an arbitrary covariance.
 
-The covariance evaluator is any object with ``kernel(X1, X2) -> matrix`` and
-``kernel.diag(X) -> vector``; :class:`~tpbo.mkernel.TunedKernel` and the
-stationary evaluators below all qualify.  Posteriors use the function-space
-form with zero prior mean,
+A covariance is any object with four methods:
+
+- ``kernel(X1, X2)``: the (m1, m2) cross-covariance matrix;
+- ``kernel.diag(X)``: the (m,) prior variances K(x, x);
+- ``kernel.cross_grad(X1, X2)``: that matrix K and its input gradient
+  dK[i, j, k] = dK(x_i, y_j)/dx_ik, shape (m1, m2, n);
+- ``kernel.diag_grad(X)``: those variances and their gradient
+  dd[i, k] = dK(x_i, x_i)/dx_ik, shape (m, n).
+
+:class:`~tpbo.mkernel.TunedKernel` and the stationary evaluators below all
+qualify.  Posteriors use the function-space form with zero prior mean,
 
     mean(x) = k_D(x)' (K_D + sigma^2 I)^-1 y
     var(x)  = K(x, x) - k_D(x)' (K_D + sigma^2 I)^-1 k_D(x),
 
-behind one Cholesky factorization per posterior object.  Instances are
-immutable; adding an observation returns a new posterior.
+behind one Cholesky factorization per posterior object, made on first use
+and kept.  Instances are otherwise immutable; adding an observation returns
+a new posterior, so one that is replaced before use costs no factorization.
 
 ``bo`` and ``bench`` build every posterior here.  The tests compare this
 path with the same posterior computed through the finite feature expansion
@@ -45,6 +53,14 @@ class SeKernel:
     def diag(self, X) -> np.ndarray:
         return np.ones(np.atleast_2d(X).shape[0])
 
+    def cross_grad(self, X1, X2):
+        K = self(X1, X2)
+        return K, _accel.se_grad(X1, X2, K, self.nu)
+
+    def diag_grad(self, X):
+        X = np.atleast_2d(X)
+        return np.ones(X.shape[0]), np.zeros(X.shape)
+
 
 class ArdSeKernel:
     """Squared-exponential covariance with one inverse length-scale per axis."""
@@ -60,6 +76,14 @@ class ArdSeKernel:
 
     def diag(self, X) -> np.ndarray:
         return np.ones(np.atleast_2d(X).shape[0])
+
+    def cross_grad(self, X1, X2):
+        K = self(X1, X2)
+        return K, _accel.se_grad(X1, X2, K, self.nus)
+
+    def diag_grad(self, X):
+        X = np.atleast_2d(X)
+        return np.ones(X.shape[0]), np.zeros(X.shape)
 
 
 class Observations:
@@ -127,13 +151,7 @@ class GpPosterior:
     def __init__(self, kernel, obs: Observations) -> None:
         self.kernel = kernel
         self.obs = obs
-        if obs.size:
-            gram = kernel(obs.points, obs.points)
-            self._factor = _factor_shifted(gram, obs.noise_var)
-            self._alpha = scipy.linalg.cho_solve(self._factor, obs.values)
-        else:
-            self._factor = None
-            self._alpha = None
+        self._solved = None  # (Cholesky factor, weights), made on first use
 
     @classmethod
     def from_data(cls, kernel, points, values, noise_var: float) -> "GpPosterior":
@@ -144,8 +162,16 @@ class GpPosterior:
         return self.obs.size
 
     def add_observation(self, x, y: float) -> "GpPosterior":
-        """Return a new posterior including (x, y); the factorization is rebuilt."""
+        """Return a new posterior including (x, y); its factorization is made anew."""
         return GpPosterior(self.kernel, self.obs.appended(x, y))
+
+    def _solve(self):
+        """The Cholesky factor of the shifted Gram and the weights alpha; cached."""
+        if self._solved is None:
+            obs = self.obs
+            factor = _factor_shifted(self.kernel(obs.points, obs.points), obs.noise_var)
+            self._solved = factor, scipy.linalg.cho_solve(factor, obs.values)
+        return self._solved
 
     def posterior_batch(self, X) -> tuple[np.ndarray, np.ndarray]:
         """Posterior means and variances at a batch of points."""
@@ -153,12 +179,36 @@ class GpPosterior:
         prior = np.asarray(self.kernel.diag(X), dtype=np.float64)
         if not self.obs.size:
             return np.zeros(X.shape[0]), np.maximum(prior, 0.0)
+        (L, _), alpha = self._solve()
         k = self.kernel(X, self.obs.points)
-        mean = k @ self._alpha
-        L = self._factor[0]
+        mean = k @ alpha
         v = scipy.linalg.solve_triangular(L, k.T, lower=True)
         var = prior - np.sum(v * v, axis=0)
         return mean, np.clip(var, 0.0, np.maximum(prior, 0.0))
+
+    def posterior_grad(self, X):
+        """``posterior_batch(X)`` and the gradients of mean and variance in X.
+
+        Returns (mean, var, dmean, dvar) with dmean[i, k] = d mean(x_i)/dx_ik
+        and dvar likewise.  With B = (K_D + sigma^2 I)^-1 k_D(X)', the
+        variance gradient is dprior - 2 sum_n dk[:, n, :] B[n, :].  The two
+        triangular solves of B are those of ``cho_solve``; the first one also
+        gives the variance, so mean and var equal ``posterior_batch``'s.
+        """
+        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        prior, dprior = self.kernel.diag_grad(X)
+        prior = np.asarray(prior, dtype=np.float64)
+        if not self.obs.size:
+            return np.zeros(X.shape[0]), np.maximum(prior, 0.0), np.zeros(X.shape), dprior
+        (L, _), alpha = self._solve()
+        k, dk = self.kernel.cross_grad(X, self.obs.points)
+        mean = k @ alpha
+        v = scipy.linalg.solve_triangular(L, k.T, lower=True)
+        var = prior - np.sum(v * v, axis=0)
+        B = scipy.linalg.solve_triangular(L, v, lower=True, trans="T")
+        dmean = alpha @ dk
+        dvar = dprior - 2.0 * np.einsum("ink,ni->ik", dk, B)
+        return mean, np.clip(var, 0.0, np.maximum(prior, 0.0)), dmean, dvar
 
     def posterior(self, x) -> tuple[float, float]:
         """Posterior mean and variance at a single point."""

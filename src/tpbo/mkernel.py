@@ -86,8 +86,9 @@ class TunedKernel:
     entry.  ``__call__`` (over the rows x*x' of every point pair) and
     ``diag`` (over the rows x*x of one batch) are each one chunked
     ``_accel.tuned_rows`` evaluation; the squared-exponential base scales the
-    exponential-base sum by the probe norms.  Instances are immutable and
-    safe to share across threads.
+    exponential-base sum by the probe norms.  ``cross_grad`` and
+    ``diag_grad`` return the same values with their input gradients.
+    Instances are immutable and safe to share across threads.
     """
 
     def __init__(self, base: FreeKernelSpec, aux_points, alpha) -> None:
@@ -116,6 +117,11 @@ class TunedKernel:
         self._pair_weight = w
 
     @property
+    def _row_family(self) -> str:
+        """The family ``tuned_rows`` evaluates: ``se`` sums the exponential base."""
+        return "exponential" if self.base.family == "se" else self.base.family
+
+    @property
     def input_dim(self) -> int:
         return self.aux_points.shape[1]
 
@@ -140,11 +146,46 @@ class TunedKernel:
         """Prior variances K(x, x): one tuned-row evaluation over the rows x*x."""
         X = self._points(X)
         base = self.base
-        family = "exponential" if base.family == "se" else base.family
         d = _accel.tuned_rows(
-            self._pair_prod, self._pair_weight, family, base.nu, base.degree, base.offset, X * X
+            self._pair_prod, self._pair_weight, self._row_family, base.nu, base.degree,
+            base.offset, X * X,
         )
         if base.family == "se":
             c = self._norms(X)
             return d * c * c
         return d
+
+    def cross_grad(self, X1, X2):
+        """``self(X1, X2)`` and its gradient dK[i, j, k] = dK(x_i, y_j)/dx_ik.
+
+        The gradient reuses the series values of the cross, at the cost of
+        one more matrix product per chunk.  For the squared-exponential base,
+        K = c(x) c(y) S(x*y) adds the norm term -nu x_k K.
+        """
+        X1, X2 = self._points(X1), self._points(X2)
+        base = self.base
+        K, dK = _accel.tuned_cross_grad(
+            self._pair_prod, self._pair_weight, self._row_family, base.nu, base.degree,
+            base.offset, X1, X2,
+        )
+        if base.family == "se":
+            c1, c2 = self._norms(X1), self._norms(X2)
+            K = K * c1[:, None] * c2[None, :]
+            dK = dK * (c1[:, None] * c2[None, :])[:, :, None]
+            dK -= base.nu * X1[:, None, :] * K[:, :, None]
+        return K, dK
+
+    def diag_grad(self, X):
+        """``self.diag(X)`` and its gradient dd[i, k] = dK(x_i, x_i)/dx_ik."""
+        X = self._points(X)
+        base = self.base
+        d, dZ = _accel.tuned_rows(
+            self._pair_prod, self._pair_weight, self._row_family, base.nu, base.degree,
+            base.offset, X * X, grad=True,
+        )
+        dd = 2.0 * X * dZ
+        if base.family == "se":
+            c = self._norms(X)
+            d = d * c * c
+            dd = dd * (c * c)[:, None] - 2.0 * base.nu * X * d[:, None]
+        return d, dd

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+import tpbo._blas
 from tpbo.bench import (
     FUNCTION_ORDER,
     FUNCTIONS,
@@ -293,7 +294,7 @@ class TestProtocol:
         monkeypatch.setenv("TPBO_THREADS", "1")
         serial = run_benchmark(spec)
         if failure == "maps":
-            monkeypatch.setattr(bench_mod, "open", no_file, raising=False)
+            monkeypatch.setattr(tpbo._blas, "open", no_file, raising=False)
         else:
             opener = no_library if failure == "dlopen" else NoSymbols
             monkeypatch.setattr(ctypes, "CDLL", opener)
@@ -347,15 +348,32 @@ class TestProtocol:
         assert f"{spec.iterations} of {spec.iterations} picks" in infos[0].getMessage()
         assert bo_mod.fallback_logger.filters == []
 
+    @pytest.mark.parametrize("method", ["ei", "tp-ei"])
+    def test_one_factorization_per_pick(self, monkeypatch, method):
+        import tpbo.gp as gp_mod
+
+        sizes = []
+        real = gp_mod._factor_shifted
+
+        def counting(gram, shift):
+            sizes.append(gram.shape[0])
+            return real(gram, shift)
+
+        monkeypatch.setattr(gp_mod, "_factor_shifted", counting)
+        spec = tiny_spec(methods=(method,))
+        run_cell("himmelblau", method, 0, spec)
+        # pick t factors the init_size + t observations it is made from, once
+        assert sizes == [spec.init_size + t for t in range(spec.iterations)]
+
 
 # run_cell records of each method path on himmelblau, seed 0, five
 # iterations, refine_top=2; regenerate only if the sampler, the local
 # optimizer or a tuner changes.
 GOLDEN_CELLS = {
     "tp-ei": [0.7997072829807649] * 5,
-    "ei": [0.7997072829807649] * 4 + [0.9293307993584033],
+    "ei": [0.7997072829807649] * 4 + [0.929328019296862],
     "ucb": [0.7997072829807649] * 5,
-    "ard-ei": [0.7997072829807649] * 4 + [0.9899178121670656],
+    "ard-ei": [0.7997072829807649] * 4 + [0.9898450242346768],
 }
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from numdiff import central_differences
 from tpbo.bo import (
     AcquisitionSpec,
     BoSession,
@@ -143,16 +144,26 @@ class TestSpecsAndBox:
 
 
 class DeterministicSurrogate:
-    """Duck-typed posterior with zero spread; mean is an exact function."""
+    """Duck-typed posterior with zero spread; mean is an exact function.
 
-    def __init__(self, fn, dim, incumbent):
+    `grad` is the mean's gradient, a function of one point.
+    """
+
+    def __init__(self, fn, grad, dim, incumbent):
         self.fn = fn
+        self.grad = grad
         self.obs = Observations(np.zeros((1, dim)), np.array([incumbent]), 0.0)
 
     def posterior_batch(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         mean = np.array([self.fn(x) for x in X])
         return mean, np.zeros(X.shape[0])
+
+    def posterior_grad(self, X):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        mean, var = self.posterior_batch(X)
+        dmean = np.array([self.grad(x) for x in X], dtype=float).reshape(X.shape)
+        return mean, var, dmean, np.zeros(X.shape)
 
 
 class TestMaximizer:
@@ -161,8 +172,9 @@ class TestMaximizer:
         # the surrogate's own maximizer; a fine grid provides the reference.
         center = 0.3517
         fn = lambda x: 1.0 - (x[0] - center) ** 2
+        grad = lambda x: [-2.0 * (x[0] - center)]
         session = BoSession(
-            gp=DeterministicSurrogate(fn, 1, incumbent=-1.0),
+            gp=DeterministicSurrogate(fn, grad, 1, incumbent=-1.0),
             acquisition=AcquisitionSpec(kind="ei", dim=1),
             rng_seed=42,
         )
@@ -207,6 +219,41 @@ class TestMaximizer:
         assert score(session, x[None, :], y_plus)[0] >= np.max(probe_values)
         assert np.all(np.abs(x) <= 1.0)
 
+    @pytest.mark.parametrize("refine_top", [1, 2, None])
+    @pytest.mark.parametrize("kind", ["ei", "ucb"])
+    def test_one_lbfgsb_run_per_pick(self, monkeypatch, kind, refine_top):
+        calls = []
+        real = tpbo.bo.minimize
+
+        def recording(fun, x0, **kwargs):
+            res = real(fun, x0, **kwargs)
+            calls.append((fun, x0.copy(), kwargs, res.x.copy()))
+            return res
+
+        monkeypatch.setattr(tpbo.bo, "minimize", recording)
+        session = small_session(seed=6, kind=kind)
+        for step in range(3):
+            y_plus = float(np.max(session.gp.obs.values))
+            x = maximize_acquisition(session, refine_top=refine_top)
+            assert len(calls) == step + 1
+            fun, x0, kwargs, x_end = calls[-1]
+            assert kwargs["method"] == "L-BFGS-B" and kwargs["jac"] is True
+            assert x0.shape == (2 * (refine_top or 64),)
+            # the optimizer minimizes the negated summed acquisition
+            for flat in (x0, x_end):
+                value, grad = fun(flat)
+                want = -np.sum(tpbo.bo._acquisition_values(session, flat.reshape(-1, 2), y_plus))
+                assert value == pytest.approx(want, rel=1e-12)
+                assert grad.shape == flat.shape
+            tell(session, x, scaled_himmelblau(x))
+
+    def test_fallback_pick_runs_no_polish(self, monkeypatch):
+        monkeypatch.setattr(tpbo.bo, "minimize", None)  # any call would fail
+        spec = AcquisitionSpec(kind="ucb", dim=2)
+        session = new_session(SeKernel(1.0), spec, seed=9, noise_var=1e-6,
+                              init_points=np.zeros((0, 2)), init_values=[])
+        assert maximize_acquisition(session).shape == (2,)
+
     def test_flat_ucb_on_empty_data(self, caplog):
         # stationary prior with no data gives a constant upper bound
         spec = AcquisitionSpec(kind="ucb", dim=2)
@@ -249,6 +296,75 @@ class TestMaximizer:
         with caplog.at_level(logging.WARNING, logger="tpbo.bo"):
             maximize_acquisition(session)
         assert [rec.name for rec in caplog.records] == ["tpbo.bo.fallback"]
+
+
+def quadratic_surrogate_session(kind, incumbent):
+    """Zero-spread session whose mean peaks at 0.5 above the point (0.3, -0.2)."""
+    center = np.array([0.3, -0.2])
+    return BoSession(
+        gp=DeterministicSurrogate(
+            lambda x: 0.5 - float(np.sum((x - center) ** 2)),
+            lambda x: -2.0 * (x - center),
+            2,
+            incumbent=incumbent,
+        ),
+        acquisition=AcquisitionSpec(kind=kind, dim=2),
+        rng_seed=1,
+    )
+
+
+class TestAcquisitionGradients:
+    POINTS = np.array([[0.1, 0.2], [-0.6, 0.4], [0.9, -0.9], [0.0, 0.05]])
+
+    @staticmethod
+    def check(session, X, y_plus):
+        values, grads = tpbo.bo._acquisition_grad(session, X, y_plus)
+        score = lambda Y: tpbo.bo._acquisition_values(session, Y, y_plus)
+        assert values == pytest.approx(score(X), rel=1e-12, abs=1e-300)
+        want = central_differences(score, X)
+        scale = float(np.max(np.abs(want)))
+        assert grads == pytest.approx(want, rel=1e-6, abs=1e-7 * scale)
+        return values, grads
+
+    @pytest.mark.parametrize("kind", ["ei", "ucb"])
+    def test_positive_sd(self, kind):
+        session = small_session(kind=kind, nu=2.0, noise_var=1e-4)
+        _, var = session.gp.posterior_batch(self.POINTS)
+        assert np.all(var > 0)
+        y_plus = float(np.max(session.gp.obs.values))
+        _, grads = self.check(session, self.POINTS, y_plus)
+        assert np.all(np.any(grads != 0.0, axis=1))
+
+    @pytest.mark.parametrize("kind", ["ei", "ucb"])
+    def test_zero_sd_mean_above_incumbent(self, kind):
+        # every point's mean beats the incumbent: both gradients are the mean's
+        session = quadratic_surrogate_session(kind, incumbent=-5.0)
+        _, grads = self.check(session, self.POINTS, -5.0)
+        _, _, dmean, _ = session.gp.posterior_grad(self.POINTS)
+        assert np.array_equal(grads, dmean)
+
+    def test_zero_sd_mean_at_or_below_incumbent(self):
+        # expected improvement is 0 near each point, and so is its gradient;
+        # the upper bound still follows the mean
+        session = quadratic_surrogate_session("ei", incumbent=0.5)
+        values, grads = self.check(session, self.POINTS, 0.5)
+        assert np.all(values == 0.0) and np.all(grads == 0.0)
+        session = quadratic_surrogate_session("ucb", incumbent=0.5)
+        _, grads = self.check(session, self.POINTS, 0.5)
+        assert np.array_equal(grads, session.gp.posterior_grad(self.POINTS)[2])
+
+    def test_ei_slopes(self):
+        mean = np.array([-1.0, 0.4, 0.5, 2.0])
+        sd = np.array([0.3, 1.0, 2.5, 0.7])
+        d_mean, d_sd = tpbo.bo._ei_slopes(mean, sd, 0.4)
+        h = 1e-6
+        want = (ei(mean + h, sd, 0.4) - ei(mean - h, sd, 0.4)) / (2 * h)
+        assert d_mean == pytest.approx(want, rel=1e-7)
+        want = (ei(mean, sd + h, 0.4) - ei(mean, sd - h, 0.4)) / (2 * h)
+        assert d_sd == pytest.approx(want, rel=1e-7)
+        # sd = 0: the slope of max(mean - y_plus, 0), and no sd term
+        d_mean, d_sd = tpbo.bo._ei_slopes(np.array([0.7, 0.4, 0.1]), np.zeros(3), 0.4)
+        assert list(d_mean) == [1.0, 0.0, 0.0] and list(d_sd) == [0.0, 0.0, 0.0]
 
 
 class TestAskTell:
@@ -333,12 +449,12 @@ GOLDEN_BEST = [
     -0.55625,
     -0.55625,
     -0.55625,
-    -0.04469155704429469,
-    -0.04469155704429469,
-    -0.03161661932473488,
-    -0.03161661932473488,
+    -0.04469108032812183,
+    -0.04469108032812183,
+    -0.0316111306150004,
+    -0.0316111306150004,
 ]
-GOLDEN_X = [0.7384578944053198, -0.2835334101965796]
+GOLDEN_X = [0.7384520450324855, -0.2835354504606167]
 
 
 class TestGoldenTrace:

@@ -227,8 +227,8 @@ def readme_model(tmp_path):
 
 GOLDEN_SUGGESTIONS = [
     "suggestion: 0.25019093320933394,0.794427601939151",
-    "suggestion: -0.015681455930303047,0.012566567664134278",
-    "suggestion: 0.00436847220933478,-1.0",
+    "suggestion: -0.015682750921489148,0.012564176335414885",
+    "suggestion: 0.00437037463971898,-1.0",
 ]
 
 GOLDEN_SESSION = """{
@@ -251,8 +251,8 @@ GOLDEN_SESSION = """{
         0.25
       ],
       [
-        -0.015681455930303047,
-        0.012566567664134278
+        -0.015682750921489148,
+        0.012564176335414885
       ]
     ],
     "values": [
@@ -261,7 +261,7 @@ GOLDEN_SESSION = """{
     ]
   },
   "pending": [
-    0.00436847220933478,
+    0.00437037463971898,
     -1.0
   ],
   "seed": 7,
@@ -407,6 +407,28 @@ class TestSuggestTell:
         assert suggestions == GOLDEN_SUGGESTIONS + GOLDEN_SUGGESTIONS[-1:]
         expected = GOLDEN_SESSION.replace("MODEL_REF", json.dumps(readme_model))
         assert session.read_text() == expected
+
+
+    def test_numerical_failure_exits_4_where_the_factor_is_needed(
+        self, readme_model, tmp_path, capsys, monkeypatch
+    ):
+        import tpbo.gp
+        from tpbo.errors import NumericalError
+
+        def failing(gram, shift):
+            raise NumericalError("posterior factorization failed")
+
+        monkeypatch.setattr(tpbo.gp, "_factor_shifted", failing)
+        base = ["--session", str(tmp_path / "session.json"), "--model", readme_model]
+        # the first pick of a fresh session is a seeded random point, and
+        # tell only records data: neither factors the posterior
+        assert main(["suggest"] + base) == 0
+        assert main(["tell"] + base + ["--x=-0.5,0.25", "--y", "0.31"]) == 0
+        capsys.readouterr()
+        assert main(["suggest"] + base) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: numerical failure: posterior factorization")
 
 
 class TestParser:

@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
+import tpbo.gp
+
 from feature_route import expand_features, tuned_weights_oracle, weight_space_posterior_oracle
+from numdiff import central_differences
 from tpbo import FreeKernelSpec, TunedKernel
+from tpbo.errors import NumericalError
 from tpbo.gp import (
     ArdSeKernel,
     GpPosterior,
@@ -155,3 +159,93 @@ class TestWeightSpaceOracle:
         _, var_prior = weight_space_posterior_oracle(exp, Observations.empty(2, 1.0), x)
         assert abs(mean_big) < 1e-6
         assert var_big == pytest.approx(var_prior, rel=1e-6)
+
+
+def gradient_kernels():
+    rng = np.random.default_rng(8)
+    aux = rng.uniform(-1, 1, (8, 2))
+    alpha = rng.normal(size=8)
+    return {
+        "se": SeKernel(2.0),
+        "ard-se": ArdSeKernel([0.5, 3.0]),
+        "tuned-se": TunedKernel(FreeKernelSpec(family="se", nu=1.0), aux, alpha),
+        "tuned-polynomial": TunedKernel(
+            FreeKernelSpec(family="polynomial", degree=3, offset=1.0), aux, alpha
+        ),
+    }
+
+
+class TestGradients:
+    @pytest.mark.parametrize("name", ["se", "ard-se"])
+    def test_stationary_kernels_match_central_differences(self, name):
+        kernel = gradient_kernels()[name]
+        rng = np.random.default_rng(9)
+        X1, X2 = rng.uniform(-1, 1, (5, 2)), rng.uniform(-1, 1, (4, 2))
+        K, dK = kernel.cross_grad(X1, X2)
+        assert np.array_equal(K, kernel(X1, X2))
+        want = central_differences(lambda X: kernel(X, X2), X1)
+        assert dK == pytest.approx(want, rel=1e-6, abs=1e-9)
+        d, dd = kernel.diag_grad(X1)
+        assert np.array_equal(d, kernel.diag(X1))
+        assert np.array_equal(dd, np.zeros_like(X1))
+
+    @pytest.mark.parametrize("name", sorted(gradient_kernels()))
+    def test_posterior_grad(self, name):
+        kernel = gradient_kernels()[name]
+        rng = np.random.default_rng(10)
+        X = rng.uniform(-1, 1, (9, 2))
+        y = rng.normal(size=9)
+        gp = GpPosterior.from_data(kernel, X, y, 1e-3)
+        P = rng.uniform(-1, 1, (6, 2))
+        mean, var, dmean, dvar = gp.posterior_grad(P)
+        m_b, v_b = gp.posterior_batch(P)
+        assert np.array_equal(mean, m_b) and np.array_equal(var, v_b)
+        want = central_differences(lambda Q: gp.posterior_batch(Q)[0], P)
+        scale = float(np.max(np.abs(want)))
+        assert dmean == pytest.approx(want, rel=1e-5, abs=1e-6 * scale)
+        want = central_differences(lambda Q: gp.posterior_batch(Q)[1], P)
+        scale = float(np.max(np.abs(want)))
+        assert dvar == pytest.approx(want, rel=1e-5, abs=1e-6 * scale)
+
+    def test_empty_posterior_grad_is_prior(self):
+        kernel = gradient_kernels()["tuned-se"]
+        gp = GpPosterior(kernel, Observations.empty(2, 1e-6))
+        P = np.array([[0.3, -0.2], [0.9, 0.1]])
+        mean, var, dmean, dvar = gp.posterior_grad(P)
+        d, dd = kernel.diag_grad(P)
+        assert np.array_equal(mean, np.zeros(2)) and np.array_equal(var, d)
+        assert np.array_equal(dmean, np.zeros((2, 2))) and np.array_equal(dvar, dd)
+
+
+class TestLazyFactorization:
+    def test_factored_once_on_first_use(self, monkeypatch):
+        calls = []
+        real = tpbo.gp._factor_shifted
+
+        def counting(gram, shift):
+            calls.append(gram.shape[0])
+            return real(gram, shift)
+
+        monkeypatch.setattr(tpbo.gp, "_factor_shifted", counting)
+        rng = np.random.default_rng(11)
+        X = rng.uniform(-1, 1, (6, 2))
+        gp = GpPosterior.from_data(SeKernel(2.0), X[:5], rng.normal(size=5), 1e-6)
+        # a posterior replaced before use is never factored
+        gp = gp.add_observation(X[5], 0.5)
+        assert calls == []
+        gp.posterior_batch(X)
+        gp.posterior_grad(X)
+        gp.posterior(X[0])
+        assert calls == [6]
+
+    def test_failure_surfaces_on_first_use(self):
+        # a negative variance on the Gram diagonal defeats every jitter rung
+        class IndefiniteKernel(SeKernel):
+            def __call__(self, X1, X2):
+                K = super().__call__(X1, X2)
+                K[0, 0] = -1.0
+                return K
+
+        gp = GpPosterior.from_data(IndefiniteKernel(1.0), np.zeros((2, 2)), [0.0, 1.0], 0.0)
+        with pytest.raises(NumericalError):
+            gp.posterior_batch(np.zeros((1, 2)))

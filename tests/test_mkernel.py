@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from numdiff import central_differences
 from feature_route import (
     eval_free,
     eval_tuned,
@@ -380,3 +381,58 @@ class TestTunedKernel:
         assert t(X1, X2) == pytest.approx(cross, rel=1e-12, abs=floor)
         floor = 1e-13 * float(np.max(np.abs(diag)))
         assert t.diag(X1) == pytest.approx(diag, rel=1e-12, abs=floor)
+
+
+class TestGradients:
+    """cross_grad/diag_grad against their values and central differences."""
+
+    @staticmethod
+    def kernel(family, dim=3):
+        # Inputs inside (-0.8, 0.8) keep every log-ratio coordinate product in (-1, 1).
+        rng = np.random.default_rng(17)
+        spec = FreeKernelSpec(family=family, nu=0.7, degree=3, offset=0.5)
+        t = TunedKernel(spec, rng.uniform(-0.8, 0.8, (6, dim)), rng.normal(size=6))
+        return t, rng.uniform(-0.8, 0.8, (7, dim)), rng.uniform(-0.8, 0.8, (4, dim))
+
+    @staticmethod
+    def check(t, X1, X2, h=1e-6):
+        K, dK = t.cross_grad(X1, X2)
+        assert np.array_equal(K, t(X1, X2))
+        assert dK.shape == X1.shape[:1] + X2.shape
+        # the differences round off at about eps |K| / h
+        want = central_differences(lambda X: t(X, X2), X1, h)
+        floor = 1e-7 * float(np.max(np.abs(want)) + np.max(np.abs(K)))
+        assert dK == pytest.approx(want, rel=1e-6, abs=floor)
+        d, dd = t.diag_grad(X1)
+        assert np.array_equal(d, t.diag(X1))
+        want = central_differences(t.diag, X1, h)
+        floor = 1e-7 * float(np.max(np.abs(want)) + np.max(np.abs(d)))
+        assert dd == pytest.approx(want, rel=1e-6, abs=floor)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_central_differences(self, family):
+        self.check(*self.kernel(family))
+
+    @pytest.mark.parametrize("chunk_elems", [1, 100])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_chunked_path(self, monkeypatch, family, chunk_elems):
+        t, X1, X2 = self.kernel(family)
+        K, dK = t.cross_grad(X1, X2)
+        d, dd = t.diag_grad(X1)
+        monkeypatch.setattr(_accel, "_CHUNK_ELEMS", chunk_elems)
+        self.check(t, X1, X2)
+        for got, want in zip(t.cross_grad(X1, X2) + t.diag_grad(X1), (K, dK, d, dd)):
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-13 * float(np.max(np.abs(want))))
+
+    def test_log_ratio_gradient_at_zero_coordinate(self):
+        # a log-ratio factor is 0 at z = 0; the other coordinates' slopes
+        # vanish there but the slope along that coordinate does not
+        t, X1, X2 = self.kernel("log-ratio", dim=2)
+        X1[:, 1] = 0.0
+        _, dK = t.cross_grad(X1, X2)
+        assert np.all(np.isfinite(dK))
+        assert np.all(dK[:, :, 0] == 0.0)
+        assert np.all(dK[:, :, 1] != 0.0)
+        # log((1 + z) / (1 - z)) rounds off at about eps / z near z = 0,
+        # so the differences there need a wider step
+        self.check(t, X1, X2, h=1e-4)
