@@ -6,8 +6,11 @@ run more than one thread, the idle threads of one spin on the cores the
 other needs: on a 2-core host, a pick polishing 64 starts at four
 observations took about 4 s with both pools at their default 2 threads and
 0.5 s with either pool at one.  `single_thread` runs a block with every
-pool at one thread and then restores the counts it found.  Where the
-libraries or their thread controls cannot be found, nothing is changed.
+pool at one thread and then restores the counts it found; every pick and
+the whole of `bench.run_benchmark` run inside it.  A process forked inside
+a block inherits the one-thread counts, the found controls and the open
+block, so its own blocks change nothing.  Where the libraries or their
+thread controls cannot be found, nothing is changed.
 """
 
 from __future__ import annotations

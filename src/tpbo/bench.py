@@ -11,6 +11,7 @@ physical instruments.
 from __future__ import annotations
 
 import logging
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -332,19 +333,6 @@ def _cell_entry(args) -> List[RegretRecord]:
     return run_cell(*args)
 
 
-def _one_blas_thread() -> None:
-    """Pool initializer: every OpenBLAS loaded in the worker runs one thread.
-
-    numpy and scipy each bundle an OpenBLAS, and a forked worker inherits
-    their thread counts.  Cells only factor small matrices, so extra BLAS
-    threads just compete with the other workers for the same cores.  Where
-    the libraries or their setters cannot be found, the worker keeps the
-    counts it inherited.
-    """
-    for _, setter in _blas.find_controls():
-        setter(1)
-
-
 def _worker_count(n_cells: int) -> int:
     env = os.environ.get("TPBO_THREADS")
     if env is not None:
@@ -365,8 +353,10 @@ def run_benchmark(spec: BenchmarkSpec) -> List[RegretRecord]:
     """Run every (function, method, seed) cell and merge the records.
 
     Cells are independent, so they may run in separate processes, one per
-    CPU this process may use, each with one BLAS thread; the TPBO_THREADS
-    environment variable caps the worker count.
+    CPU this process may use; the TPBO_THREADS environment variable caps
+    the worker count.  The whole run, serial or pooled, holds every OpenBLAS
+    at one thread (see `_blas`), and the workers are forked inside that
+    block, so they inherit the one-thread counts and never set them.
     """
     cells = [
         (fn, method, seed, spec)
@@ -376,13 +366,15 @@ def run_benchmark(spec: BenchmarkSpec) -> List[RegretRecord]:
     ]
     workers = _worker_count(len(cells))
     records: List[RegretRecord] = []
-    if workers == 1:
-        for cell in cells:
-            records.extend(_cell_entry(cell))
-    else:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
-            for chunk in pool.map(_cell_entry, cells):
-                records.extend(chunk)
+    with _blas.single_thread():
+        if workers == 1:
+            for cell in cells:
+                records.extend(_cell_entry(cell))
+        else:
+            fork = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(max_workers=workers, mp_context=fork) as pool:
+                for chunk in pool.map(_cell_entry, cells):
+                    records.extend(chunk)
     records.sort(key=lambda r: (r.method, r.function, r.seed, r.iteration))
     return records
 

@@ -143,8 +143,7 @@ class BoSession:
 
     Build one with `new_session`.  Points live in the box [-1, 1]^n, with
     n = `acquisition.dim`.  `iteration` counts the observations recorded
-    through `tell`; `d0_size` is the rest, the size of the initial design
-    the session started from.
+    through `tell`.
     """
 
     gp: GpPosterior
@@ -157,11 +156,6 @@ class BoSession:
     def __post_init__(self) -> None:
         if self.iteration < 0:
             raise ValueError("iteration must be nonnegative")
-
-    @property
-    def d0_size(self) -> int:
-        """Number of initial-design observations (all but the told ones)."""
-        return self.gp.obs.size - self.iteration
 
     @property
     def best_so_far(self) -> Optional[tuple]:

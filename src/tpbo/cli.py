@@ -186,7 +186,8 @@ def _session_for(args) -> BoSession:
     """Load the session file, or start a fresh one around the model.
 
     --acq, --delta, --sigma2 and --seed take effect only when the file is
-    created; on a loaded session a differing value draws a warning.
+    created; on a loaded session a differing value draws a warning.  A
+    loaded session whose dimension differs from the model's is an error.
     """
     model = load_aux_model(args.model)
     kernel = build_tuned(model)
@@ -205,6 +206,11 @@ def _session_for(args) -> BoSession:
             init_points=np.empty((0, dim)),
             init_values=np.empty(0),
             model_ref=args.model,
+        )
+    if kernel.input_dim != session.acquisition.dim:
+        raise ValueError(
+            f"the model is {kernel.input_dim}-D but the session "
+            f"{args.session} is {session.acquisition.dim}-D"
         )
     stored = {
         "acq": session.acquisition.kind,

@@ -157,10 +157,6 @@ class GpPosterior:
     def from_data(cls, kernel, points, values, noise_var: float) -> "GpPosterior":
         return cls(kernel, Observations(points, values, noise_var))
 
-    @property
-    def size(self) -> int:
-        return self.obs.size
-
     def add_observation(self, x, y: float) -> "GpPosterior":
         """Return a new posterior including (x, y); its factorization is made anew."""
         return GpPosterior(self.kernel, self.obs.appended(x, y))

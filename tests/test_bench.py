@@ -276,6 +276,40 @@ class TestProtocol:
         assert {r.method for r in records} == set(before)
         assert {r.seed for r in records} == {1}
 
+    def test_serial_cells_run_one_blas_thread(self, monkeypatch):
+        import tpbo.bench as bench_mod
+
+        before = openblas_threads()
+        assert before, "no OpenBLAS found in /proc/self/maps"
+        monkeypatch.setattr(bench_mod, "_cell_entry", blas_probe_cell)
+        monkeypatch.setenv("TPBO_THREADS", "1")
+        records = run_benchmark(tiny_spec(seeds=2))
+        assert openblas_threads() == before
+        assert {r.method for r in records} == set(before)
+        assert {(r.seed, r.iteration) for r in records} == {(1, os.getpid())}
+
+    def test_only_the_parent_sets_blas_threads(self, monkeypatch, tmp_path):
+        log = tmp_path / "setters.log"
+        real = tpbo._blas.find_controls
+
+        def logged(setter):
+            def set_threads(n):
+                with open(log, "a", encoding="utf-8") as fh:
+                    fh.write(f"{os.getpid()}\n")
+                setter(n)
+            return set_threads
+
+        def recording_controls():
+            return [(getter, logged(setter)) for getter, setter in real()]
+
+        if not real():
+            pytest.skip("no OpenBLAS thread controls in this process")
+        monkeypatch.setattr(tpbo._blas, "_controls", None)
+        monkeypatch.setattr(tpbo._blas, "find_controls", recording_controls)
+        monkeypatch.setenv("TPBO_THREADS", "2")
+        run_benchmark(tiny_spec(seeds=2, iterations=2))
+        assert set(log.read_text().split()) == {str(os.getpid())}
+
     @pytest.mark.parametrize("failure", ["maps", "dlopen", "symbol"])
     def test_pool_runs_when_blas_lookup_fails(self, monkeypatch, failure):
         import tpbo.bench as bench_mod
@@ -293,6 +327,7 @@ class TestProtocol:
         spec = tiny_spec(methods=("tp-ei", "ei"), seeds=2, iterations=2)
         monkeypatch.setenv("TPBO_THREADS", "1")
         serial = run_benchmark(spec)
+        monkeypatch.setattr(tpbo._blas, "_controls", None)  # look them up anew
         if failure == "maps":
             monkeypatch.setattr(tpbo._blas, "open", no_file, raising=False)
         else:

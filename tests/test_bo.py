@@ -431,7 +431,6 @@ class TestBoStep:
         assert all(b >= a for a, b in zip(best, best[1:]))
         assert s.iteration == 6
         assert s.gp.obs.size == 8
-        assert s.d0_size == 2
 
     def test_constant_objective(self):
         spec = AcquisitionSpec(kind="ei", dim=2)
@@ -484,7 +483,6 @@ class TestPersistence:
         loaded = load_session(path, SeKernel(3.0))
         assert loaded.iteration == s.iteration
         assert loaded.rng_seed == s.rng_seed
-        assert loaded.d0_size == 2
         assert loaded.model_ref == "model.json"
         assert loaded.acquisition == s.acquisition
         with open(path, encoding="utf-8") as fh:

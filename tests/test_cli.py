@@ -333,6 +333,34 @@ class TestSuggestTell:
         assert payload["observations"]["values"] == [0.3]
 
 
+    def test_model_of_another_dimension_exits_2(self, small_model, tmp_path, capsys):
+        csv = tmp_path / "aux3.csv"
+        rng = np.random.default_rng(4)
+        rows = [",".join(repr(float(v)) for v in row) for row in rng.uniform(-1, 1, (10, 4))]
+        csv.write_text("x1,x2,x3,y\n" + "\n".join(rows) + "\n")
+        model3 = str(tmp_path / "model3.json")
+        assert main(["pretrain", "--aux", str(csv), "--out", model3]) == 0
+        session = tmp_path / "session.json"
+
+        def rejected(command, *flags):
+            before = session.read_bytes()
+            code = main([command, "--session", str(session), "--model", model3] + list(flags))
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "3-D" in err and "2-D" in err
+            assert session.read_bytes() == before
+
+        # a 2-D session with a pending point, then with data and none pending
+        assert main(["suggest", "--session", str(session), "--model", small_model]) == 0
+        capsys.readouterr()
+        rejected("suggest", "--refine-top", "2")
+        rejected("tell", "--x=0.5,0.25,0.0", "--y", "0.3")
+        assert main(["tell", "--session", str(session), "--model", small_model,
+                     "--x=-0.5,0.25", "--y", "0.3"]) == 0
+        capsys.readouterr()
+        rejected("suggest", "--refine-top", "2")
+        rejected("tell", "--x=0.5,0.25", "--y", "0.3")
+
     @pytest.mark.parametrize("refine_top", ["0", "-3"])
     def test_bad_refine_top_exits_2(self, small_model, tmp_path, capsys, refine_top):
         # neither a fresh EI session nor a pending suggestion polishes a
