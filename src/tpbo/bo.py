@@ -23,7 +23,6 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.optimize import Bounds, minimize
 from scipy.special import ndtr
-from scipy.stats import qmc
 
 from . import _blas
 from .gp import GpPosterior
@@ -193,6 +192,21 @@ def rng_for(seed: int, iteration: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(iteration)]))
 
 
+def _latin_hypercube(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """n scrambled Latin-hypercube points in [0, 1)^d (McKay et al., 1979).
+
+    Draws from a child spawned off `rng`, leaving the parent's own draws
+    untouched; the points equal `scipy.stats.qmc.LatinHypercube(d=d,
+    seed=rng).random(n)` bit for bit.
+    """
+    child = rng.spawn(1)[0]
+    u = child.uniform(size=(n, d))
+    perms = np.tile(np.arange(1, n + 1), (d, 1))
+    for row in perms:
+        child.shuffle(row)
+    return (perms.T - u) / n
+
+
 def _acquisition_values(session: BoSession, X: np.ndarray, y_plus) -> np.ndarray:
     mean, var = session.gp.posterior_batch(X)
     sd = np.sqrt(np.clip(var, 0.0, None))
@@ -259,8 +273,7 @@ def maximize_acquisition(
     # the pick's matrices are small: `_blas` says why one thread is faster
     with _blas.single_thread():
         n_probes = 32 * spec.dim
-        sampler = qmc.LatinHypercube(d=spec.dim, seed=rng)
-        probes = -1.0 + sampler.random(n_probes) * 2.0
+        probes = -1.0 + _latin_hypercube(rng, n_probes, spec.dim) * 2.0
         values = _acquisition_values(session, probes, y_plus)
 
         vmax = float(np.max(values))

@@ -238,6 +238,11 @@ def loo_error(gram: np.ndarray, y: np.ndarray, lam: float, task: str) -> float:
     the misclassification fraction.
     """
     gram, y = _check_gram(gram, y)
+    return _loo_error(gram, y, lam, task)
+
+
+def _loo_error(gram: np.ndarray, y: np.ndarray, lam: float, task: str) -> float:
+    """`loo_error` without the input checks: `gram` and `y` come from `_check_gram`."""
     if task == "regression":
         factor = _factor_ridge(gram, lam)
         alpha = scipy.linalg.cho_solve(factor, y)
@@ -268,15 +273,16 @@ def select_by_loo(
 ) -> tuple[float, float, float]:
     """Scan a (nu, lambda) grid by leave-one-out error; return (err, nu, lam).
 
-    ``gram_for(nu)`` builds the Gram matrix for one nu, once per grid value.
+    ``gram_for(nu)`` builds the Gram matrix for one nu, once per grid value,
+    and each one is checked once before its lambda row is scored.
     Ties break toward the smallest nu, then the smallest lambda, whatever
     the order of the grids.
     """
     lambda_values = [float(lam) for lam in lambda_values]
     scores = []
     for nu in map(float, nu_values):
-        gram = gram_for(nu)
-        scores.extend((loo_error(gram, y, lam, task), nu, lam) for lam in lambda_values)
+        gram, y = _check_gram(gram_for(nu), y)
+        scores.extend((_loo_error(gram, y, lam, task), nu, lam) for lam in lambda_values)
     return min(scores)
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import qmc
 
 from numdiff import central_differences
 from tpbo.bo import (
@@ -20,6 +21,7 @@ from tpbo.bo import (
     load_session,
     maximize_acquisition,
     new_session,
+    rng_for,
     save_session,
     tell,
     ucb,
@@ -193,6 +195,18 @@ class TestMaximizer:
         s = small_session(seed=123)
         assert np.array_equal(maximize_acquisition(s, refine_top=2),
                               maximize_acquisition(s, refine_top=2))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_latin_hypercube_matches_scipy(self, d):
+        for seed in (0, 1, 7, 123, 2**31 - 1):
+            for iteration, n in ((0, 32 * d), (3, 32 * d), (11, 5)):
+                ours, theirs = rng_for(seed, iteration), rng_for(seed, iteration)
+                got = tpbo.bo._latin_hypercube(ours, n, d)
+                want = qmc.LatinHypercube(d=d, seed=theirs).random(n)
+                assert got.shape == (n, d)
+                assert np.array_equal(got, want)
+                # the parent stream is left where scipy leaves it
+                assert ours.uniform() == theirs.uniform()
 
     def test_result_stays_in_box(self):
         for seed in (0, 1, 2):

@@ -477,3 +477,23 @@ class TestParser:
         )
         assert proc.returncode == 0
         assert "suggest" in proc.stdout
+
+    def test_commands_do_not_load_scipy_stats(self):
+        # importing scipy.stats would add about a quarter second to the
+        # start of every command, and a pick must not load it either
+        script = (
+            "import sys, tpbo.cli\n"
+            "assert 'scipy.stats' not in sys.modules, 'import'\n"
+            "from tpbo import AcquisitionSpec, SeKernel, ask, new_session\n"
+            "session = new_session(SeKernel(1.0), AcquisitionSpec(kind='ei', dim=2),\n"
+            "                      seed=0, noise_var=1e-6,\n"
+            "                      init_points=[[0.5, -0.5], [-0.2, 0.3]],\n"
+            "                      init_values=[0.1, 0.4])\n"
+            "ask(session)\n"
+            "assert 'scipy.stats' not in sys.modules, 'pick'\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr

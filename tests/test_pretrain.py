@@ -19,6 +19,7 @@ from tpbo.pretrain import (
     loo_error,
     pretrain,
     save_aux_model,
+    select_by_loo,
     train_hinge,
     train_lssvm,
 )
@@ -153,6 +154,14 @@ class TestLoo:
     def test_unknown_task_rejected(self):
         with pytest.raises(ValueError):
             loo_error(np.eye(2), np.array([1.0, -1.0]), 1.0, "ranking")
+
+    def test_grid_scan_checks_every_gram(self):
+        # each nu's Gram is checked once before its lambda row is scored
+        lopsided = np.eye(3)
+        lopsided[0, 1] = 0.5
+        grams = {1.0: np.eye(3), 2.0: lopsided}
+        with pytest.raises(ValueError, match="gram must be symmetric"):
+            select_by_loo(grams.__getitem__, np.ones(3), "regression", (1.0, 2.0), (0.1, 1.0))
 
 
 class TestPretrain:
