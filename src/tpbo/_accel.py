@@ -3,8 +3,8 @@
 Every family map and every covariance in the package goes through this
 module.  ``dot_series`` and ``log_ratio`` say what a family computes from a
 dot product or from coordinate products; ``pretrain.base_gram`` and
-``TunedKernel`` (cross and diagonal, both through the chunked ``tuned_rows``)
-call them, as does the tests' reference route in ``tests/feature_route.py``.
+``TunedKernel`` (cross and diagonal, both through the chunked ``tuned_rows``,
+which maps one reused buffer in place) call them, as does the tests' reference route in ``tests/feature_route.py``.
 The plain and ARD squared-exponential crosses live here too.  Every cross
 also has an input gradient (``tuned_rows(..., grad=True)``, ``tuned_cross_grad``
 and ``se_grad``), which the acquisition maximizer's L-BFGS-B polish reads.
@@ -14,7 +14,10 @@ from __future__ import annotations
 
 import numpy as np
 
-# Cap on temporary-array elements in the chunked numpy paths (~32 MB of f64).
+# Cap on the elements of one chunk of tuned-row work (~32 MB of f64).  The
+# dot-series path allocates one chunk buffer per call and evaluates every
+# chunk in it in place: fresh chunk-sized temporaries cost page faults on
+# every call, and those, not the flops, dominated the tuned kernel's time.
 _CHUNK_ELEMS = 4_000_000
 
 
@@ -27,29 +30,43 @@ def _as2d(x: np.ndarray) -> np.ndarray:
 
 
 def dot_series(family: str, nu: float, degree: int, offset: float, D):
-    """Scalar series of a dot-product family, elementwise on a scalar or array."""
-    if family == "linear":
-        return D
-    if family == "polynomial":
-        return (D + offset) ** degree
-    if family == "exponential":
-        return np.exp(nu * D)
-    if family == "hyperbolic-sine":
-        return np.sinh(nu * D)
-    raise ValueError(f"unsupported dot-product family: {family!r}")
+    """Scalar series of a dot-product family, elementwise on a scalar or array.
+
+    Returns a new float64 array (0-d for a scalar); ``D`` is left as it is.
+    """
+    G = np.array(D, dtype=np.float64)
+    _dot_series_in_place(family, nu, degree, offset, G)
+    return G
 
 
-def _dot_series_slope(family: str, nu: float, degree: int, offset: float, D, G):
-    """Derivative of ``dot_series`` in D, given its value G at D."""
+def _dot_series_in_place(family: str, nu: float, degree: int, offset: float, G, S=None):
+    """Overwrite the dot products G with ``dot_series`` of them.
+
+    With S, the polynomial and hyperbolic-sine families also write the
+    series' slope in D into S: it needs the dot products, which G loses.
+    The linear and exponential slopes follow from the series alone (1 and
+    nu * G), so ``tuned_rows`` makes them in G's place after reading it.
+    """
     if family == "linear":
-        return np.ones_like(D)
+        return
     if family == "polynomial":
-        return degree * (D + offset) ** (degree - 1)
-    if family == "exponential":
-        return nu * G
-    if family == "hyperbolic-sine":
-        return nu * np.cosh(nu * D)
-    raise ValueError(f"unsupported dot-product family: {family!r}")
+        G += offset
+        if S is not None:
+            np.copyto(S, G)
+            S **= degree - 1
+            S *= degree
+        G **= degree
+    elif family == "exponential":
+        G *= nu
+        np.exp(G, out=G)
+    elif family == "hyperbolic-sine":
+        G *= nu
+        if S is not None:
+            np.cosh(G, out=S)
+            S *= nu
+        np.sinh(G, out=G)
+    else:
+        raise ValueError(f"unsupported dot-product family: {family!r}")
 
 
 def _log_ratio_factors(Z: np.ndarray) -> np.ndarray:
@@ -132,8 +149,14 @@ def tuned_rows(
 
     The gradient is the (m, n) array of derivatives in each coordinate of z.
     Rows are taken in chunks that hold a whole number of ``group`` rows and
-    keep the temporaries under ``_CHUNK_ELEMS`` elements.  The values do not
-    depend on ``grad``: both take the same chunks and the same operations.
+    keep a chunk under ``_CHUNK_ELEMS`` elements.  The dot-series families
+    use one chunk buffer, allocated once per call: each chunk's dot products
+    are written into it, mapped to the series in place and summed, and with
+    ``grad`` the same buffer then becomes the slope.  Polynomial and
+    hyperbolic-sine gradients, which need the dot products and the series at
+    once, take one more buffer.  Fresh chunk-sized temporaries cost page
+    faults on every call, not flops.  The values do not depend on ``grad``:
+    both take the same chunks and the same operations.
     """
     m, n = Z.shape
     q = P.shape[0]
@@ -144,20 +167,33 @@ def tuned_rows(
     if grad:
         dout = np.empty((m, n))
         WP = W[:, None] * P
-    for r0 in range(0, m, rows):
-        r1 = min(m, r0 + rows)
-        if family == "log-ratio":
+    if family == "log-ratio":
+        for r0 in range(0, m, rows):
+            r1 = min(m, r0 + rows)
             PZ = P[None, :, :] * Z[r0:r1, None, :]
             F = _log_ratio_factors(PZ)
             G = np.prod(F, axis=-1)
             if grad:
                 dout[r0:r1] = np.einsum("rqk,qk->rk", _log_ratio_slopes(PZ, F), WP)
-        else:
-            D = Z[r0:r1] @ P.T
-            G = dot_series(family, nu, degree, offset, D)
-            if grad:
-                dout[r0:r1] = _dot_series_slope(family, nu, degree, offset, D, G) @ WP
+            out[r0:r1] = G @ W
+        return (out, dout) if grad else out
+    buf = np.empty((min(m, rows), q))
+    slope = np.empty_like(buf) if grad and family in ("polynomial", "hyperbolic-sine") else None
+    for r0 in range(0, m, rows):
+        r1 = min(m, r0 + rows)
+        G = buf[: r1 - r0]
+        np.matmul(Z[r0:r1], P.T, out=G)
+        S = None if slope is None else slope[: r1 - r0]
+        _dot_series_in_place(family, nu, degree, offset, G, S)
         out[r0:r1] = G @ W
+        if grad:
+            if family == "linear":
+                G.fill(1.0)
+            elif family == "exponential":
+                G *= nu
+            else:
+                G = S
+            dout[r0:r1] = G @ WP
     return (out, dout) if grad else out
 
 

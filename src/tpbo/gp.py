@@ -205,9 +205,3 @@ class GpPosterior:
         dmean = alpha @ dk
         dvar = dprior - 2.0 * np.einsum("ink,ni->ik", dk, B)
         return mean, np.clip(var, 0.0, np.maximum(prior, 0.0)), dmean, dvar
-
-    def posterior(self, x) -> tuple[float, float]:
-        """Posterior mean and variance at a single point."""
-        x = np.asarray(x, dtype=np.float64).ravel()
-        mean, var = self.posterior_batch(x[None, :])
-        return float(mean[0]), float(var[0])

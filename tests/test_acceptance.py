@@ -155,7 +155,7 @@ def test_criterion_5_gp_correctness():
         gp = GpPosterior.from_data(tuned, X, y, 1e-4)
         for _ in range(10):
             q = rng.uniform(-1.0, 1.0, 2)
-            m_f, v_f = gp.posterior(q)
+            (m_f,), (v_f,) = gp.posterior_batch(q[None, :])
             m_w, v_w = weight_space_posterior_oracle(reweighted, gp.obs, q)
             assert abs(m_f - m_w) <= 1e-8 * max(1.0, abs(m_w))
             assert abs(v_f - v_w) <= 1e-8 * max(1.0, abs(v_w))
@@ -165,7 +165,7 @@ def test_criterion_5_gp_correctness():
         yi = np.sin(3 * Xi[:, 0]) * np.cos(2 * Xi[:, 1])
         gpi = GpPosterior.from_data(SeKernel(4.0), Xi, yi, 0.0)
         for i in range(12):
-            mean, _ = gpi.posterior(Xi[i])
+            (mean,), _ = gpi.posterior_batch(Xi[i][None, :])
             assert abs(mean - yi[i]) <= 1e-6
 
         # incremental update equals rebuild
@@ -177,8 +177,8 @@ def test_criterion_5_gp_correctness():
         full = GpPosterior.from_data(SeKernel(1.5), X8, y8, 1e-6)
         for _ in range(10):
             q = rng.uniform(-1.0, 1.0, 2)
-            mi, vi = inc.posterior(q)
-            mf, vf = full.posterior(q)
+            (mi,), (vi,) = inc.posterior_batch(q[None, :])
+            (mf,), (vf,) = full.posterior_batch(q[None, :])
             assert abs(mi - mf) <= 1e-9 * max(1.0, abs(mf))
             assert abs(vi - vf) <= 1e-9 * max(1.0, abs(vf))
 

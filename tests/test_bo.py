@@ -507,8 +507,8 @@ class TestPersistence:
         assert np.array_equal(loaded.pending, s.pending)
         # posterior agrees after the rebuild
         q = np.array([0.2, -0.1])
-        m1, v1 = s.gp.posterior(q)
-        m2, v2 = loaded.gp.posterior(q)
+        (m1,), (v1,) = s.gp.posterior_batch(q[None, :])
+        (m2,), (v2,) = loaded.gp.posterior_batch(q[None, :])
         assert m1 == pytest.approx(m2, rel=1e-12)
         assert v1 == pytest.approx(v2, rel=1e-12)
 

@@ -35,7 +35,7 @@ def dense_posterior(kernel, X, y, noise_var, x):
 class TestPosterior:
     def test_empty_posterior_is_prior(self):
         gp = GpPosterior(SeKernel(1.0), Observations.empty(2, 1e-6))
-        mean, var = gp.posterior(np.array([0.3, -0.2]))
+        (mean,), (var,) = gp.posterior_batch(np.array([[0.3, -0.2]]))
         assert mean == 0.0
         assert var == pytest.approx(1.0, rel=1e-12)
 
@@ -45,7 +45,7 @@ class TestPosterior:
         y = np.sin(3 * X[:, 0]) * np.cos(2 * X[:, 1])
         gp = GpPosterior.from_data(SeKernel(4.0), X, y, 0.0)
         for i in range(12):
-            mean, var = gp.posterior(X[i])
+            (mean,), (var,) = gp.posterior_batch(X[i][None, :])
             assert mean == pytest.approx(y[i], abs=1e-6)
             assert var <= 1e-6
 
@@ -57,7 +57,7 @@ class TestPosterior:
         gp = GpPosterior.from_data(kernel, X, y, 1e-4)
         for _ in range(10):
             x = rng.uniform(-1, 1, 2)
-            mean, var = gp.posterior(x)
+            (mean,), (var,) = gp.posterior_batch(x[None, :])
             dm, dv = dense_posterior(kernel, X, y, 1e-4, x)
             assert mean == pytest.approx(dm, rel=1e-9, abs=1e-12)
             assert var == pytest.approx(dv, rel=1e-8, abs=1e-12)
@@ -73,8 +73,8 @@ class TestPosterior:
         gp_full = GpPosterior.from_data(kernel, X, y, 1e-6)
         for _ in range(10):
             x = rng.uniform(-1, 1, 2)
-            mi, vi = gp_inc.posterior(x)
-            mf, vf = gp_full.posterior(x)
+            (mi,), (vi,) = gp_inc.posterior_batch(x[None, :])
+            (mf,), (vf,) = gp_full.posterior_batch(x[None, :])
             assert mi == pytest.approx(mf, rel=1e-9, abs=1e-12)
             assert vi == pytest.approx(vf, rel=1e-9, abs=1e-12)
 
@@ -83,7 +83,7 @@ class TestPosterior:
         X = rng.uniform(-1, 1, (10, 2))
         y = rng.normal(size=10)
         gp = GpPosterior.from_data(SeKernel(1.0), X, y, 1e9)
-        mean, var = gp.posterior(np.zeros(2))
+        (mean,), (var,) = gp.posterior_batch(np.zeros((1, 2)))
         assert abs(mean) < 1e-6
         assert var == pytest.approx(1.0, rel=1e-6)
 
@@ -91,7 +91,7 @@ class TestPosterior:
         X = np.array([[0.1, 0.2], [0.1, 0.2], [0.5, -0.5]])
         y = np.array([1.0, 1.0, -1.0])
         gp = GpPosterior.from_data(SeKernel(1.0), X, y, 0.0)
-        mean, var = gp.posterior(np.array([0.1, 0.2]))
+        (mean,), (var,) = gp.posterior_batch(np.array([[0.1, 0.2]]))
         assert np.isfinite(mean) and np.isfinite(var)
         assert var >= 0.0
 
@@ -112,7 +112,7 @@ class TestPosterior:
         P = rng.uniform(-1, 1, (6, 2))
         means, vars_ = gp.posterior_batch(P)
         for i, p in enumerate(P):
-            m, v = gp.posterior(p)
+            (m,), (v,) = gp.posterior_batch(p[None, :])
             assert means[i] == pytest.approx(m, rel=1e-13, abs=1e-15)
             assert vars_[i] == pytest.approx(v, rel=1e-13, abs=1e-15)
 
@@ -143,7 +143,7 @@ class TestWeightSpaceOracle:
         gp = GpPosterior(t, obs)
         for _ in range(8):
             x = rng.uniform(-1, 1, 2)
-            fm, fv = gp.posterior(x)
+            (fm,), (fv,) = gp.posterior_batch(x[None, :])
             wm, wv = weight_space_posterior_oracle(reweighted, obs, x)
             assert wm == pytest.approx(fm, rel=1e-8, abs=1e-10)
             assert wv == pytest.approx(fv, rel=1e-8, abs=1e-10)
@@ -235,7 +235,6 @@ class TestLazyFactorization:
         assert calls == []
         gp.posterior_batch(X)
         gp.posterior_grad(X)
-        gp.posterior(X[0])
         assert calls == [6]
 
     def test_failure_surfaces_on_first_use(self):

@@ -6,6 +6,7 @@ double sum over auxiliary pairs for the reweighted kernel.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -436,3 +437,71 @@ class TestGradients:
         # log((1 + z) / (1 - z)) rounds off at about eps / z near z = 0,
         # so the differences there need a wider step
         self.check(t, X1, X2, h=1e-4)
+
+
+# The dot-series maps and their slopes in D, written as whole-array
+# expressions that allocate each intermediate afresh.
+SERIES = {
+    "linear": lambda D, nu, deg, off: D,
+    "polynomial": lambda D, nu, deg, off: (D + off) ** deg,
+    "exponential": lambda D, nu, deg, off: np.exp(nu * D),
+    "hyperbolic-sine": lambda D, nu, deg, off: np.sinh(nu * D),
+}
+SLOPES = {
+    "linear": lambda D, G, nu, deg, off: np.ones_like(D),
+    "polynomial": lambda D, G, nu, deg, off: deg * (D + off) ** (deg - 1),
+    "exponential": lambda D, G, nu, deg, off: nu * G,
+    "hyperbolic-sine": lambda D, G, nu, deg, off: nu * np.cosh(nu * D),
+}
+
+
+class TestInPlaceRows:
+    """The in-place dot-series path of ``tuned_rows``, bit for bit and in memory."""
+
+    @pytest.mark.parametrize("grad", [False, True])
+    @pytest.mark.parametrize("chunk_elems", [None, 1, 8 * 21])
+    @pytest.mark.parametrize("family", list(SERIES))
+    def test_bit_identical_to_fresh_temporaries(self, monkeypatch, family, chunk_elems, grad):
+        rng = np.random.default_rng(18)
+        nu, deg, off = 0.7, 3, 0.5
+        P, W = rng.uniform(-0.8, 0.8, (21, 3)), rng.normal(size=21)
+        Z = rng.uniform(-0.8, 0.8, (35, 3))
+        if chunk_elems is not None:
+            # 8 * 21 elements take 8 of the 21 pairs' rows: 35 rows end in a chunk of 3
+            monkeypatch.setattr(_accel, "_CHUNK_ELEMS", chunk_elems)
+        rows = max(1, _accel._CHUNK_ELEMS // P.shape[0])
+        want, dwant = np.empty(35), np.empty((35, 3))
+        for r0 in range(0, 35, rows):
+            D = Z[r0:r0 + rows] @ P.T
+            G = SERIES[family](D, nu, deg, off)
+            want[r0:r0 + rows] = G @ W
+            dwant[r0:r0 + rows] = SLOPES[family](D, G, nu, deg, off) @ (W[:, None] * P)
+            assert np.array_equal(_accel.dot_series(family, nu, deg, off, D), G)
+        got = _accel.tuned_rows(P, W, family, nu, deg, off, Z, grad=grad)
+        if grad:
+            got, dgot = got
+            assert np.array_equal(dgot, dwant)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "family, buffers",
+        [("se", 1.25), ("exponential", 1.25), ("polynomial", 2.25), ("hyperbolic-sine", 2.25)],
+    )
+    def test_peak_memory_in_chunk_buffers(self, family, buffers):
+        # 50 auxiliary points make 1275 pairs; an 8 x 8 cross is one chunk of
+        # 64 rows.  Only polynomial and hyperbolic-sine gradients need a
+        # second buffer, for the slope.
+        rng = np.random.default_rng(19)
+        spec = FreeKernelSpec(family=family, nu=0.7, degree=3, offset=0.5)
+        t = TunedKernel(spec, rng.uniform(-0.8, 0.8, (50, 2)), rng.normal(size=50))
+        X = rng.uniform(-0.8, 0.8, (8, 2))
+        chunk = 64 * 1275 * 8
+        for call in (lambda: t.cross_grad(X, X), lambda: t(X, X), lambda: t.diag_grad(X)):
+            call()
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= buffers * chunk
