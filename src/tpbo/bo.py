@@ -77,6 +77,33 @@ def _phi(z: np.ndarray) -> np.ndarray:
         return np.exp(-0.5 * z * z) / _SQRT_2PI
 
 
+def _ei_terms(mean: np.ndarray, sd: np.ndarray, y_plus: float):
+    """Expected improvement and its slopes in the mean and in the sd.
+
+    Elementwise on arrays of one shape, with sd >= 0.  Where sd > 0, with
+    z = (mean - y_plus) / sd, the value is (mean - y_plus) Phi(z) + sd phi(z)
+    and the slopes are Phi(z) and phi(z); z, Phi(z) and phi(z) are computed
+    once for all three.  Where sd = 0 the value is the pointwise limit
+    max(mean - y_plus, 0): its mean slope is 1 above the incumbent and 0
+    elsewhere, and the sd slope is taken as 0.  Returns (values, d_mean,
+    d_sd); values are never negative.
+    """
+    diff = mean - float(y_plus)
+    values = np.maximum(diff, 0.0)
+    d_mean = (diff > 0).astype(float)
+    d_sd = np.zeros_like(d_mean)
+    pos = sd > 0
+    if np.any(pos):
+        with np.errstate(over="ignore"):
+            z = diff[pos] / sd[pos]
+        cdf = ndtr(z)
+        pdf = _phi(z)
+        values[pos] = diff[pos] * cdf + sd[pos] * pdf
+        d_mean[pos] = cdf
+        d_sd[pos] = pdf
+    return np.maximum(values, 0.0), d_mean, d_sd
+
+
 def ei(mean, sd, y_plus):
     """Expected improvement over y_plus; the sd = 0 case is the pointwise limit.
 
@@ -89,37 +116,10 @@ def ei(mean, sd, y_plus):
     mean_a, sd_a = np.broadcast_arrays(np.atleast_1d(mean_in), np.atleast_1d(sd_in))
     if np.any(sd_a < 0):
         raise ValueError("sd must be nonnegative")
-    diff = mean_a - float(y_plus)
-    out = np.maximum(diff, 0.0)  # exact limit where sd == 0
-    pos = sd_a > 0
-    if np.any(pos):
-        with np.errstate(over="ignore"):
-            z = diff[pos] / sd_a[pos]
-        out[pos] = diff[pos] * ndtr(z) + sd_a[pos] * _phi(z)
-    out = np.maximum(out, 0.0)
+    out = _ei_terms(mean_a, sd_a, y_plus)[0]
     if scalar:
         return float(out[0])
     return out
-
-
-def _ei_slopes(mean: np.ndarray, sd: np.ndarray, y_plus: float):
-    """Derivatives of `ei` in the mean and in the sd, elementwise on arrays.
-
-    Where sd > 0 they are Phi(z) and phi(z), z = (mean - y_plus) / sd.  Where
-    sd = 0, `ei` is max(mean - y_plus, 0): its mean slope is 1 above the
-    incumbent and 0 elsewhere, and the sd slope is taken as 0.
-    """
-    diff = np.asarray(mean, dtype=float) - float(y_plus)
-    sd = np.asarray(sd, dtype=float)
-    d_mean = (diff > 0).astype(float)
-    d_sd = np.zeros_like(d_mean)
-    pos = sd > 0
-    if np.any(pos):
-        with np.errstate(over="ignore"):
-            z = diff[pos] / sd[pos]
-        d_mean[pos] = ndtr(z)
-        d_sd[pos] = _phi(z)
-    return d_mean, d_sd
 
 
 def ucb(mean, sd, t: int, spec: AcquisitionSpec):
@@ -226,8 +226,7 @@ def _acquisition_grad(session: BoSession, X: np.ndarray, y_plus):
     sd = np.sqrt(np.clip(var, 0.0, None))
     spec = session.acquisition
     if spec.kind == "ei":
-        values = np.atleast_1d(ei(mean, sd, y_plus))
-        d_mean, d_sd = _ei_slopes(mean, sd, y_plus)
+        values, d_mean, d_sd = _ei_terms(mean, sd, y_plus)
     else:
         values = np.atleast_1d(ucb(mean, sd, session.iteration, spec))
         d_mean = np.ones_like(values)

@@ -19,6 +19,16 @@ behind one Cholesky factorization per posterior object, made on first use
 and kept.  Instances are otherwise immutable; adding an observation returns
 a new posterior, so one that is replaced before use costs no factorization.
 
+The factorization and solves call LAPACK directly: ``dpotrf`` for the lower
+Cholesky factor L, ``dpotrs`` for the weights and ``dtrtrs`` for the
+triangular solves against cross-covariances.  scipy's ``cho_factor``,
+``cho_solve`` and ``solve_triangular`` make the same calls, but their
+wrapper code costs several times a small solve.  Their checks are made here
+instead: each matrix handed to LAPACK, the shifted Gram and every
+right-hand side, is tested with ``np.isfinite`` first (``ValueError``, as
+scipy's ``check_finite`` raises), and every ``info`` is tested by hand.
+L itself is not re-tested, since ``dpotrf`` made it from a finite matrix.
+
 ``bo`` and ``bench`` build every posterior here.  The tests compare this
 path with the same posterior computed through the finite feature expansion
 (prior covariance diag(tau^2) on the feature weights), which lives in the
@@ -29,6 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from . import _accel
 from .errors import NumericalError
@@ -125,24 +136,52 @@ class Observations:
         )
 
 
-def _factor_shifted(gram: np.ndarray, shift: float):
-    """Cholesky of gram + shift*I with an escalating relative jitter ladder."""
+def require_finite(a: np.ndarray) -> None:
+    """Raise ``ValueError`` when `a` holds an inf or NaN, which LAPACK would
+    pass through silently; the message is scipy's ``check_finite`` one."""
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+
+
+def check_lapack_info(routine: str, info: int) -> None:
+    """Raise ``ValueError`` for a negative LAPACK ``info``: an illegal argument."""
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {routine}")
+
+
+def _factor_shifted(gram: np.ndarray, shift: float) -> np.ndarray:
+    """Lower Cholesky factor of gram + shift*I with an escalating relative jitter
+    ladder; ``dpotrf``'s ``info > 0`` (not positive definite) climbs one rung."""
     n = gram.shape[0]
     mean_diag = float(np.mean(np.diag(gram))) + shift
     scale = max(abs(mean_diag), 1e-300)
     jitter = JITTER_FIRST
     while True:
         H = gram + (shift + jitter * scale) * np.eye(n)
-        try:
-            return scipy.linalg.cho_factor(H, lower=True)
-        except scipy.linalg.LinAlgError:
-            if jitter >= JITTER_LAST:
-                min_eig = float(scipy.linalg.eigvalsh(H).min())
-                raise NumericalError(
-                    f"posterior factorization failed at jitter {jitter:.1e}: "
-                    f"min eigenvalue {min_eig:.6e}"
-                ) from None
-            jitter *= 10.0
+        require_finite(H)
+        L, info = dpotrf(H, lower=1, clean=0)
+        check_lapack_info("dpotrf", info)
+        if info == 0:
+            return L
+        if jitter >= JITTER_LAST:
+            min_eig = float(scipy.linalg.eigvalsh(H).min())
+            raise NumericalError(
+                f"posterior factorization failed at jitter {jitter:.1e}: "
+                f"min eigenvalue {min_eig:.6e}"
+            )
+        jitter *= 10.0
+
+
+def _solve_lower(L: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
+    """L^-1 b (L^-T b with ``trans=1``) by ``dtrtrs``, after checking b."""
+    require_finite(b)
+    x, info = dtrtrs(L, b, lower=1, trans=trans)
+    check_lapack_info("dtrtrs", info)
+    if info > 0:
+        raise scipy.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}"
+        )
+    return x
 
 
 class GpPosterior:
@@ -151,7 +190,7 @@ class GpPosterior:
     def __init__(self, kernel, obs: Observations) -> None:
         self.kernel = kernel
         self.obs = obs
-        self._solved = None  # (Cholesky factor, weights), made on first use
+        self._solved = None  # (lower Cholesky factor, weights), made on first use
 
     @classmethod
     def from_data(cls, kernel, points, values, noise_var: float) -> "GpPosterior":
@@ -165,8 +204,11 @@ class GpPosterior:
         """The Cholesky factor of the shifted Gram and the weights alpha; cached."""
         if self._solved is None:
             obs = self.obs
-            factor = _factor_shifted(self.kernel(obs.points, obs.points), obs.noise_var)
-            self._solved = factor, scipy.linalg.cho_solve(factor, obs.values)
+            L = _factor_shifted(self.kernel(obs.points, obs.points), obs.noise_var)
+            require_finite(obs.values)
+            alpha, info = dpotrs(L, obs.values, lower=1)
+            check_lapack_info("dpotrs", info)
+            self._solved = L, alpha
         return self._solved
 
     def posterior_batch(self, X) -> tuple[np.ndarray, np.ndarray]:
@@ -175,10 +217,10 @@ class GpPosterior:
         prior = np.asarray(self.kernel.diag(X), dtype=np.float64)
         if not self.obs.size:
             return np.zeros(X.shape[0]), np.maximum(prior, 0.0)
-        (L, _), alpha = self._solve()
+        L, alpha = self._solve()
         k = self.kernel(X, self.obs.points)
         mean = k @ alpha
-        v = scipy.linalg.solve_triangular(L, k.T, lower=True)
+        v = _solve_lower(L, k.T)
         var = prior - np.sum(v * v, axis=0)
         return mean, np.clip(var, 0.0, np.maximum(prior, 0.0))
 
@@ -187,21 +229,25 @@ class GpPosterior:
 
         Returns (mean, var, dmean, dvar) with dmean[i, k] = d mean(x_i)/dx_ik
         and dvar likewise.  With B = (K_D + sigma^2 I)^-1 k_D(X)', the
-        variance gradient is dprior - 2 sum_n dk[:, n, :] B[n, :].  The two
-        triangular solves of B are those of ``cho_solve``; the first one also
-        gives the variance, so mean and var equal ``posterior_batch``'s.
+        variance gradient is dprior - 2 sum_n dk[:, n, :] B[n, :].  B takes
+        two ``dtrtrs`` solves, v = L^-1 k_D(X)' and then L^-T v; the first
+        one also gives the variance, so mean and var equal
+        ``posterior_batch``'s.  Both right-hand sides are checked finite
+        before LAPACK sees them and both ``info`` values are checked, so a
+        non-finite cross-covariance raises ``ValueError`` here as it does in
+        ``posterior_batch``.
         """
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         prior, dprior = self.kernel.diag_grad(X)
         prior = np.asarray(prior, dtype=np.float64)
         if not self.obs.size:
             return np.zeros(X.shape[0]), np.maximum(prior, 0.0), np.zeros(X.shape), dprior
-        (L, _), alpha = self._solve()
+        L, alpha = self._solve()
         k, dk = self.kernel.cross_grad(X, self.obs.points)
         mean = k @ alpha
-        v = scipy.linalg.solve_triangular(L, k.T, lower=True)
+        v = _solve_lower(L, k.T)
         var = prior - np.sum(v * v, axis=0)
-        B = scipy.linalg.solve_triangular(L, v, lower=True, trans="T")
+        B = _solve_lower(L, v, trans=1)
         dmean = alpha @ dk
         dvar = dprior - 2.0 * np.einsum("ink,ni->ik", dk, B)
         return mean, np.clip(var, 0.0, np.maximum(prior, 0.0)), dmean, dvar

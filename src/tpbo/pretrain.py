@@ -20,9 +20,11 @@ from typing import Callable, Iterable
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from . import _accel
 from .errors import NumericalError, VanishingKernelError
+from .gp import check_lapack_info, require_finite
 from .mkernel import VANISH_TOL, FreeKernelSpec, TunedKernel
 
 logger = logging.getLogger(__name__)
@@ -149,18 +151,34 @@ def _check_gram(gram: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return gram, y
 
 
-def _factor_ridge(gram: np.ndarray, lam: float):
-    """Cholesky factor of gram + lam*I, failing loudly when indefinite."""
+def _factor_ridge(gram: np.ndarray, lam: float) -> np.ndarray:
+    """Upper Cholesky factor of gram + lam*I, failing loudly when indefinite.
+
+    Calls LAPACK's ``dpotrf`` directly.  The ridge matrix is checked finite
+    first (``ValueError``, scipy's ``check_finite`` message), ``info < 0`` is
+    a ``ValueError`` and ``info > 0`` (not positive definite) a
+    ``NumericalError`` naming the smallest eigenvalue.  Solve with
+    ``dpotrs(c, b, lower=0)``.
+    """
     H = gram + lam * np.eye(gram.shape[0])
-    try:
-        return scipy.linalg.cho_factor(H)
-    except scipy.linalg.LinAlgError as exc:
+    require_finite(H)
+    c, info = dpotrf(H, lower=0, clean=0)
+    check_lapack_info("dpotrf", info)
+    if info > 0:
         bound = -1e-8 * float(np.trace(gram))
         min_eig = float(scipy.linalg.eigvalsh(H).min())
         raise NumericalError(
             f"ridge system factorization failed: min eigenvalue {min_eig:.6e} "
             f"is below the tolerance {bound:.6e}"
-        ) from exc
+        )
+    return c
+
+
+def _ridge_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(gram + lam*I)^-1 b from `_factor_ridge`'s factor by ``dpotrs``."""
+    x, info = dpotrs(c, b, lower=0)
+    check_lapack_info("dpotrs", info)
+    return x
 
 
 def train_lssvm(gram: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
@@ -168,8 +186,9 @@ def train_lssvm(gram: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     gram, y = _check_gram(gram, y)
     if lam <= 0:
         raise ValueError("lambda must be > 0")
-    factor = _factor_ridge(gram, lam)
-    return scipy.linalg.cho_solve(factor, y)
+    c = _factor_ridge(gram, lam)
+    require_finite(y)
+    return _ridge_solve(c, y)
 
 
 def train_hinge(
@@ -234,8 +253,11 @@ def loo_error(gram: np.ndarray, y: np.ndarray, lam: float, task: str) -> float:
 
     Regression uses the closed form for ridge residuals,
     e_i = alpha_i / (H^-1)_ii with H = K + lambda I, and returns the mean
-    squared residual.  Classification refits each fold explicitly and returns
-    the misclassification fraction.
+    squared residual.  H is factored by LAPACK's ``dpotrf`` (through
+    `_factor_ridge`, which checks H finite and ``info``), and alpha and
+    H^-1 come from ``dpotrs`` solves, with y checked finite first and each
+    ``info`` checked.  Classification refits each fold explicitly and
+    returns the misclassification fraction.
     """
     gram, y = _check_gram(gram, y)
     return _loo_error(gram, y, lam, task)
@@ -244,9 +266,10 @@ def loo_error(gram: np.ndarray, y: np.ndarray, lam: float, task: str) -> float:
 def _loo_error(gram: np.ndarray, y: np.ndarray, lam: float, task: str) -> float:
     """`loo_error` without the input checks: `gram` and `y` come from `_check_gram`."""
     if task == "regression":
-        factor = _factor_ridge(gram, lam)
-        alpha = scipy.linalg.cho_solve(factor, y)
-        inv_diag = np.diag(scipy.linalg.cho_solve(factor, np.eye(gram.shape[0])))
+        c = _factor_ridge(gram, lam)
+        require_finite(y)
+        alpha = _ridge_solve(c, y)
+        inv_diag = np.diag(_ridge_solve(c, np.eye(gram.shape[0])))
         residuals = alpha / inv_diag
         return float(np.mean(residuals**2))
     if task != "classification":

@@ -241,7 +241,7 @@ def weight_space_posterior_oracle(
         return 0.0, float(np.sum(s * phi_x**2))
     theta = np.stack([feature_values(expansion, p) for p in obs.points], axis=1)  # (d, N)
     B = theta.T @ (s[:, None] * theta)
-    factor = _factor_shifted(B, obs.noise_var)
+    factor = (_factor_shifted(B, obs.noise_var), True)
     sol = scipy.linalg.cho_solve(factor, obs.values)
     mean = float(phi_x @ (s[:, None] * theta) @ sol)
     st_phi = theta.T @ (s * phi_x)  # (N,)

@@ -2,9 +2,11 @@
 
 import ctypes
 import os
+import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.stats import spearmanr
 
 import tpbo._blas
@@ -399,6 +401,28 @@ class TestProtocol:
         run_cell("himmelblau", method, 0, spec)
         # pick t factors the init_size + t observations it is made from, once
         assert sizes == [spec.init_size + t for t in range(spec.iterations)]
+
+    def test_picks_bypass_scipy_linalg_wrappers(self, monkeypatch):
+        # scipy's cho_factor, cho_solve and solve_triangular cost several
+        # times the LAPACK calls they wrap; the pick path calls LAPACK itself
+        def forbidden(*args, **kwargs):
+            raise AssertionError("scipy.linalg wrapper called on the pick path")
+
+        for name in ("cho_factor", "cho_solve", "solve_triangular"):
+            original = getattr(scipy.linalg, name)
+            monkeypatch.setattr(scipy.linalg, name, forbidden)
+            for mod_name, mod in list(sys.modules.items()):
+                if mod_name.startswith("tpbo"):
+                    for attr, val in list(vars(mod).items()):
+                        if val is original:
+                            monkeypatch.setattr(mod, attr, forbidden)
+        spec = tiny_spec(iterations=1)
+        for method in ("tp-ei", "ei"):
+            assert len(run_cell("himmelblau", method, 0, spec)) == 1
+        rng = np.random.default_rng(0)
+        X = rng.uniform(-1, 1, (12, 2))
+        nu, lam = tune_se_loo(X, np.sin(3 * X[:, 0]), DEFAULT_NU_GRID, DEFAULT_LAMBDA_GRID)
+        assert nu in DEFAULT_NU_GRID and lam in DEFAULT_LAMBDA_GRID
 
 
 # run_cell records of each method path on himmelblau, seed 0, five

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 from scipy.stats import qmc
 
 from numdiff import central_differences
@@ -367,17 +368,57 @@ class TestAcquisitionGradients:
         _, grads = self.check(session, self.POINTS, 0.5)
         assert np.array_equal(grads, session.gp.posterior_grad(self.POINTS)[2])
 
-    def test_ei_slopes(self):
+    @staticmethod
+    def reference_terms(mean, sd, y_plus):
+        """Expected improvement and its slopes by the separate expressions that
+        `_ei_terms` folded together, each computing z on its own."""
+        diff = mean - y_plus
+        values = np.maximum(diff, 0.0)
+        d_mean = (diff > 0).astype(float)
+        d_sd = np.zeros_like(d_mean)
+        pos = sd > 0
+        with np.errstate(over="ignore"):
+            z = diff[pos] / sd[pos]
+            values[pos] = diff[pos] * ndtr(z) + sd[pos] * (
+                np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+            )
+            z = diff[pos] / sd[pos]
+            d_mean[pos] = ndtr(z)
+            d_sd[pos] = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        return np.maximum(values, 0.0), d_mean, d_sd
+
+    @pytest.mark.parametrize(
+        "mean, sd",
+        [
+            ([-1.0, 0.4, 0.5, 2.0], [0.3, 1.0, 2.5, 0.7]),  # sd > 0
+            ([0.7, 0.4, 0.1], [0.0, 0.0, 0.0]),  # sd = 0
+            ([0.7, -0.3, 0.4, 0.41, 0.1], [0.0, 0.2, 0.0, 1e-12, 3.0]),  # mixed
+            # huge |z|: z overflows to +-inf, or nearly so
+            ([1e300, -1e300, 0.4 + 1e-3, 0.4 - 1e-3], [1e-300, 1e-300, 1e-308, 1e-308]),
+        ],
+    )
+    def test_ei_terms_bit_identical(self, mean, sd):
+        mean, sd = np.array(mean), np.array(sd)
+        terms = tpbo.bo._ei_terms(mean, sd, 0.4)
+        for got, want in zip(terms, self.reference_terms(mean, sd, 0.4)):
+            assert np.array_equal(got, want)
+        values = terms[0]
+        assert np.array_equal(values, ei(mean, sd, 0.4))
+        assert np.all(values >= 0.0) and np.all(np.isfinite(values))
+        with pytest.raises(ValueError, match="sd must be nonnegative"):
+            ei(mean, -sd - 1e-3, 0.4)
+
+    def test_ei_terms_finite_differences(self):
         mean = np.array([-1.0, 0.4, 0.5, 2.0])
         sd = np.array([0.3, 1.0, 2.5, 0.7])
-        d_mean, d_sd = tpbo.bo._ei_slopes(mean, sd, 0.4)
+        _, d_mean, d_sd = tpbo.bo._ei_terms(mean, sd, 0.4)
         h = 1e-6
         want = (ei(mean + h, sd, 0.4) - ei(mean - h, sd, 0.4)) / (2 * h)
         assert d_mean == pytest.approx(want, rel=1e-7)
         want = (ei(mean, sd + h, 0.4) - ei(mean, sd - h, 0.4)) / (2 * h)
         assert d_sd == pytest.approx(want, rel=1e-7)
         # sd = 0: the slope of max(mean - y_plus, 0), and no sd term
-        d_mean, d_sd = tpbo.bo._ei_slopes(np.array([0.7, 0.4, 0.1]), np.zeros(3), 0.4)
+        _, d_mean, d_sd = tpbo.bo._ei_terms(np.array([0.7, 0.4, 0.1]), np.zeros(3), 0.4)
         assert list(d_mean) == [1.0, 0.0, 0.0] and list(d_sd) == [0.0, 0.0, 0.0]
 
 

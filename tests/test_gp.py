@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import tpbo.gp
 
@@ -248,3 +249,108 @@ class TestLazyFactorization:
         gp = GpPosterior.from_data(IndefiniteKernel(1.0), np.zeros((2, 2)), [0.0, 1.0], 0.0)
         with pytest.raises(NumericalError):
             gp.posterior_batch(np.zeros((1, 2)))
+
+
+def scipy_route(kernel, obs, X):
+    """posterior_batch and posterior_grad through the scipy wrappers the
+    direct LAPACK calls replaced: cho_factor at the ladder's first rung,
+    cho_solve and solve_triangular."""
+    gram = kernel(obs.points, obs.points)
+    n = gram.shape[0]
+    scale = max(abs(float(np.mean(np.diag(gram))) + obs.noise_var), 1e-300)
+    H = gram + (obs.noise_var + tpbo.gp.JITTER_FIRST * scale) * np.eye(n)
+    factor = scipy.linalg.cho_factor(H, lower=True)
+    alpha = scipy.linalg.cho_solve(factor, obs.values)
+    L = factor[0]
+    prior = kernel.diag(X)
+    k = kernel(X, obs.points)
+    v = scipy.linalg.solve_triangular(L, k.T, lower=True)
+    var = prior - np.sum(v * v, axis=0)
+    batch = k @ alpha, np.clip(var, 0.0, np.maximum(prior, 0.0))
+    prior, dprior = kernel.diag_grad(X)
+    k, dk = kernel.cross_grad(X, obs.points)
+    v = scipy.linalg.solve_triangular(L, k.T, lower=True)
+    var = prior - np.sum(v * v, axis=0)
+    B = scipy.linalg.solve_triangular(L, v, lower=True, trans="T")
+    dvar = dprior - 2.0 * np.einsum("ink,ni->ik", dk, B)
+    grad = k @ alpha, np.clip(var, 0.0, np.maximum(prior, 0.0)), alpha @ dk, dvar
+    return batch, grad
+
+
+class NanCrossKernel(SeKernel):
+    """SE kernel whose cross-covariance against new points holds a NaN."""
+
+    def __call__(self, X1, X2):
+        K = super().__call__(X1, X2)
+        if X1 is not X2:
+            K[0, 0] = np.nan
+        return K
+
+
+class TestLapackRoute:
+    @pytest.mark.parametrize("n_obs", [1, 2, 20])
+    @pytest.mark.parametrize("name", sorted(gradient_kernels()))
+    def test_bit_identical_to_scipy_wrappers(self, name, n_obs):
+        kernel = gradient_kernels()[name]
+        rng = np.random.default_rng(12)
+        X = rng.uniform(-1, 1, (n_obs, 2))
+        obs = Observations(X, rng.normal(size=n_obs), 1e-4)
+        P = rng.uniform(-1, 1, (7, 2))
+        gp = GpPosterior(kernel, obs)
+        batch, grad = scipy_route(kernel, obs, P)
+        for got, want in zip(gp.posterior_batch(P) + gp.posterior_grad(P), batch + grad):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("method", ["posterior_batch", "posterior_grad"])
+    def test_nonfinite_cross_covariance_rejected(self, method):
+        # dtrtrs would return NaN without a word; the explicit check raises
+        points = [[0.1, 0.2], [0.5, -0.4]]
+        gp = GpPosterior.from_data(NanCrossKernel(1.0), points, [1.0, 0.0], 1e-6)
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            getattr(gp, method)(np.array([[0.0, 0.3], [0.2, 0.2]]))
+
+    def test_nonfinite_gram_rejected_before_lapack(self, monkeypatch):
+        class NanGramKernel(SeKernel):
+            def __call__(self, X1, X2):
+                K = super().__call__(X1, X2)
+                K[0, 1] = K[1, 0] = np.nan
+                return K
+
+        calls = []
+        real = tpbo.gp.dpotrf
+        monkeypatch.setattr(tpbo.gp, "dpotrf", lambda *a, **k: calls.append(1) or real(*a, **k))
+        gp = GpPosterior.from_data(NanGramKernel(1.0), [[0.1, 0.2], [0.5, -0.4]], [1.0, 0.0], 0.0)
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            gp.posterior_batch(np.zeros((1, 2)))
+        assert calls == []
+
+    @pytest.mark.parametrize("corner, rungs", [(-3.0, None), (1.0 - 1e-7, 4)])
+    def test_jitter_ladder_escalates(self, monkeypatch, corner, rungs):
+        # [[corner, 1], [1, 1]]: indefinite past every rung at -3; at 1 - 1e-7
+        # its eigenvalue of about -5e-8 is lifted by the fourth rung, 1e-7
+        jitters = []
+        real = tpbo.gp.dpotrf
+
+        def recording(H, **kwargs):
+            jitters.append(H[1, 1] - 1.0)
+            return real(H, **kwargs)
+
+        class CornerKernel(SeKernel):
+            def __call__(self, X1, X2):
+                K = np.ones((X1.shape[0], X2.shape[0]))
+                if X1 is X2:
+                    K[0, 0] = corner
+                return K
+
+        monkeypatch.setattr(tpbo.gp, "dpotrf", recording)
+        gp = GpPosterior.from_data(CornerKernel(1.0), np.zeros((2, 2)), [0.0, 1.0], 0.0)
+        scale = abs(corner + 1.0) / 2.0
+        if rungs is None:
+            with pytest.raises(NumericalError, match="factorization failed at jitter .*: min eig"):
+                gp.posterior_batch(np.zeros((1, 2)))
+            assert jitters[-1] >= tpbo.gp.JITTER_LAST * scale * (1 - 1e-6)
+        else:
+            gp.posterior_batch(np.zeros((1, 2)))
+            assert len(jitters) == rungs
+        assert jitters[0] == pytest.approx(tpbo.gp.JITTER_FIRST * scale, rel=1e-5)
+        assert np.diff(np.log10(jitters)) == pytest.approx(1.0, abs=1e-5)

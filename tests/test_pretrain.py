@@ -6,10 +6,14 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import tpbo.pretrain
 from feature_route import eval_free, eval_tuned, expand_features, tuned_weights_oracle
-from tpbo import FreeKernelSpec, VanishingKernelError
+from tpbo import FreeKernelSpec, NumericalError, VanishingKernelError
 from tpbo.pretrain import (
+    DEFAULT_LAMBDA_GRID,
+    DEFAULT_NU_GRID,
     AuxDataset,
     HyperGrid,
     base_gram,
@@ -162,6 +166,73 @@ class TestLoo:
         grams = {1.0: np.eye(3), 2.0: lopsided}
         with pytest.raises(ValueError, match="gram must be symmetric"):
             select_by_loo(grams.__getitem__, np.ones(3), "regression", (1.0, 2.0), (0.1, 1.0))
+
+
+def scipy_loo(gram, y, lam):
+    """Closed-form regression LOO through the scipy wrappers the direct
+    LAPACK calls replaced (upper factor, as cho_factor's default gave)."""
+    factor = scipy.linalg.cho_factor(gram + lam * np.eye(gram.shape[0]))
+    alpha = scipy.linalg.cho_solve(factor, y)
+    inv_diag = np.diag(scipy.linalg.cho_solve(factor, np.eye(gram.shape[0])))
+    return float(np.mean((alpha / inv_diag) ** 2))
+
+
+def regression_problem(n=15, seed=13):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-1, 1, (n, 2)), rng.normal(size=n)
+
+
+class TestLapackRoute:
+    def test_loo_grid_bit_identical_to_scipy_wrappers(self):
+        X, y = regression_problem()
+        for nu in DEFAULT_NU_GRID:
+            gram = base_gram(FreeKernelSpec(family="se", nu=nu), X)
+            for lam in DEFAULT_LAMBDA_GRID:
+                assert loo_error(gram, y, lam, "regression") == scipy_loo(gram, y, lam)
+
+    def test_train_lssvm_bit_identical_to_scipy_wrappers(self):
+        X, y = regression_problem()
+        gram = base_gram(QUADRATIC, X)
+        for lam in DEFAULT_LAMBDA_GRID:
+            want = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram + lam * np.eye(15)), y)
+            assert np.array_equal(train_lssvm(gram, y, lam), want)
+
+    def test_selection_bit_identical_to_scipy_wrappers(self):
+        X, y = regression_problem()
+        gram_for = lambda nu: base_gram(FreeKernelSpec(family="se", nu=nu), X)
+        want = min(
+            (scipy_loo(gram_for(nu), y, lam), nu, lam)
+            for nu in DEFAULT_NU_GRID
+            for lam in DEFAULT_LAMBDA_GRID
+        )
+        got = select_by_loo(gram_for, y, "regression", DEFAULT_NU_GRID, DEFAULT_LAMBDA_GRID)
+        assert got == want
+
+    # the symmetry check's tolerance scales with the largest entry, here inf
+    @pytest.mark.filterwarnings("ignore:One of rtol or atol is not valid")
+    def test_nonfinite_ridge_system_rejected(self, monkeypatch):
+        calls = []
+        real = tpbo.pretrain.dpotrf
+        monkeypatch.setattr(
+            tpbo.pretrain, "dpotrf", lambda *a, **k: calls.append(1) or real(*a, **k)
+        )
+        gram = np.eye(2)
+        gram[0, 1] = gram[1, 0] = np.inf
+        for solve in (train_lssvm, lambda g, t, lam: loo_error(g, t, lam, "regression")):
+            with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+                solve(gram, np.array([1.0, -1.0]), 0.1)
+            # a NaN target would pass through dpotrs silently
+            with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+                solve(np.eye(2), np.array([np.nan, -1.0]), 0.1)
+        assert len(calls) == 2  # only the finite ridge systems were factored
+
+    def test_indefinite_ridge_system_names_min_eigenvalue(self):
+        gram = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
+        msg = r"ridge system factorization failed: min eigenvalue -9\.000000e-01 is below"
+        with pytest.raises(NumericalError, match=msg):
+            train_lssvm(gram, np.array([1.0, -1.0]), 0.1)
+        with pytest.raises(NumericalError, match=msg):
+            loo_error(gram, np.array([1.0, -1.0]), 0.1, "regression")
 
 
 class TestPretrain:
