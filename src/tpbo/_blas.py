@@ -11,6 +11,12 @@ the whole of `bench.run_benchmark` run inside it.  A process forked inside
 a block inherits the one-thread counts, the found controls and the open
 block, so its own blocks change nothing.  Where the libraries or their
 thread controls cannot be found, nothing is changed.
+
+The controls are found once, at the first block, among the libraries mapped
+at that moment.  ``tpbo`` loads scipy on first use, so a first block can
+come before anything has mapped scipy's OpenBLAS; `find_controls` therefore
+loads scipy's LAPACK before it looks, and the pinning does not depend on
+import order.
 """
 
 from __future__ import annotations
@@ -27,7 +33,13 @@ _SYMBOLS = (
 
 
 def find_controls() -> list:
-    """(getter, setter) of the thread count of every OpenBLAS mapped into this process."""
+    """(getter, setter) of the thread count of every OpenBLAS mapped into this process.
+
+    Loads scipy's LAPACK first, which maps scipy's OpenBLAS, so the controls
+    found do not depend on whether the caller has used scipy yet.
+    """
+    import scipy.linalg.lapack  # noqa: F401
+
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})

@@ -366,6 +366,9 @@ def run_benchmark(spec: BenchmarkSpec) -> List[RegretRecord]:
     ]
     workers = _worker_count(len(cells))
     records: List[RegretRecord] = []
+    # loaded before the fork, or every worker would import it again
+    import scipy.optimize  # noqa: F401
+
     with _blas.single_thread():
         if workers == 1:
             for cell in cells:

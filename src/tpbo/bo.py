@@ -9,6 +9,13 @@ summed acquisition, with analytic gradients taken through the covariance,
 the posterior and the acquisition.  An ask/tell split exposes the same
 cycle to callers that run experiments out of process, with JSON session
 files for persistence.
+
+scipy is loaded on first use: ``scipy.special`` (for ``ndtr``) by the first
+expected-improvement value, and ``scipy.optimize`` (for L-BFGS-B) by the
+first pick that polishes, before the pick enters its one-BLAS-thread block.
+``bench.run_benchmark`` imports ``scipy.optimize`` before it forks its
+pool, so that its workers inherit the loaded modules instead of each
+importing them again.
 """
 
 from __future__ import annotations
@@ -21,8 +28,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import Bounds, minimize
-from scipy.special import ndtr
 
 from . import _blas
 from .gp import GpPosterior
@@ -88,6 +93,8 @@ def _ei_terms(mean: np.ndarray, sd: np.ndarray, y_plus: float):
     elsewhere, and the sd slope is taken as 0.  Returns (values, d_mean,
     d_sd); values are never negative.
     """
+    from scipy.special import ndtr
+
     diff = mean - float(y_plus)
     values = np.maximum(diff, 0.0)
     d_mean = (diff > 0).astype(float)
@@ -268,6 +275,8 @@ def maximize_acquisition(
         )
         return rng.uniform(-1.0, 1.0, spec.dim)
     y_plus = float(np.max(obs.values)) if obs.size else None
+
+    from scipy.optimize import Bounds, minimize
 
     # the pick's matrices are small: `_blas` says why one thread is faster
     with _blas.single_thread():

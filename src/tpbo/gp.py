@@ -29,6 +29,12 @@ right-hand side, is tested with ``np.isfinite`` first (``ValueError``, as
 scipy's ``check_finite`` raises), and every ``info`` is tested by hand.
 L itself is not re-tested, since ``dpotrf`` made it from a finite matrix.
 
+Importing this module loads no scipy.  Each routine is imported where it
+is called (``eigvalsh`` only on the failure path), so a process that never
+factors a matrix, such as ``tpbo tell`` or ``tpbo --help``, never loads
+``scipy.linalg``.  Once loaded, such an import costs about a microsecond,
+small beside the solve that follows it.
+
 ``bo`` and ``bench`` build every posterior here.  The tests compare this
 path with the same posterior computed through the finite feature expansion
 (prior covariance diag(tau^2) on the feature weights), which lives in the
@@ -38,16 +44,17 @@ test-support module ``tests/feature_route.py``.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from . import _accel
 from .errors import NumericalError
 
-#: Relative jitter ladder: added to the shifted Gram unconditionally at the
-#: first rung, escalated tenfold per failed factorization.
-JITTER_FIRST = 1e-10
-JITTER_LAST = 1e-4
+# Relative jitter ladder: added to the shifted Gram unconditionally at the
+# first rung, escalated tenfold per failed factorization.  The rungs are
+# written out because multiplying 1e-10 by ten six times gives
+# 9.999999999999999e-05, short of the last rung.
+_JITTER_RUNGS = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
+JITTER_FIRST = _JITTER_RUNGS[0]
+JITTER_LAST = _JITTER_RUNGS[-1]
 
 
 class SeKernel:
@@ -152,33 +159,36 @@ def check_lapack_info(routine: str, info: int) -> None:
 def _factor_shifted(gram: np.ndarray, shift: float) -> np.ndarray:
     """Lower Cholesky factor of gram + shift*I with an escalating relative jitter
     ladder; ``dpotrf``'s ``info > 0`` (not positive definite) climbs one rung."""
+    from scipy.linalg.lapack import dpotrf
+
     n = gram.shape[0]
     mean_diag = float(np.mean(np.diag(gram))) + shift
     scale = max(abs(mean_diag), 1e-300)
-    jitter = JITTER_FIRST
-    while True:
+    for jitter in _JITTER_RUNGS:
         H = gram + (shift + jitter * scale) * np.eye(n)
         require_finite(H)
         L, info = dpotrf(H, lower=1, clean=0)
         check_lapack_info("dpotrf", info)
         if info == 0:
             return L
-        if jitter >= JITTER_LAST:
-            min_eig = float(scipy.linalg.eigvalsh(H).min())
-            raise NumericalError(
-                f"posterior factorization failed at jitter {jitter:.1e}: "
-                f"min eigenvalue {min_eig:.6e}"
-            )
-        jitter *= 10.0
+    from scipy.linalg import eigvalsh
+
+    min_eig = float(eigvalsh(H).min())
+    raise NumericalError(
+        f"posterior factorization failed at jitter {jitter:.1e}: "
+        f"min eigenvalue {min_eig:.6e}"
+    )
 
 
 def _solve_lower(L: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
     """L^-1 b (L^-T b with ``trans=1``) by ``dtrtrs``, after checking b."""
+    from scipy.linalg.lapack import dtrtrs
+
     require_finite(b)
     x, info = dtrtrs(L, b, lower=1, trans=trans)
     check_lapack_info("dtrtrs", info)
     if info > 0:
-        raise scipy.linalg.LinAlgError(
+        raise np.linalg.LinAlgError(
             f"singular matrix: resolution failed at diagonal {info - 1}"
         )
     return x
@@ -203,6 +213,8 @@ class GpPosterior:
     def _solve(self):
         """The Cholesky factor of the shifted Gram and the weights alpha; cached."""
         if self._solved is None:
+            from scipy.linalg.lapack import dpotrs
+
             obs = self.obs
             L = _factor_shifted(self.kernel(obs.points, obs.points), obs.noise_var)
             require_finite(obs.values)

@@ -19,8 +19,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from . import _accel
 from .errors import NumericalError, VanishingKernelError
@@ -160,13 +158,17 @@ def _factor_ridge(gram: np.ndarray, lam: float) -> np.ndarray:
     ``NumericalError`` naming the smallest eigenvalue.  Solve with
     ``dpotrs(c, b, lower=0)``.
     """
+    from scipy.linalg.lapack import dpotrf
+
     H = gram + lam * np.eye(gram.shape[0])
     require_finite(H)
     c, info = dpotrf(H, lower=0, clean=0)
     check_lapack_info("dpotrf", info)
     if info > 0:
+        from scipy.linalg import eigvalsh
+
         bound = -1e-8 * float(np.trace(gram))
-        min_eig = float(scipy.linalg.eigvalsh(H).min())
+        min_eig = float(eigvalsh(H).min())
         raise NumericalError(
             f"ridge system factorization failed: min eigenvalue {min_eig:.6e} "
             f"is below the tolerance {bound:.6e}"
@@ -176,6 +178,8 @@ def _factor_ridge(gram: np.ndarray, lam: float) -> np.ndarray:
 
 def _ridge_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(gram + lam*I)^-1 b from `_factor_ridge`'s factor by ``dpotrs``."""
+    from scipy.linalg.lapack import dpotrs
+
     x, info = dpotrs(c, b, lower=0)
     check_lapack_info("dpotrs", info)
     return x

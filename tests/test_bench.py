@@ -2,6 +2,7 @@
 
 import ctypes
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -311,6 +312,31 @@ class TestProtocol:
         monkeypatch.setenv("TPBO_THREADS", "2")
         run_benchmark(tiny_spec(seeds=2, iterations=2))
         assert set(log.read_text().split()) == {str(os.getpid())}
+
+    def test_pool_forks_after_the_pick_modules_load(self):
+        # The workers are forked afresh on every call and the parent never
+        # picks, so unless the parent loads scipy.optimize (and with it
+        # scipy.special) before the fork, every worker imports them again.
+        script = (
+            "import os, sys\n"
+            "import tpbo.bench as bench\n"
+            "def probe(cell):\n"
+            "    loaded = {'scipy.optimize', 'scipy.special'} <= sys.modules.keys()\n"
+            "    return [bench.RegretRecord(str(loaded), 'f', 0, os.getpid(), 0.0)]\n"
+            "bench._cell_entry = probe\n"
+            "print('scipy.optimize' in sys.modules)\n"
+            "spec = bench.BenchmarkSpec(functions=('himmelblau',), methods=('ei',),\n"
+            "                           seeds=2, iterations=1, refine_top=1)\n"
+            "records = bench.run_benchmark(spec)\n"
+            "print(sorted({r.method for r in records}))\n"
+            "print(os.getpid() not in {r.iteration for r in records})\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), TPBO_THREADS="2")
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[:3] == ["False", "['True']", "True"]
 
     @pytest.mark.parametrize("failure", ["maps", "dlopen", "symbol"])
     def test_pool_runs_when_blas_lookup_fails(self, monkeypatch, failure):

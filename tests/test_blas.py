@@ -1,9 +1,12 @@
 """The one-BLAS-thread block around acquisition picks."""
 
+import os
+import subprocess
 import sys
 import threading
 
 import pytest
+import scipy.optimize
 
 import tpbo._blas as blas
 import tpbo.bo
@@ -51,13 +54,13 @@ def test_no_libraries_found_changes_nothing(controls, monkeypatch):
 def test_polish_runs_on_one_blas_thread(controls, monkeypatch):
     before = counts(controls)
     seen = []
-    real = tpbo.bo.minimize
+    real = scipy.optimize.minimize
 
     def recording(fun, x0, **kwargs):
         seen.append(counts(controls))
         return real(fun, x0, **kwargs)
 
-    monkeypatch.setattr(tpbo.bo, "minimize", recording)
+    monkeypatch.setattr(scipy.optimize, "minimize", recording)
     session = new_session(
         SeKernel(3.0), AcquisitionSpec(kind="ei", dim=2), seed=5, noise_var=1e-6,
         init_points=[[0.5, -0.5], [-0.25, 0.75]], init_values=[-0.3, -0.1],
@@ -92,3 +95,27 @@ def test_threads_share_one_limit(controls):
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert counts(controls) == before
+
+
+def test_first_block_finds_every_openblas_a_pick_uses():
+    # The controls are found once, at the first block.  `import tpbo.cli`
+    # maps only numpy's OpenBLAS; a first block that missed scipy's would
+    # leave it at its default thread count in every later pick.
+    script = (
+        "import tpbo.cli\n"
+        "import tpbo._blas as blas\n"
+        "from tpbo import AcquisitionSpec, SeKernel, ask, new_session\n"
+        "with blas.single_thread():\n"
+        "    pass\n"
+        "first = len(blas._controls)\n"
+        "session = new_session(SeKernel(3.0), AcquisitionSpec(kind='ei', dim=2), seed=5,\n"
+        "                      noise_var=1e-6, init_points=[[0.5, -0.5], [-0.25, 0.75]],\n"
+        "                      init_values=[-0.3, -0.1])\n"
+        "ask(session, refine_top=2)\n"
+        "print(first, len(blas.find_controls()))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    first, after_pick = proc.stdout.split()
+    assert first == after_pick

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
@@ -238,14 +239,14 @@ class TestMaximizer:
     @pytest.mark.parametrize("kind", ["ei", "ucb"])
     def test_one_lbfgsb_run_per_pick(self, monkeypatch, kind, refine_top):
         calls = []
-        real = tpbo.bo.minimize
+        real = scipy.optimize.minimize
 
         def recording(fun, x0, **kwargs):
             res = real(fun, x0, **kwargs)
             calls.append((fun, x0.copy(), kwargs, res.x.copy()))
             return res
 
-        monkeypatch.setattr(tpbo.bo, "minimize", recording)
+        monkeypatch.setattr(scipy.optimize, "minimize", recording)
         session = small_session(seed=6, kind=kind)
         for step in range(3):
             y_plus = float(np.max(session.gp.obs.values))
@@ -263,7 +264,7 @@ class TestMaximizer:
             tell(session, x, scaled_himmelblau(x))
 
     def test_fallback_pick_runs_no_polish(self, monkeypatch):
-        monkeypatch.setattr(tpbo.bo, "minimize", None)  # any call would fail
+        monkeypatch.setattr(scipy.optimize, "minimize", None)  # any call would fail
         spec = AcquisitionSpec(kind="ucb", dim=2)
         session = new_session(SeKernel(1.0), spec, seed=9, noise_var=1e-6,
                               init_points=np.zeros((0, 2)), init_values=[])

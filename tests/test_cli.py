@@ -478,22 +478,49 @@ class TestParser:
         assert proc.returncode == 0
         assert "suggest" in proc.stdout
 
-    def test_commands_do_not_load_scipy_stats(self):
-        # importing scipy.stats would add about a quarter second to the
-        # start of every command, and a pick must not load it either
-        script = (
-            "import sys, tpbo.cli\n"
-            "assert 'scipy.stats' not in sys.modules, 'import'\n"
-            "from tpbo import AcquisitionSpec, SeKernel, ask, new_session\n"
-            "session = new_session(SeKernel(1.0), AcquisitionSpec(kind='ei', dim=2),\n"
-            "                      seed=0, noise_var=1e-6,\n"
-            "                      init_points=[[0.5, -0.5], [-0.2, 0.3]],\n"
-            "                      init_values=[0.1, 0.4])\n"
-            "ask(session)\n"
-            "assert 'scipy.stats' not in sys.modules, 'pick'\n"
-        )
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
+    def test_commands_do_not_load_scipy_stats(self, small_model, tmp_path, capsys):
+        # Every command starts a fresh process and pays for what it imports:
+        # scipy.stats would add about a quarter second, and scipy.linalg,
+        # .special and .optimize together about 0.3 s.  Only the commands
+        # that factor a matrix or pick a point load them.
+        session = str(tmp_path / "session.json")
+        assert main(["suggest", "--session", session, "--model", small_model,
+                     "--seed", "5", "--refine-top", "2"]) == 0
+        x_text = capsys.readouterr().out.split("suggestion: ")[1].split()[0]
+
+        assert scipy_subpackages(None) == set()
+        assert scipy_subpackages(["--help"]) == set()
+        assert scipy_subpackages(["tell", "--session", session, "--model", small_model,
+                                  "--x", x_text, "--y", "0.4"]) == set()
+        loaded = scipy_subpackages([
+            "pretrain", "--aux-from-function", "himmelblau", "--aux-size", "12",
+            "--seed", "3", "--out", str(tmp_path / "model.json"),
+        ])
+        assert "scipy.linalg" in loaded
+        assert not loaded & {"scipy.optimize", "scipy.special"}
+        # the session now holds the told observation, so the pick polishes
+        loaded = scipy_subpackages(["suggest", "--session", session, "--model", small_model])
+        assert "scipy.optimize" in loaded
+        assert "scipy.stats" not in loaded
+
+
+def scipy_subpackages(argv):
+    """The scipy packages loaded by ``tpbo <argv>`` in a fresh process, as
+    names of at most two parts; with argv None the process only imports
+    ``tpbo.cli``."""
+    script = (
+        "import json, sys\n"
+        "import tpbo.cli\n"
+        "argv = json.loads(sys.argv[1])\n"
+        "if argv is not None:\n"
+        "    assert tpbo.cli.main(argv) == 0\n"
+        "names = {'.'.join(m.split('.')[:2]) for m in sys.modules if m.split('.')[0] == 'scipy'}\n"
+        "print(json.dumps(sorted(names)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argv)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1])) - {"scipy"}

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 
 import tpbo.gp
 
@@ -317,8 +318,8 @@ class TestLapackRoute:
                 return K
 
         calls = []
-        real = tpbo.gp.dpotrf
-        monkeypatch.setattr(tpbo.gp, "dpotrf", lambda *a, **k: calls.append(1) or real(*a, **k))
+        real = scipy.linalg.lapack.dpotrf
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", lambda *a, **k: calls.append(1) or real(*a, **k))
         gp = GpPosterior.from_data(NanGramKernel(1.0), [[0.1, 0.2], [0.5, -0.4]], [1.0, 0.0], 0.0)
         with pytest.raises(ValueError, match="must not contain infs or NaNs"):
             gp.posterior_batch(np.zeros((1, 2)))
@@ -329,7 +330,7 @@ class TestLapackRoute:
         # [[corner, 1], [1, 1]]: indefinite past every rung at -3; at 1 - 1e-7
         # its eigenvalue of about -5e-8 is lifted by the fourth rung, 1e-7
         jitters = []
-        real = tpbo.gp.dpotrf
+        real = scipy.linalg.lapack.dpotrf
 
         def recording(H, **kwargs):
             jitters.append(H[1, 1] - 1.0)
@@ -342,13 +343,15 @@ class TestLapackRoute:
                     K[0, 0] = corner
                 return K
 
-        monkeypatch.setattr(tpbo.gp, "dpotrf", recording)
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", recording)
         gp = GpPosterior.from_data(CornerKernel(1.0), np.zeros((2, 2)), [0.0, 1.0], 0.0)
         scale = abs(corner + 1.0) / 2.0
         if rungs is None:
-            with pytest.raises(NumericalError, match="factorization failed at jitter .*: min eig"):
+            # seven rungs, 1e-10 to 1e-4, and the error names the last one
+            with pytest.raises(NumericalError, match="factorization failed at jitter 1.0e-04: min eig"):
                 gp.posterior_batch(np.zeros((1, 2)))
             assert jitters[-1] >= tpbo.gp.JITTER_LAST * scale * (1 - 1e-6)
+            assert len(jitters) == 7
         else:
             gp.posterior_batch(np.zeros((1, 2)))
             assert len(jitters) == rungs
