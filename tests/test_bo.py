@@ -29,7 +29,8 @@ from tpbo.bo import (
     ucb,
 )
 import tpbo.bo
-from tpbo.gp import Observations, SeKernel
+from tpbo.gp import ArdSeKernel, Observations, SeKernel
+from tpbo.mkernel import FAMILIES, FreeKernelSpec, TunedKernel
 
 
 def scaled_himmelblau(x):
@@ -526,6 +527,141 @@ class TestGoldenTrace:
         x_best = s.best_so_far[0]
         assert x_best[0] == pytest.approx(GOLDEN_X[0], abs=1e-9)
         assert x_best[1] == pytest.approx(GOLDEN_X[1], abs=1e-9)
+
+
+# Every pick of a five-step run from `golden_pick_session`, for each tuned
+# family and for the per-axis SE covariance, under both acquisitions.
+PICK_AUX = np.array([[0.6, -0.3], [-0.4, 0.8], [0.1, 0.5], [-0.7, -0.6], [0.3, 0.2]])
+PICK_ALPHA = np.array([0.9, -0.5, 0.7, 0.4, -0.8])
+GOLDEN_PICKS = {
+    ("linear", "ei"): [
+        [-1.0, -1.0],
+        [1.0, 1.0],
+        [-1.0, -1.0],
+        [-1.0, -1.0],
+        [-1.0, -1.0],
+    ],
+    ("linear", "ucb"): [
+        [-1.0, -1.0],
+        [1.0, 1.0],
+        [-1.0, -1.0],
+        [-1.0, -1.0],
+        [-1.0, -1.0],
+    ],
+    ("polynomial", "ei"): [
+        [-0.4264986363074414, -1.0],
+        [1.0, 1.0],
+        [1.0, -1.0],
+        [0.1296628801924277, -0.47657962641704077],
+        [-1.0, 1.0],
+    ],
+    ("polynomial", "ucb"): [
+        [-1.0, -1.0],
+        [1.0, 1.0],
+        [0.08434352039910929, -1.0],
+        [1.0, -1.0],
+        [-0.022002967270636616, 1.0],
+    ],
+    ("hyperbolic-sine", "ei"): [
+        [-1.0, -1.0],
+        [-1.0, 1.0],
+        [1.0, -1.0],
+        [1.0, 0.8799142206755703],
+        [-1.0, -0.3865725774457164],
+    ],
+    ("hyperbolic-sine", "ucb"): [
+        [-1.0, -1.0],
+        [-1.0, 1.0],
+        [1.0, -1.0],
+        [1.0, 0.8172639109711195],
+        [-1.0, -0.3518244360296004],
+    ],
+    ("exponential", "ei"): [
+        [-1.0, -1.0],
+        [1.0, 1.0],
+        [0.17762167124271072, -1.0],
+        [1.0, -0.982658418254673],
+        [-0.019626158690094705, 1.0],
+    ],
+    ("exponential", "ucb"): [
+        [-1.0, -1.0],
+        [1.0, 1.0],
+        [0.05695224688783171, -1.0],
+        [1.0, -1.0],
+        [0.009310034360933936, 1.0],
+    ],
+    ("log-ratio", "ei"): [
+        [-1.0, -1.0],
+        [-1.0, 1.0],
+        [0.716966127690212, 1.0],
+        [-1.0, -0.7955379638153963],
+        [0.723619906132839, -1.0],
+    ],
+    ("log-ratio", "ucb"): [
+        [-1.0, -1.0],
+        [-1.0, 1.0],
+        [0.7143141700049234, 1.0],
+        [1.0, 0.7955659514287862],
+        [0.8688733694860032, -0.8513833102928127],
+    ],
+    ("se", "ei"): [
+        [-1.0, -1.0],
+        [0.849459877008955, 0.8026832669946706],
+        [0.062206862820647114, -0.5659665998147616],
+        [1.0, -1.0],
+        [0.3315847066552294, -0.00983042473781587],
+    ],
+    ("se", "ucb"): [
+        [-1.0, -1.0],
+        [0.941569605438893, 0.7063190562757589],
+        [0.05227048949489579, -0.5753336047717438],
+        [1.0, -1.0],
+        [0.32589378199519353, 0.02410708795801086],
+    ],
+    ("ard", "ei"): [
+        [-1.0, -1.0],
+        [1.0, 1.0],
+        [-0.9053094839225407, 0.6419967290554379],
+        [-0.050819417546738375, 0.10835952883714453],
+        [1.0, -1.0],
+    ],
+    ("ard", "ucb"): [
+        [-1.0, -1.0],
+        [1.0, 1.0],
+        [-1.0, 0.2730325120035337],
+        [1.0, -1.0],
+        [0.4185161177953703, -0.01097779939440283],
+    ],
+}
+
+
+def golden_pick_session(name, kind):
+    if name == "ard":
+        kernel = ArdSeKernel([2.0, 5.0])
+    else:
+        spec = FreeKernelSpec(family=name, nu=1.3, degree=3, offset=0.5)
+        kernel = TunedKernel(spec, PICK_AUX, PICK_ALPHA)
+    pts = np.array([[0.5, -0.5], [-0.25, 0.75]])
+    return new_session(kernel, AcquisitionSpec(kind=kind, dim=2), seed=11, noise_var=1e-6,
+                       init_points=pts, init_values=[scaled_himmelblau(p) for p in pts])
+
+
+class TestGoldenPicks:
+    def test_every_covariance_pinned(self):
+        assert set(GOLDEN_PICKS) == {
+            (name, kind) for name in FAMILIES + ("ard",) for kind in ("ei", "ucb")
+        }
+
+    @pytest.mark.parametrize("name, kind", sorted(GOLDEN_PICKS))
+    def test_picks(self, name, kind):
+        """Frozen picks; any change to a covariance, the posterior or the
+        acquisition maximizer that moves one bit of a pick shows here."""
+        s = golden_pick_session(name, kind)
+        picks = []
+        for _ in range(len(GOLDEN_PICKS[name, kind])):
+            s = bo_step(s, scaled_himmelblau, refine_top=3)
+            picks.append(s.gp.obs.points[-1].tolist())
+        assert picks == GOLDEN_PICKS[name, kind]
 
 
 class TestPersistence:
