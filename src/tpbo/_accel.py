@@ -2,12 +2,12 @@
 
 Every family map and every covariance in the package goes through this
 module.  ``dot_series`` and ``log_ratio`` say what a family computes from a
-dot product or from coordinate products; ``pretrain.base_gram`` and
-``TunedKernel`` (cross and diagonal, both through the chunked ``tuned_rows``,
-which maps one reused buffer in place) call them, as does the tests' reference route in ``tests/feature_route.py``.
-The plain and ARD squared-exponential crosses live here too.  Every cross
-also has an input gradient (``tuned_rows(..., grad=True)``, ``tuned_cross_grad``
-and ``se_grad``), which the acquisition maximizer's L-BFGS-B polish reads.
+dot product or from coordinate products; ``pretrain.base_gram`` and the
+tests' ``tests/feature_route.py`` call them directly, ``TunedKernel`` through
+the chunked ``tuned_rows``.  The plain and ARD squared-exponential crosses
+live here too, with their input gradient ``se_grad``.  Each tuned evaluator
+takes ``grad`` and does gradient work (for the acquisition polish) only when
+it is set; its values are one computation either way.
 """
 
 from __future__ import annotations
@@ -155,8 +155,7 @@ def tuned_rows(
     ``grad`` the same buffer then becomes the slope.  Polynomial and
     hyperbolic-sine gradients, which need the dot products and the series at
     once, take one more buffer.  Fresh chunk-sized temporaries cost page
-    faults on every call, not flops.  The values do not depend on ``grad``:
-    both take the same chunks and the same operations.
+    faults on every call, not flops.
     """
     m, n = Z.shape
     q = P.shape[0]
@@ -206,36 +205,35 @@ def tuned_cross(
     offset: float,
     X1: np.ndarray,
     X2: np.ndarray,
-) -> np.ndarray:
-    """Tuned cross-covariance over the rows x*y of every pair (x in X1, y in X2)."""
-    X1, X2 = _as2d(X1), _as2d(X2)
-    m1, n = X1.shape
-    m2 = X2.shape[0]
-    Z = (X1[:, None, :] * X2[None, :, :]).reshape(-1, n)
-    return tuned_rows(P, W, family, nu, degree, offset, Z, group=m2).reshape(m1, m2)
-
-
-def tuned_cross_grad(
-    P: np.ndarray,
-    W: np.ndarray,
-    family: str,
-    nu: float,
-    degree: int,
-    offset: float,
-    X1: np.ndarray,
-    X2: np.ndarray,
+    grad: bool = False,
 ):
-    """``tuned_cross`` and its input gradient dK[i, j, k] = dK(x_i, y_j)/dx_ik.
+    """Tuned cross-covariance over the rows x*y of every pair (x in X1, y in X2).
 
-    By the chain rule through z = x * y, dK[i, j, k] is y_jk times the
-    tuned-row gradient in z_k at z = x_i * y_j.
+    With ``grad``, also its input gradient dK[i, j, k] = dK(x_i, y_j)/dx_ik:
+    by the chain rule through z = x * y, y_jk times the tuned-row gradient
+    in z_k at z = x_i * y_j.
     """
     X1, X2 = _as2d(X1), _as2d(X2)
     m1, n = X1.shape
     m2 = X2.shape[0]
     Z = (X1[:, None, :] * X2[None, :, :]).reshape(-1, n)
-    K, dZ = tuned_rows(P, W, family, nu, degree, offset, Z, group=m2, grad=True)
+    K = tuned_rows(P, W, family, nu, degree, offset, Z, group=m2, grad=grad)
+    if not grad:
+        return K.reshape(m1, m2)
+    K, dZ = K
     return K.reshape(m1, m2), dZ.reshape(m1, m2, n) * X2[None, :, :]
+
+
+def se_norm_scale(S, c1, c2, nu, X, grad: bool = False):
+    """K = S c1 c2: an exponential-base sum S times the SE base's norm factors.
+
+    With ``grad``, S is the pair (S, dS) and dK = dS c1 c2 - nu x K is
+    returned too, with x the moving point broadcast against dK.  ``nu``
+    counts each argument that moves: the diagonal K(x, x) passes 2 nu.
+    """
+    S, dS = S if grad else (S, None)
+    K = S * c1 * c2
+    return (K, dS * (c1 * c2)[..., None] - nu * X * K[..., None]) if grad else K
 
 
 def tuned_se_cross(
@@ -246,6 +244,9 @@ def tuned_se_cross(
     X2: np.ndarray,
     c1: np.ndarray,
     c2: np.ndarray,
-) -> np.ndarray:
-    out = tuned_cross(P, W, "exponential", float(nu), 0, 0.0, X1, X2)
-    return out * c1[:, None] * c2[None, :]
+    grad: bool = False,
+):
+    """Tuned SE cross c1(x) c2(y) S(x*y), with S the exponential-base cross;
+    ``grad`` as in ``tuned_cross``."""
+    S = tuned_cross(P, W, "exponential", float(nu), 0, 0.0, X1, X2, grad)
+    return se_norm_scale(S, c1[:, None], c2[None, :], nu, X1[:, None, :], grad)

@@ -6,9 +6,10 @@ evaluates the objective, and folds the result back into the posterior.
 The maximizer scores a Latin-hypercube probe set in one batch, then
 polishes the best probes together in one bounded L-BFGS-B run over their
 summed acquisition, with analytic gradients taken through the covariance,
-the posterior and the acquisition.  An ask/tell split exposes the same
-cycle to callers that run experiments out of process, with JSON session
-files for persistence.
+the posterior and the acquisition.  Probe scores and polish evaluations are
+one body, ``_acquisition``, which asks the posterior for gradients only with
+``grad``.  An ask/tell split exposes the same cycle to callers that run
+experiments out of process, with JSON session files for persistence.
 
 scipy is loaded on first use: ``scipy.special`` (for ``ndtr``) by the first
 expected-improvement value, and ``scipy.optimize`` (for L-BFGS-B) by the
@@ -30,6 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _blas
+from .errors import _json_int
 from .gp import GpPosterior
 
 logger = logging.getLogger(__name__)
@@ -183,7 +185,7 @@ def new_session(
     model_ref: Optional[str] = None,
 ) -> BoSession:
     """Start a session from an initial design (which may be empty)."""
-    init_points = np.asarray(init_points, dtype=float).reshape(-1, acquisition.dim)
+    init_points = _point_rows(init_points, acquisition.dim)
     init_values = np.asarray(init_values, dtype=float).reshape(-1)
     gp = GpPosterior.from_data(kernel, init_points, init_values, noise_var)
     return BoSession(
@@ -192,6 +194,16 @@ def new_session(
         rng_seed=int(seed),
         model_ref=model_ref,
     )
+
+
+def _point_rows(points, dim: int) -> np.ndarray:
+    """Observation points as an (m, dim) array; rows of another width are an error."""
+    points = np.asarray(points, dtype=float)
+    if points.size == 0:
+        return points.reshape(0, dim)
+    if points.ndim != 2 or points.shape[1] != dim:
+        raise ValueError(f"observation points of shape {points.shape} are not rows of {dim}")
+    return points
 
 
 def rng_for(seed: int, iteration: int) -> np.random.Generator:
@@ -214,30 +226,27 @@ def _latin_hypercube(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     return (perms.T - u) / n
 
 
-def _acquisition_values(session: BoSession, X: np.ndarray, y_plus) -> np.ndarray:
-    mean, var = session.gp.posterior_batch(X)
-    sd = np.sqrt(np.clip(var, 0.0, None))
-    if session.acquisition.kind == "ei":
-        return np.atleast_1d(ei(mean, sd, y_plus))
-    return np.atleast_1d(ucb(mean, sd, session.iteration, session.acquisition))
-
-
-def _acquisition_grad(session: BoSession, X: np.ndarray, y_plus):
-    """Acquisition values at the rows of X and their (m, n) gradients in X.
+def _acquisition(session: BoSession, X: np.ndarray, y_plus, grad: bool = False):
+    """Acquisition values at the rows of X; with ``grad``, also their (m, n)
+    gradients in X.
 
     The chain rule runs through sd = sqrt(var): d sd = d var / (2 sd).
     Where sd = 0 the sd term is dropped, and the gradient is the mean
     slope times the mean gradient.
     """
-    mean, var, dmean, dvar = session.gp.posterior_grad(X)
+    gp, spec = session.gp, session.acquisition
+    mean, var, *dpost = gp.posterior_grad(X) if grad else gp.posterior_batch(X)
     sd = np.sqrt(np.clip(var, 0.0, None))
-    spec = session.acquisition
     if spec.kind == "ei":
         values, d_mean, d_sd = _ei_terms(mean, sd, y_plus)
     else:
         values = np.atleast_1d(ucb(mean, sd, session.iteration, spec))
+    if not grad:
+        return values
+    if spec.kind == "ucb":
         d_mean = np.ones_like(values)
         d_sd = np.full_like(values, math.sqrt(beta_t(session.iteration, spec.dim, spec.delta)))
+    dmean, dvar = dpost
     pos = sd > 0
     d_var = np.zeros_like(values)
     d_var[pos] = d_sd[pos] / (2.0 * sd[pos])
@@ -282,7 +291,7 @@ def maximize_acquisition(
     with _blas.single_thread():
         n_probes = 32 * spec.dim
         probes = -1.0 + _latin_hypercube(rng, n_probes, spec.dim) * 2.0
-        values = _acquisition_values(session, probes, y_plus)
+        values = _acquisition(session, probes, y_plus)
 
         vmax = float(np.max(values))
         vmin = float(np.min(values))
@@ -299,7 +308,7 @@ def maximize_acquisition(
         starts = probes[order]
 
         def negated_sum(flat: np.ndarray):
-            vals, grads = _acquisition_grad(session, flat.reshape(starts.shape), y_plus)
+            vals, grads = _acquisition(session, flat.reshape(starts.shape), y_plus, grad=True)
             return -float(np.sum(vals)), -grads.ravel()
 
         res = minimize(
@@ -312,7 +321,7 @@ def maximize_acquisition(
         # L-BFGS-B keeps its iterates in the box up to rounding; the clip
         # settles that before the one re-scoring batch
         polished = np.clip(res.x.reshape(starts.shape), -1.0, 1.0)
-        scores = _acquisition_values(session, polished, y_plus)
+        scores = _acquisition(session, polished, y_plus)
         best = int(np.argmax(scores))
         if scores[best] > values[order[0]]:
             return polished[best]
@@ -410,10 +419,10 @@ def load_session(path: str, kernel) -> BoSession:
         dim = len(domain["lo"])
         if domain != {"lo": [-1.0] * dim, "hi": [1.0] * dim}:
             raise ValueError("the domain is not the box [-1, 1]^n")
-        iteration = int(payload["iteration"])
-        points = np.asarray(payload["observations"]["points"], dtype=float).reshape(-1, dim)
-        values = np.asarray(payload["observations"]["values"], dtype=float).reshape(-1)
-        if points.shape[0] != values.shape[0]:
+        iteration = _json_int(payload["iteration"], "iteration")
+        points = _point_rows(payload["observations"]["points"], dim)
+        values = np.asarray(payload["observations"]["values"], dtype=float)
+        if values.shape != points.shape[:1]:
             raise ValueError("observation arrays disagree")
         if iteration < 0 or iteration > points.shape[0]:
             raise ValueError("iteration exceeds observations")
@@ -421,7 +430,7 @@ def load_session(path: str, kernel) -> BoSession:
         session = new_session(
             kernel,
             AcquisitionSpec(kind=acquisition["kind"], dim=dim, delta=float(acquisition["delta"])),
-            int(payload["seed"]),
+            _json_int(payload["seed"], "seed"),
             float(payload["noise_var"]),
             points,
             values,
@@ -430,8 +439,8 @@ def load_session(path: str, kernel) -> BoSession:
         session.iteration = iteration
         pending = payload["pending"]
         if pending is not None:
-            pend = np.asarray(pending, dtype=float).reshape(-1)
-            if pend.shape[0] != dim:
+            pend = np.asarray(pending, dtype=float)
+            if pend.shape != (dim,):
                 raise ValueError("pending point dimension")
             if not _in_unit_box(pend):
                 raise ValueError("pending point lies outside the box [-1, 1]^n")

@@ -69,25 +69,14 @@ def _parse_float_list(text: str, flag: str) -> tuple:
     return values
 
 
-def _resolve_functions(text: str) -> tuple:
+def _resolve_names(text: str, valid: tuple, what: str) -> tuple:
+    """The comma-separated names in `text`, each one of `valid`; ``all`` is every one."""
     if text == "all":
-        return FUNCTION_ORDER
+        return valid
     names = tuple(tok.strip() for tok in text.split(",") if tok.strip())
     for name in names:
-        if name not in FUNCTIONS:
-            raise ValueError(
-                f"unknown function {name!r}; valid: {', '.join(FUNCTION_ORDER)}"
-            )
-    return names
-
-
-def _resolve_methods(text: str) -> tuple:
-    if text == "all":
-        return METHODS
-    names = tuple(tok.strip() for tok in text.split(",") if tok.strip())
-    for name in names:
-        if name not in METHODS:
-            raise ValueError(f"unknown method {name!r}; valid: {', '.join(METHODS)}")
+        if name not in valid:
+            raise ValueError(f"unknown {what} {name!r}; valid: {', '.join(valid)}")
     return names
 
 
@@ -122,8 +111,8 @@ def cmd_pretrain(args) -> int:
 
 def cmd_bench(args) -> int:
     spec = BenchmarkSpec(
-        functions=_resolve_functions(args.functions),
-        methods=_resolve_methods(args.methods),
+        functions=_resolve_names(args.functions, FUNCTION_ORDER, "function"),
+        methods=_resolve_names(args.methods, METHODS, "method"),
         seeds=args.seeds,
         iterations=args.iters,
         aux_size=args.aux_size,

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the file readers' integer check."""
 
 
 class TpboError(Exception):
@@ -17,3 +17,15 @@ class VanishingKernelError(TpboError):
 
 class NumericalError(TpboError):
     """A linear-algebra step failed beyond the recoverable jitter range."""
+
+
+def _json_int(value, name: str) -> int:
+    """A JSON number that must be whole (3 or 3.0), as an int.
+
+    ``int`` would truncate 1.7 to 1 and parse the string "3"; both are a
+    ``ValueError`` naming the field here, as are bools and infinities.
+    """
+    whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not whole:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)

@@ -18,6 +18,9 @@ qualify.  Posteriors use the function-space form with zero prior mean,
 behind one Cholesky factorization per posterior object, made on first use
 and kept.  Instances are otherwise immutable; adding an observation returns
 a new posterior, so one that is replaced before use costs no factorization.
+``posterior_batch`` and ``posterior_grad`` are thin entries to one body that
+reaches the covariance's gradient methods only for the latter, so both
+return the same means and variances when those methods return its values.
 
 The factorization and solves call LAPACK directly: ``dpotrf`` for the lower
 Cholesky factor L, ``dpotrs`` for the weights and ``dtrtrs`` for the
@@ -57,51 +60,47 @@ JITTER_FIRST = _JITTER_RUNGS[0]
 JITTER_LAST = _JITTER_RUNGS[-1]
 
 
-class SeKernel:
-    """Isotropic squared-exponential covariance exp(-nu/2 |x - y|^2)."""
+class _SquaredExponential:
+    """The diagonal and input gradients ``SeKernel`` and ``ArdSeKernel`` share.
 
-    def __init__(self, nu: float) -> None:
-        if not (np.isfinite(nu) and nu > 0):
-            raise ValueError("nu must be finite and > 0")
-        self.nu = float(nu)
-
-    def __call__(self, X1, X2) -> np.ndarray:
-        return _accel.se_cross(X1, X2, self.nu)
+    A subclass sets ``_scales``, its one or per-axis inverse squared
+    length-scale.  The cross gradient takes its values from ``self(X1, X2)``.
+    """
 
     def diag(self, X) -> np.ndarray:
         return np.ones(np.atleast_2d(X).shape[0])
 
     def cross_grad(self, X1, X2):
         K = self(X1, X2)
-        return K, _accel.se_grad(X1, X2, K, self.nu)
+        return K, _accel.se_grad(X1, X2, K, self._scales)
 
     def diag_grad(self, X):
-        X = np.atleast_2d(X)
-        return np.ones(X.shape[0]), np.zeros(X.shape)
+        return self.diag(X), np.zeros(np.atleast_2d(X).shape)
 
 
-class ArdSeKernel:
+class SeKernel(_SquaredExponential):
+    """Isotropic squared-exponential covariance exp(-nu/2 |x - y|^2)."""
+
+    def __init__(self, nu: float) -> None:
+        if not (np.isfinite(nu) and nu > 0):
+            raise ValueError("nu must be finite and > 0")
+        self.nu = self._scales = float(nu)
+
+    def __call__(self, X1, X2) -> np.ndarray:
+        return _accel.se_cross(X1, X2, self.nu)
+
+
+class ArdSeKernel(_SquaredExponential):
     """Squared-exponential covariance with one inverse length-scale per axis."""
 
     def __init__(self, nus) -> None:
         nus = np.asarray(nus, dtype=np.float64).ravel()
         if nus.size < 1 or not np.all(np.isfinite(nus)) or np.any(nus <= 0):
             raise ValueError("per-axis scales must be finite and > 0")
-        self.nus = nus
+        self.nus = self._scales = nus
 
     def __call__(self, X1, X2) -> np.ndarray:
         return _accel.ard_se_cross(X1, X2, self.nus)
-
-    def diag(self, X) -> np.ndarray:
-        return np.ones(np.atleast_2d(X).shape[0])
-
-    def cross_grad(self, X1, X2):
-        K = self(X1, X2)
-        return K, _accel.se_grad(X1, X2, K, self.nus)
-
-    def diag_grad(self, X):
-        X = np.atleast_2d(X)
-        return np.ones(X.shape[0]), np.zeros(X.shape)
 
 
 class Observations:
@@ -225,41 +224,33 @@ class GpPosterior:
 
     def posterior_batch(self, X) -> tuple[np.ndarray, np.ndarray]:
         """Posterior means and variances at a batch of points."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        prior = np.asarray(self.kernel.diag(X), dtype=np.float64)
-        if not self.obs.size:
-            return np.zeros(X.shape[0]), np.maximum(prior, 0.0)
-        L, alpha = self._solve()
-        k = self.kernel(X, self.obs.points)
-        mean = k @ alpha
-        v = _solve_lower(L, k.T)
-        var = prior - np.sum(v * v, axis=0)
-        return mean, np.clip(var, 0.0, np.maximum(prior, 0.0))
+        return self._posterior(X)
 
     def posterior_grad(self, X):
         """``posterior_batch(X)`` and the gradients of mean and variance in X.
 
         Returns (mean, var, dmean, dvar) with dmean[i, k] = d mean(x_i)/dx_ik
-        and dvar likewise.  With B = (K_D + sigma^2 I)^-1 k_D(X)', the
-        variance gradient is dprior - 2 sum_n dk[:, n, :] B[n, :].  B takes
-        two ``dtrtrs`` solves, v = L^-1 k_D(X)' and then L^-T v; the first
-        one also gives the variance, so mean and var equal
-        ``posterior_batch``'s.  Both right-hand sides are checked finite
-        before LAPACK sees them and both ``info`` values are checked, so a
-        non-finite cross-covariance raises ``ValueError`` here as it does in
-        ``posterior_batch``.
+        and dvar likewise.
         """
+        return self._posterior(X, grad=True)
+
+    def _posterior(self, X, grad: bool = False):
+        """With B = (K_D + sigma^2 I)^-1 k_D(X)', the variance gradient is
+        dprior - 2 sum_n dk[:, n, :] B[n, :].  B takes two ``dtrtrs`` solves:
+        v = L^-1 k_D(X)', which also gives the variance, and then L^-T v."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        prior, dprior = self.kernel.diag_grad(X)
+        kernel, obs = self.kernel, self.obs
+        prior, dprior = kernel.diag_grad(X) if grad else (kernel.diag(X), None)
         prior = np.asarray(prior, dtype=np.float64)
-        if not self.obs.size:
-            return np.zeros(X.shape[0]), np.maximum(prior, 0.0), np.zeros(X.shape), dprior
+        if not obs.size:
+            out = np.zeros(X.shape[0]), np.maximum(prior, 0.0)
+            return out + (np.zeros(X.shape), dprior) if grad else out
         L, alpha = self._solve()
-        k, dk = self.kernel.cross_grad(X, self.obs.points)
-        mean = k @ alpha
+        k, dk = kernel.cross_grad(X, obs.points) if grad else (kernel(X, obs.points), None)
         v = _solve_lower(L, k.T)
         var = prior - np.sum(v * v, axis=0)
+        out = k @ alpha, np.clip(var, 0.0, np.maximum(prior, 0.0))
+        if not grad:
+            return out
         B = _solve_lower(L, v, trans=1)
-        dmean = alpha @ dk
-        dvar = dprior - 2.0 * np.einsum("ink,ni->ik", dk, B)
-        return mean, np.clip(var, 0.0, np.maximum(prior, 0.0)), dmean, dvar
+        return out + (alpha @ dk, dprior - 2.0 * np.einsum("ink,ni->ik", dk, B))

@@ -21,6 +21,10 @@ of the same family whose weights are ``tau * sum_i alpha_i theta(a_i)``.
 closed forms; ``pretrain`` builds it and ``gp``/``bo`` use it as the prior
 covariance.  The explicit (truncated) feature route lives in the test-support
 module ``tests/feature_route.py``, where the tests compare it with this one.
+Its value methods (``__call__``, ``diag``) and gradient methods
+(``cross_grad``, ``diag_grad``) are thin entries to one body per layer that
+takes ``grad``: they return the same values, and only the latter do
+gradient work.
 """
 
 from __future__ import annotations
@@ -83,12 +87,11 @@ class TunedKernel:
     K_4 the arity-4 member of ``base``.  Pair data over the auxiliary points
     is folded to the upper triangle (off-diagonal weights doubled) at
     construction; evaluation then costs one pass over |A|(|A|+1)/2 pairs per
-    entry.  ``__call__`` (over the rows x*x' of every point pair) and
-    ``diag`` (over the rows x*x of one batch) are each one chunked
+    entry.  The cross (over the rows x*x' of every point pair) and the
+    diagonal (over the rows x*x of one batch) are each one chunked
     ``_accel.tuned_rows`` evaluation; the squared-exponential base scales the
-    exponential-base sum by the probe norms.  ``cross_grad`` and
-    ``diag_grad`` return the same values with their input gradients.
-    Instances are immutable and safe to share across threads.
+    exponential-base sum by the probe norms.  Instances are immutable and
+    safe to share across threads.
     """
 
     def __init__(self, base: FreeKernelSpec, aux_points, alpha) -> None:
@@ -117,11 +120,6 @@ class TunedKernel:
         self._pair_weight = w
 
     @property
-    def _row_family(self) -> str:
-        """The family ``tuned_rows`` evaluates: ``se`` sums the exponential base."""
-        return "exponential" if self.base.family == "se" else self.base.family
-
-    @property
     def input_dim(self) -> int:
         return self.aux_points.shape[1]
 
@@ -134,58 +132,43 @@ class TunedKernel:
     def _norms(self, X: np.ndarray) -> np.ndarray:
         return np.exp(-0.5 * self.base.nu * np.sum(X * X, axis=1))
 
-    def __call__(self, X1, X2) -> np.ndarray:
-        """Cross-covariance matrix between two batches of points."""
+    def _cross(self, X1, X2, grad: bool = False):
         X1, X2 = self._points(X1), self._points(X2)
         base, P, W = self.base, self._pair_prod, self._pair_weight
         if base.family == "se":
-            return _accel.tuned_se_cross(P, W, base.nu, X1, X2, self._norms(X1), self._norms(X2))
-        return _accel.tuned_cross(P, W, base.family, base.nu, base.degree, base.offset, X1, X2)
+            c1, c2 = self._norms(X1), self._norms(X2)
+            return _accel.tuned_se_cross(P, W, base.nu, X1, X2, c1, c2, grad)
+        return _accel.tuned_cross(
+            P, W, base.family, base.nu, base.degree, base.offset, X1, X2, grad
+        )
 
-    def diag(self, X) -> np.ndarray:
-        """Prior variances K(x, x): one tuned-row evaluation over the rows x*x."""
+    def _diag(self, X, grad: bool = False):
         X = self._points(X)
         base = self.base
+        se = base.family == "se"
         d = _accel.tuned_rows(
-            self._pair_prod, self._pair_weight, self._row_family, base.nu, base.degree,
-            base.offset, X * X,
+            self._pair_prod, self._pair_weight, "exponential" if se else base.family,
+            base.nu, base.degree, base.offset, X * X, grad=grad,
         )
-        if base.family == "se":
+        if grad:
+            d = d[0], 2.0 * X * d[1]  # the chain rule through z = x * x
+        if se:
             c = self._norms(X)
-            return d * c * c
+            return _accel.se_norm_scale(d, c, c, 2.0 * base.nu, X, grad)
         return d
 
-    def cross_grad(self, X1, X2):
-        """``self(X1, X2)`` and its gradient dK[i, j, k] = dK(x_i, y_j)/dx_ik.
+    def __call__(self, X1, X2) -> np.ndarray:
+        """Cross-covariance matrix between two batches of points."""
+        return self._cross(X1, X2)
 
-        The gradient reuses the series values of the cross, at the cost of
-        one more matrix product per chunk.  For the squared-exponential base,
-        K = c(x) c(y) S(x*y) adds the norm term -nu x_k K.
-        """
-        X1, X2 = self._points(X1), self._points(X2)
-        base = self.base
-        K, dK = _accel.tuned_cross_grad(
-            self._pair_prod, self._pair_weight, self._row_family, base.nu, base.degree,
-            base.offset, X1, X2,
-        )
-        if base.family == "se":
-            c1, c2 = self._norms(X1), self._norms(X2)
-            K = K * c1[:, None] * c2[None, :]
-            dK = dK * (c1[:, None] * c2[None, :])[:, :, None]
-            dK -= base.nu * X1[:, None, :] * K[:, :, None]
-        return K, dK
+    def diag(self, X) -> np.ndarray:
+        """Prior variances K(x, x)."""
+        return self._diag(X)
+
+    def cross_grad(self, X1, X2):
+        """``self(X1, X2)`` and its gradient dK[i, j, k] = dK(x_i, y_j)/dx_ik."""
+        return self._cross(X1, X2, grad=True)
 
     def diag_grad(self, X):
         """``self.diag(X)`` and its gradient dd[i, k] = dK(x_i, x_i)/dx_ik."""
-        X = self._points(X)
-        base = self.base
-        d, dZ = _accel.tuned_rows(
-            self._pair_prod, self._pair_weight, self._row_family, base.nu, base.degree,
-            base.offset, X * X, grad=True,
-        )
-        dd = 2.0 * X * dZ
-        if base.family == "se":
-            c = self._norms(X)
-            d = d * c * c
-            dd = dd * (c * c)[:, None] - 2.0 * base.nu * X * d[:, None]
-        return d, dd
+        return self._diag(X, grad=True)

@@ -21,7 +21,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import _accel
-from .errors import NumericalError, VanishingKernelError
+from .errors import NumericalError, VanishingKernelError, _json_int
 from .gp import check_lapack_info, require_finite
 from .mkernel import VANISH_TOL, FreeKernelSpec, TunedKernel
 
@@ -416,7 +416,7 @@ def load_aux_model(path) -> AuxModel:
         kernel = FreeKernelSpec(
             family=doc["kernel"]["family"],
             nu=float(doc["kernel"]["nu"]),
-            degree=int(doc["kernel"]["degree"]),
+            degree=_json_int(doc["kernel"]["degree"], "degree"),
             offset=float(doc["kernel"]["offset"]),
         )
         norm = doc["normalization"]
@@ -433,7 +433,7 @@ def load_aux_model(path) -> AuxModel:
                 x_hi=np.asarray(norm["x_hi"], dtype=np.float64),
             ),
             loo_error=float(doc["loo_error"]),
-            input_dim=int(doc["input_dim"]),
+            input_dim=_json_int(doc["input_dim"], "input_dim"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed model file {path}: {exc}") from exc

@@ -2,7 +2,7 @@
 
 Run `pytest tests/test_acceptance.py -v -s` to see the verdict lines as the
 criteria execute.  Criterion 8 is a full benchmark run and dominates the
-wall time (several minutes on one core).
+wall time (under a minute on one core).
 """
 
 import contextlib

@@ -219,15 +219,16 @@ class TestMaximizer:
     @pytest.mark.parametrize("refine_top", [1, 2, None])
     @pytest.mark.parametrize("kind", ["ei", "ucb"])
     def test_beats_every_probe(self, monkeypatch, kind, refine_top):
-        score = tpbo.bo._acquisition_values
+        score = tpbo.bo._acquisition
         batches = []
 
-        def recording(session, X, y_plus):
-            values = score(session, X, y_plus)
-            batches.append((X.copy(), values.copy()))
-            return values
+        def recording(session, X, y_plus, grad=False):
+            out = score(session, X, y_plus, grad)
+            if not grad:
+                batches.append((X.copy(), out.copy()))
+            return out
 
-        monkeypatch.setattr(tpbo.bo, "_acquisition_values", recording)
+        monkeypatch.setattr(tpbo.bo, "_acquisition", recording)
         session = small_session(seed=4, kind=kind)
         x = maximize_acquisition(session, refine_top=refine_top)
         probes, probe_values = batches[0]
@@ -259,7 +260,7 @@ class TestMaximizer:
             # the optimizer minimizes the negated summed acquisition
             for flat in (x0, x_end):
                 value, grad = fun(flat)
-                want = -np.sum(tpbo.bo._acquisition_values(session, flat.reshape(-1, 2), y_plus))
+                want = -np.sum(tpbo.bo._acquisition(session, flat.reshape(-1, 2), y_plus))
                 assert value == pytest.approx(want, rel=1e-12)
                 assert grad.shape == flat.shape
             tell(session, x, scaled_himmelblau(x))
@@ -335,9 +336,9 @@ class TestAcquisitionGradients:
 
     @staticmethod
     def check(session, X, y_plus):
-        values, grads = tpbo.bo._acquisition_grad(session, X, y_plus)
-        score = lambda Y: tpbo.bo._acquisition_values(session, Y, y_plus)
-        assert values == pytest.approx(score(X), rel=1e-12, abs=1e-300)
+        values, grads = tpbo.bo._acquisition(session, X, y_plus, grad=True)
+        score = lambda Y: tpbo.bo._acquisition(session, Y, y_plus)
+        assert np.array_equal(values, score(X))
         want = central_differences(score, X)
         scale = float(np.max(np.abs(want)))
         assert grads == pytest.approx(want, rel=1e-6, abs=1e-7 * scale)
@@ -733,13 +734,34 @@ class TestPersistence:
             {"iteration": "abc"},
             {"observations": {"points": [[0.5, -0.5], [-0.25, 0.75]],
                               "values": [float("nan"), 0.0]}},
+            # int() would truncate these, or parse the string
+            {"iteration": 1.7},
+            {"seed": 3.9},
+            {"seed": "3"},
+            # one 4-coordinate row: reshaping it to width 2 made two points
+            {"observations": {"points": [[0.5, -0.5, -0.25, 0.75]], "values": [0.1, 0.2]}},
+            {"observations": {"points": [0.5, -0.5, -0.25, 0.75], "values": [0.1, 0.2]}},
+            {"observations": {"points": [[0.5, -0.5], [-0.25, 0.75]], "values": [[0.1], [0.2]]}},
         ],
-        ids=["iteration-not-int", "nan-value"],
+        ids=["iteration-not-int", "nan-value", "iteration-fraction", "seed-fraction",
+             "seed-string", "points-wide-row", "points-flat", "values-nested"],
     )
     def test_malformed_fields_rejected(self, tmp_path, changes):
         path = self._edited_file(tmp_path, **changes)
         with pytest.raises(ValueError, match="malformed session file"):
             load_session(path, SeKernel(3.0))
+
+    def test_whole_number_floats_accepted(self, tmp_path):
+        path = self._edited_file(tmp_path, iteration=1.0, seed=3.0)
+        loaded = load_session(path, SeKernel(3.0))
+        assert (loaded.iteration, loaded.rng_seed) == (1, 3)
+        assert type(loaded.iteration) is int and type(loaded.rng_seed) is int
+
+    def test_new_session_rejects_rows_of_another_width(self):
+        spec = AcquisitionSpec(kind="ei", dim=2)
+        with pytest.raises(ValueError, match="not rows of 2"):
+            new_session(SeKernel(1.0), spec, seed=0, noise_var=1e-6,
+                        init_points=[[0.5, -0.5, -0.25, 0.75]], init_values=[0.1, 0.2])
 
     @pytest.mark.parametrize(
         "domain",

@@ -333,6 +333,26 @@ class TestSuggestTell:
         assert payload["observations"]["values"] == [0.3]
 
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("iteration", 0.5), ("seed", 3.9),
+         ("observations", {"points": [[-0.5, 0.25, 0.5, 0.0]], "values": [0.3, 0.1]})],
+        ids=["iteration-fraction", "seed-fraction", "wide-row"],
+    )
+    def test_malformed_session_file_exits_2(self, small_model, tmp_path, capsys, field, value):
+        session = tmp_path / "session.json"
+        assert main(["tell", "--session", str(session), "--model", small_model,
+                     "--x=-0.5,0.25", "--y", "0.3"]) == 0
+        payload = json.loads(session.read_text())
+        payload[field] = value
+        session.write_text(json.dumps(payload))
+        capsys.readouterr()
+        for command, flags in (("suggest", ["--refine-top", "2"]),
+                               ("tell", ["--x=0.5,0.25", "--y", "0.3"])):
+            code = main([command, "--session", str(session), "--model", small_model] + flags)
+            assert code == 2
+            assert "malformed session file" in capsys.readouterr().err
+
     def test_model_of_another_dimension_exits_2(self, small_model, tmp_path, capsys):
         csv = tmp_path / "aux3.csv"
         rng = np.random.default_rng(4)

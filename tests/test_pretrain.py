@@ -368,9 +368,13 @@ class TestPersistence:
             lambda text: text.replace('"x_hi": [', '"x_hi": [], "was": [', 1),
             lambda text: re.sub(r'("alpha": \[\s*)[^,\s]+', r"\1NaN", text, count=1),
             lambda text: re.sub(r'("aux_inputs": \[\s*\[\s*)[^,\s]+', r"\1Infinity", text, count=1),
+            # int() would truncate both to the stored values, 2 and 1
+            lambda text: text.replace('"degree": ', '"degree": 2.9, "was": ', 1),
+            lambda text: text.replace('"input_dim": ', '"input_dim": 1.5, "was": ', 1),
         ],
         ids=["not-json", "lambda-not-float", "input-dim-not-int", "x-lo-too-long",
-             "x-hi-empty", "alpha-nan", "aux-inputs-inf"],
+             "x-hi-empty", "alpha-nan", "aux-inputs-inf", "degree-fraction",
+             "input-dim-fraction"],
     )
     def test_malformed_values_name_the_file(self, tmp_path, edit):
         data = AuxDataset(inputs=np.array([[-1.0], [0.0], [1.0]]),
