@@ -20,7 +20,7 @@ from typing import Callable, Iterable, List, Optional, Tuple
 import numpy as np
 
 from . import _accel, _blas
-from .bo import AcquisitionSpec, bo_step, fallback_logger, new_session
+from .bo import AcquisitionSpec, bo_step, new_session
 from .errors import VanishingKernelError
 from .gp import ArdSeKernel, GpPosterior, SeKernel
 from .mkernel import FreeKernelSpec
@@ -261,7 +261,9 @@ def run_cell(function: str, method: str, seed: int, spec: BenchmarkSpec) -> List
     covariance: the transferred prior (`tp-*`), an ARD SE kernel tuned on
     the auxiliary data (`ard-*`), or a plain SE kernel whose hyperparameters
     are re-fit by LOO on the growing data before every pick (`ei`, `ucb`),
-    with the ridge weight doubling as observation noise.
+    with the ridge weight doubling as observation noise.  A cell logs only
+    the skip of a vanishing covariance: every pick has data, so it ranks its
+    probes and polishes even where the expected improvement underflows.
     """
     fn_idx = FUNCTION_ORDER.index(function)
     problem = normalize_problem(FUNCTIONS[function], spec.grid_resolution)
@@ -269,16 +271,6 @@ def run_cell(function: str, method: str, seed: int, spec: BenchmarkSpec) -> List
     kind = method.split("-")[-1]
     retune = method in ("ei", "ucb")
 
-    # Late in a run the expected improvement can underflow everywhere, so the
-    # maximizer's random fallback fires on most iterations; one aggregate
-    # line per cell says the same thing without the flood.
-    fallbacks: List[logging.LogRecord] = []
-
-    def swallow(record: logging.LogRecord) -> bool:
-        fallbacks.append(record)
-        return False
-
-    fallback_logger.addFilter(swallow)
     try:
         if retune:
             kernel = SeKernel(1.0)  # replaced before the first pick
@@ -293,35 +285,27 @@ def run_cell(function: str, method: str, seed: int, spec: BenchmarkSpec) -> List
                 kernel = ArdSeKernel(
                     tune_ard_loo(aux.inputs, aux.targets, spec.nu_grid, spec.lambda_grid)
                 )
-        session = new_session(
-            kernel,
-            AcquisitionSpec(kind=kind, dim=2, delta=spec.delta),
-            seed=_derived_seed(fn_idx, seed, _TAG_SESSION),
-            noise_var=spec.sigma2,
-            init_points=X0,
-            init_values=y0,
-        )
-        best = []
-        for _ in range(spec.iterations):
-            if retune:
-                obs = session.gp.obs
-                nu, lam = tune_se_loo(obs.points, obs.values, spec.nu_grid, spec.lambda_grid)
-                session.gp = GpPosterior.from_data(SeKernel(nu), obs.points, obs.values, lam)
-            session = bo_step(session, problem.objective, refine_top=spec.refine_top)
-            best.append(session.best_so_far[1])
     except VanishingKernelError as exc:
         logger.warning(
             "skipping %s on %s (seed %d): %s", method, function, seed, exc
         )
         return []
-    finally:
-        fallback_logger.removeFilter(swallow)
-    if fallbacks:
-        logger.info(
-            "%s on %s (seed %d): %d of %d picks fell back to random "
-            "exploration (flat acquisition)",
-            method, function, seed, len(fallbacks), spec.iterations,
-        )
+    session = new_session(
+        kernel,
+        AcquisitionSpec(kind=kind, dim=2, delta=spec.delta),
+        seed=_derived_seed(fn_idx, seed, _TAG_SESSION),
+        noise_var=spec.sigma2,
+        init_points=X0,
+        init_values=y0,
+    )
+    best = []
+    for _ in range(spec.iterations):
+        if retune:
+            obs = session.gp.obs
+            nu, lam = tune_se_loo(obs.points, obs.values, spec.nu_grid, spec.lambda_grid)
+            session.gp = GpPosterior.from_data(SeKernel(nu), obs.points, obs.values, lam)
+        session = bo_step(session, problem.objective, refine_top=spec.refine_top)
+        best.append(session.best_so_far[1])
 
     return [
         RegretRecord(method, function, seed, t + 1, float(v))

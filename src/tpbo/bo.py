@@ -24,25 +24,18 @@ from __future__ import annotations
 import json
 import logging
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import _blas
-from .errors import _json_int
+from .errors import _json_int, _write_json
 from .gp import GpPosterior
 
 logger = logging.getLogger(__name__)
-# The maximizer's random fallbacks log here, so callers can count them
-# without reading message text; records still propagate to `logger`.
-fallback_logger = logging.getLogger(__name__ + ".fallback")
 
 ACQUISITION_KINDS = ("ei", "ucb")
-
-# Relative spread below which the probe values count as a flat surface.
-FLAT_TOL = 1e-12
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -159,7 +152,6 @@ class BoSession:
     rng_seed: int
     iteration: int = 0
     pending: Optional[np.ndarray] = None
-    model_ref: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.iteration < 0:
@@ -182,18 +174,12 @@ def new_session(
     noise_var: float,
     init_points,
     init_values,
-    model_ref: Optional[str] = None,
 ) -> BoSession:
     """Start a session from an initial design (which may be empty)."""
     init_points = _point_rows(init_points, acquisition.dim)
     init_values = np.asarray(init_values, dtype=float).reshape(-1)
     gp = GpPosterior.from_data(kernel, init_points, init_values, noise_var)
-    return BoSession(
-        gp=gp,
-        acquisition=acquisition,
-        rng_seed=int(seed),
-        model_ref=model_ref,
-    )
+    return BoSession(gp=gp, acquisition=acquisition, rng_seed=int(seed))
 
 
 def _point_rows(points, dim: int) -> np.ndarray:
@@ -240,12 +226,12 @@ def _acquisition(session: BoSession, X: np.ndarray, y_plus, grad: bool = False):
     if spec.kind == "ei":
         values, d_mean, d_sd = _ei_terms(mean, sd, y_plus)
     else:
-        values = np.atleast_1d(ucb(mean, sd, session.iteration, spec))
+        w = math.sqrt(beta_t(session.iteration, spec.dim, spec.delta))
+        values = mean + w * sd
+        d_mean = np.ones_like(values)
+        d_sd = np.full_like(values, w)
     if not grad:
         return values
-    if spec.kind == "ucb":
-        d_mean = np.ones_like(values)
-        d_sd = np.full_like(values, math.sqrt(beta_t(session.iteration, spec.dim, spec.delta)))
     dmean, dvar = dpost
     pos = sd > 0
     d_var = np.zeros_like(values)
@@ -266,10 +252,12 @@ def maximize_acquisition(
     posterior call per evaluation.  The polished points are re-scored in
     one batch, and the best of them is returned when it beats the best
     probe, which is returned otherwise, so the pick always scores at least
-    as high as every probe.  Scoring and polish run with every OpenBLAS in
-    the process at one thread, and the counts are restored on return.  A
-    flat surface (or expected improvement before any data exists) falls
-    back to a seeded uniform point and logs a warning on `fallback_logger`.
+    as high as every probe.  On a flat surface, or one where the expected
+    improvement underflows to 0 everywhere, the pick is therefore one of the
+    seeded probes.  Scoring and polish run with every OpenBLAS in the process
+    at one thread, and the counts are restored on return.  Expected
+    improvement before any data exists is undefined: that pick is a seeded
+    uniform point, and a warning is logged.
     """
     if refine_top is not None and refine_top < 1:
         raise ValueError("refine_top must be at least 1")
@@ -278,7 +266,7 @@ def maximize_acquisition(
 
     obs = session.gp.obs
     if spec.kind == "ei" and obs.size == 0:
-        fallback_logger.warning(
+        logger.warning(
             "expected improvement is undefined with no observations; "
             "returning a seeded random point"
         )
@@ -292,16 +280,6 @@ def maximize_acquisition(
         n_probes = 32 * spec.dim
         probes = -1.0 + _latin_hypercube(rng, n_probes, spec.dim) * 2.0
         values = _acquisition(session, probes, y_plus)
-
-        vmax = float(np.max(values))
-        vmin = float(np.min(values))
-        if vmax - vmin <= FLAT_TOL * max(1.0, abs(vmax)):
-            fallback_logger.warning(
-                "acquisition surface is flat over the probe set; "
-                "returning a seeded random point"
-            )
-            return rng.uniform(-1.0, 1.0, spec.dim)
-
         order = np.argsort(-values)
         if refine_top is not None:
             order = order[:refine_top]
@@ -383,7 +361,6 @@ def save_session(session: BoSession, path: str) -> None:
     obs = session.gp.obs
     dim = session.acquisition.dim
     payload = {
-        "model_ref": session.model_ref,
         "domain": {"lo": [-1.0] * dim, "hi": [1.0] * dim},
         "iteration": session.iteration,
         "observations": {
@@ -398,11 +375,7 @@ def save_session(session: BoSession, path: str) -> None:
         },
         "noise_var": obs.noise_var,
     }
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
+    _write_json(path, payload)
 
 
 def load_session(path: str, kernel) -> BoSession:
@@ -434,7 +407,6 @@ def load_session(path: str, kernel) -> BoSession:
             float(payload["noise_var"]),
             points,
             values,
-            model_ref=payload["model_ref"],
         )
         session.iteration = iteration
         pending = payload["pending"]

@@ -194,7 +194,6 @@ def _session_for(args) -> BoSession:
             args.sigma2,
             init_points=np.empty((0, dim)),
             init_values=np.empty(0),
-            model_ref=args.model,
         )
     if kernel.input_dim != session.acquisition.dim:
         raise ValueError(

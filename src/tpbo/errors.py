@@ -1,4 +1,8 @@
-"""Exception types shared across the package, and the file readers' integer check."""
+"""Exception types shared across the package, the file readers' integer
+check, and the one writer of session and model files."""
+
+import json
+import os
 
 
 class TpboError(Exception):
@@ -29,3 +33,22 @@ def _json_int(value, name: str) -> int:
     if isinstance(value, bool) or not whole:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _write_json(path, payload) -> None:
+    """Write `payload` as indented JSON to `path`, replacing it atomically.
+
+    The text goes to ``path + ".tmp"`` first and replaces `path` only once it
+    is complete, so a dump that fails partway leaves an existing file as it
+    was; the partial temporary file is removed.
+    """
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise

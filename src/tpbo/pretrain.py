@@ -21,7 +21,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import _accel
-from .errors import NumericalError, VanishingKernelError, _json_int
+from .errors import NumericalError, VanishingKernelError, _json_int, _write_json
 from .gp import check_lapack_info, require_finite
 from .mkernel import VANISH_TOL, FreeKernelSpec, TunedKernel
 
@@ -403,9 +403,7 @@ def save_aux_model(model: AuxModel, path) -> None:
         "loo_error": model.loo_error,
         "input_dim": model.input_dim,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(path, doc)
 
 
 def load_aux_model(path) -> AuxModel:

@@ -149,20 +149,22 @@ class TestSpecsAndBox:
 
 
 class DeterministicSurrogate:
-    """Duck-typed posterior with zero spread; mean is an exact function.
+    """Duck-typed posterior with a constant variance (zero by default); the
+    mean is an exact function.
 
     `grad` is the mean's gradient, a function of one point.
     """
 
-    def __init__(self, fn, grad, dim, incumbent):
+    def __init__(self, fn, grad, dim, incumbent, var=0.0):
         self.fn = fn
         self.grad = grad
+        self.var = var
         self.obs = Observations(np.zeros((1, dim)), np.array([incumbent]), 0.0)
 
     def posterior_batch(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         mean = np.array([self.fn(x) for x in X])
-        return mean, np.zeros(X.shape[0])
+        return mean, np.full(X.shape[0], self.var)
 
     def posterior_grad(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -267,24 +269,41 @@ class TestMaximizer:
 
     def test_fallback_pick_runs_no_polish(self, monkeypatch):
         monkeypatch.setattr(scipy.optimize, "minimize", None)  # any call would fail
-        spec = AcquisitionSpec(kind="ucb", dim=2)
+        spec = AcquisitionSpec(kind="ei", dim=2)
         session = new_session(SeKernel(1.0), spec, seed=9, noise_var=1e-6,
                               init_points=np.zeros((0, 2)), init_values=[])
         assert maximize_acquisition(session).shape == (2,)
+
+    @staticmethod
+    def silent_pick(session, caplog):
+        """The pick of `session`, checked to lie in the box, to repeat on
+        the same seed and to log nothing."""
+        with caplog.at_level(logging.DEBUG, logger="tpbo"):
+            x = maximize_acquisition(session)
+            assert np.array_equal(x, maximize_acquisition(session))
+        assert not caplog.records
+        assert np.all(x >= -1.0) and np.all(x <= 1.0)
+        return x
 
     def test_flat_ucb_on_empty_data(self, caplog):
         # stationary prior with no data gives a constant upper bound
         spec = AcquisitionSpec(kind="ucb", dim=2)
         session = new_session(SeKernel(1.0), spec, seed=9, noise_var=1e-6,
                               init_points=np.zeros((0, 2)), init_values=[])
-        with caplog.at_level(logging.WARNING, logger="tpbo.bo"):
-            x = maximize_acquisition(session)
-        assert any("flat" in rec.message for rec in caplog.records)
-        assert np.all(x >= -1.0) and np.all(x <= 1.0)
-        # same seed, same fallback point
-        session2 = new_session(SeKernel(1.0), spec, seed=9, noise_var=1e-6,
-                               init_points=np.zeros((0, 2)), init_values=[])
-        assert np.array_equal(x, maximize_acquisition(session2))
+        self.silent_pick(session, caplog)
+
+    def test_zero_ei_everywhere(self, caplog):
+        # the mean peaks at 0.5, below the incumbent, and the spread is 0
+        self.silent_pick(quadratic_surrogate_session("ei", incumbent=1.0), caplog)
+
+    def test_underflowing_ei_still_ranks_the_probes(self, caplog):
+        # every probe's EI is at most 6.1e-93, but the best probe's is not 0
+        session = quadratic_surrogate_session("ei", incumbent=1.5, var=0.05**2)
+        probes = -1.0 + tpbo.bo._latin_hypercube(rng_for(1, 0), 64, 2) * 2.0
+        values = tpbo.bo._acquisition(session, probes, 1.5)
+        assert 0.0 < np.max(values) <= 6.1e-93
+        x = self.silent_pick(session, caplog)
+        assert tpbo.bo._acquisition(session, x[None, :], 1.5)[0] >= np.max(values)
 
     def test_ei_with_no_data_flagged(self, caplog):
         spec = AcquisitionSpec(kind="ei", dim=2)
@@ -292,7 +311,7 @@ class TestMaximizer:
                               init_points=np.zeros((0, 2)), init_values=[])
         with caplog.at_level(logging.WARNING, logger="tpbo.bo"):
             x = maximize_acquisition(session)
-        assert len(caplog.records) == 1
+        assert [rec.name for rec in caplog.records] == ["tpbo.bo"]
         assert np.all(x >= -1.0) and np.all(x <= 1.0)
 
     def test_refine_top_validation(self):
@@ -307,17 +326,10 @@ class TestMaximizer:
             with pytest.raises(ValueError, match="refine_top"):
                 maximize_acquisition(empty, refine_top=refine_top)
 
-    def test_fallbacks_log_on_child_logger(self, caplog):
-        spec = AcquisitionSpec(kind="ucb", dim=2)
-        session = new_session(SeKernel(1.0), spec, seed=9, noise_var=1e-6,
-                              init_points=np.zeros((0, 2)), init_values=[])
-        with caplog.at_level(logging.WARNING, logger="tpbo.bo"):
-            maximize_acquisition(session)
-        assert [rec.name for rec in caplog.records] == ["tpbo.bo.fallback"]
 
-
-def quadratic_surrogate_session(kind, incumbent):
-    """Zero-spread session whose mean peaks at 0.5 above the point (0.3, -0.2)."""
+def quadratic_surrogate_session(kind, incumbent, var=0.0):
+    """Session whose mean peaks at 0.5 above the point (0.3, -0.2), with a
+    constant variance (zero by default)."""
     center = np.array([0.3, -0.2])
     return BoSession(
         gp=DeterministicSurrogate(
@@ -325,6 +337,7 @@ def quadratic_surrogate_session(kind, incumbent):
             lambda x: -2.0 * (x - center),
             2,
             incumbent=incumbent,
+            var=var,
         ),
         acquisition=AcquisitionSpec(kind=kind, dim=2),
         rng_seed=1,
@@ -670,13 +683,11 @@ class TestPersistence:
         s = small_session(seed=77)
         s = bo_step(s, scaled_himmelblau, refine_top=2)
         ask(s, refine_top=2)  # leave a pending suggestion in the file
-        s.model_ref = "model.json"
         path = str(tmp_path / "session.json")
         save_session(s, path)
         loaded = load_session(path, SeKernel(3.0))
         assert loaded.iteration == s.iteration
         assert loaded.rng_seed == s.rng_seed
-        assert loaded.model_ref == "model.json"
         assert loaded.acquisition == s.acquisition
         with open(path, encoding="utf-8") as fh:
             assert json.load(fh)["domain"] == {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}
@@ -750,6 +761,12 @@ class TestPersistence:
         path = self._edited_file(tmp_path, **changes)
         with pytest.raises(ValueError, match="malformed session file"):
             load_session(path, SeKernel(3.0))
+
+    def test_model_ref_key_ignored(self, tmp_path):
+        # files written before sessions stopped naming their model still load
+        path = self._edited_file(tmp_path, model_ref="model.json")
+        loaded = load_session(path, SeKernel(3.0))
+        assert loaded.gp.obs.size == 2
 
     def test_whole_number_floats_accepted(self, tmp_path):
         path = self._edited_file(tmp_path, iteration=1.0, seed=3.0)

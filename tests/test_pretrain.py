@@ -1,5 +1,6 @@
 """Auxiliary-fit tests: dual solvers, leave-one-out forms, grid selection."""
 
+import dataclasses
 import logging
 import math
 import re
@@ -351,6 +352,20 @@ class TestPersistence:
         for x in probes:
             for xp in probes:
                 assert eval_tuned(t1, x, xp) == pytest.approx(eval_tuned(t0, x, xp), rel=1e-12, abs=1e-15)
+
+    def test_failed_save_keeps_the_old_file(self, tmp_path):
+        data = AuxDataset(inputs=np.array([[-1.0], [0.0], [1.0]]),
+                          targets=np.array([0.0, 1.0, 0.5]), task="regression")
+        model = pretrain(data, FreeKernelSpec(family="se"))
+        path = tmp_path / "model.json"
+        save_aux_model(model, path)
+        before = path.read_text()
+        # the dump raises at `loo_error`, after the fields before it are written
+        with pytest.raises(TypeError):
+            save_aux_model(dataclasses.replace(model, loo_error=object()), path)
+        assert path.read_text() == before
+        assert np.array_equal(load_aux_model(path).alpha, model.alpha)
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
     def test_malformed_model_file_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
