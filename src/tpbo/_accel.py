@@ -142,26 +142,23 @@ def tuned_rows(
     degree: int,
     offset: float,
     Z: np.ndarray,
-    group: int = 1,
     grad: bool = False,
 ):
     """sum_q W[q] k(P[q] * z) for every row z of Z; with ``grad``, also its gradient.
 
     The gradient is the (m, n) array of derivatives in each coordinate of z.
-    Rows are taken in chunks that hold a whole number of ``group`` rows and
-    keep a chunk under ``_CHUNK_ELEMS`` elements.  The dot-series families
-    use one chunk buffer, allocated once per call: each chunk's dot products
-    are written into it, mapped to the series in place and summed, and with
-    ``grad`` the same buffer then becomes the slope.  Polynomial and
-    hyperbolic-sine gradients, which need the dot products and the series at
-    once, take one more buffer.  Fresh chunk-sized temporaries cost page
-    faults on every call, not flops.
+    Rows are taken in chunks of at most ``_CHUNK_ELEMS`` elements.  The
+    dot-series families use one chunk buffer, allocated once per call: each
+    chunk's dot products are written into it, mapped to the series in place
+    and summed, and with ``grad`` the same buffer then becomes the slope.
+    Polynomial and hyperbolic-sine gradients, which need the dot products
+    and the series at once, take one more buffer.  Fresh chunk-sized
+    temporaries cost page faults on every call, not flops.
     """
     m, n = Z.shape
     q = P.shape[0]
     width = q * n if family == "log-ratio" else q
-    group = max(1, group)
-    rows = group * max(1, _CHUNK_ELEMS // (group * max(1, width)))
+    rows = max(1, _CHUNK_ELEMS // max(1, width))
     out = np.empty(m)
     if grad:
         dout = np.empty((m, n))
@@ -217,7 +214,7 @@ def tuned_cross(
     m1, n = X1.shape
     m2 = X2.shape[0]
     Z = (X1[:, None, :] * X2[None, :, :]).reshape(-1, n)
-    K = tuned_rows(P, W, family, nu, degree, offset, Z, group=m2, grad=grad)
+    K = tuned_rows(P, W, family, nu, degree, offset, Z, grad=grad)
     if not grad:
         return K.reshape(m1, m2)
     K, dZ = K

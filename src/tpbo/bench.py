@@ -15,12 +15,12 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Tuple
 
 import numpy as np
 
 from . import _accel, _blas
-from .bo import AcquisitionSpec, bo_step, new_session
+from .bo import POLISH_STARTS, AcquisitionSpec, bo_step, new_session
 from .errors import VanishingKernelError
 from .gp import ArdSeKernel, GpPosterior, SeKernel
 from .mkernel import FreeKernelSpec
@@ -174,7 +174,7 @@ class BenchmarkSpec:
     grid_resolution: int = 101
     sigma2: float = 1e-6
     delta: float = 0.1
-    refine_top: Optional[int] = 8
+    refine_top: int = POLISH_STARTS
     nu_grid: Tuple[float, ...] = DEFAULT_NU_GRID
     lambda_grid: Tuple[float, ...] = DEFAULT_LAMBDA_GRID
 
@@ -195,8 +195,8 @@ class BenchmarkSpec:
             raise ValueError("delta must lie strictly inside (0, 1)")
         if self.sigma2 < 0:
             raise ValueError("sigma2 must be nonnegative")
-        if self.refine_top is not None and self.refine_top < 1:
-            raise ValueError("refine_top must be None or at least 1")
+        if self.refine_top < 1:
+            raise ValueError("refine_top must be at least 1")
 
 
 @dataclass(frozen=True)

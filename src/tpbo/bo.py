@@ -4,12 +4,14 @@ The loop proposes points by maximizing an acquisition surface over the
 box [-1, 1]^n, the scale the auxiliary model's inputs were rescaled to,
 evaluates the objective, and folds the result back into the posterior.
 The maximizer scores a Latin-hypercube probe set in one batch, then
-polishes the best probes together in one bounded L-BFGS-B run over their
-summed acquisition, with analytic gradients taken through the covariance,
-the posterior and the acquisition.  Probe scores and polish evaluations are
-one body, ``_acquisition``, which asks the posterior for gradients only with
-``grad``.  An ask/tell split exposes the same cycle to callers that run
-experiments out of process, with JSON session files for persistence.
+polishes the best `POLISH_STARTS` probes together in one bounded L-BFGS-B
+run over their summed acquisition, with analytic gradients taken through
+the covariance, the posterior and the acquisition.  Every entry point
+polishes that many unless its caller asks for another count.  Probe scores
+and polish evaluations are one body, ``_acquisition``, which asks the
+posterior for gradients only with ``grad``.  An ask/tell split exposes the
+same cycle to callers that run experiments out of process, with JSON
+session files for persistence.
 
 scipy is loaded on first use: ``scipy.special`` (for ``ndtr``) by the first
 expected-improvement value, and ``scipy.optimize`` (for L-BFGS-B) by the
@@ -38,6 +40,9 @@ logger = logging.getLogger(__name__)
 ACQUISITION_KINDS = ("ei", "ucb")
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+#: How many of a pick's best probes start the L-BFGS-B polish.
+POLISH_STARTS = 8
 
 
 @dataclass(frozen=True)
@@ -240,13 +245,13 @@ def _acquisition(session: BoSession, X: np.ndarray, y_plus, grad: bool = False):
 
 
 def maximize_acquisition(
-    session: BoSession, refine_top: Optional[int] = None
+    session: BoSession, refine_top: int = POLISH_STARTS
 ) -> np.ndarray:
     """Pick the next evaluation point inside the box [-1, 1]^n.
 
     Seeds 32 n Latin-hypercube probes from the session stream and scores
-    them in one batch.  The best `refine_top` probes (all of them when it is
-    None) then start one bounded L-BFGS-B run over their summed negated
+    them in one batch.  The best `refine_top` probes (`POLISH_STARTS` by
+    default) then start one bounded L-BFGS-B run over their summed negated
     acquisition, with analytic gradients: the sum separates across starts,
     so each start follows its own gradient, at the cost of one batched
     posterior call per evaluation.  The polished points are re-scored in
@@ -259,7 +264,7 @@ def maximize_acquisition(
     improvement before any data exists is undefined: that pick is a seeded
     uniform point, and a warning is logged.
     """
-    if refine_top is not None and refine_top < 1:
+    if refine_top < 1:
         raise ValueError("refine_top must be at least 1")
     spec = session.acquisition
     rng = rng_for(session.rng_seed, session.iteration)
@@ -280,9 +285,7 @@ def maximize_acquisition(
         n_probes = 32 * spec.dim
         probes = -1.0 + _latin_hypercube(rng, n_probes, spec.dim) * 2.0
         values = _acquisition(session, probes, y_plus)
-        order = np.argsort(-values)
-        if refine_top is not None:
-            order = order[:refine_top]
+        order = np.argsort(-values)[:refine_top]
         starts = probes[order]
 
         def negated_sum(flat: np.ndarray):
@@ -306,7 +309,7 @@ def maximize_acquisition(
         return starts[0]
 
 
-def ask(session: BoSession, refine_top: Optional[int] = None) -> np.ndarray:
+def ask(session: BoSession, refine_top: int = POLISH_STARTS) -> np.ndarray:
     """Suggest the next point; repeated calls return the stored suggestion."""
     if session.pending is not None:
         return session.pending.copy()
@@ -350,7 +353,7 @@ def tell(session: BoSession, x, y: float) -> BoSession:
 def bo_step(
     session: BoSession,
     objective: Callable[[np.ndarray], float],
-    refine_top: Optional[int] = None,
+    refine_top: int = POLISH_STARTS,
 ) -> BoSession:
     """One select / evaluate / update cycle."""
     x = ask(session, refine_top=refine_top)

@@ -120,7 +120,6 @@ def cmd_bench(args) -> int:
         grid_resolution=args.grid_resolution,
         sigma2=args.sigma2,
         delta=args.delta,
-        refine_top=args.refine_top,
     )
     records = run_benchmark(spec)
     write_results(records, args.out)
@@ -132,16 +131,10 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _check_refine_top(value: Optional[int]) -> None:
-    if value is not None and value < 1:
-        raise ValueError(f"--refine-top must be >= 1, got {value}")
-
-
 def cmd_optimize(args) -> int:
     for flag, value in (("--iters", args.iters), ("--init-size", args.init_size)):
         if value < 0:
             raise ValueError(f"{flag} must be >= 0, got {value}")
-    _check_refine_top(args.refine_top)
     if args.iters == 0 and args.init_size == 0:
         raise ValueError("--iters 0 with --init-size 0 evaluates no point; raise one of them")
     model = load_aux_model(args.model)
@@ -163,7 +156,7 @@ def cmd_optimize(args) -> int:
     print(f"function: {args.function}")
     print(f"init_size: {args.init_size}")
     for t in range(args.iters):
-        session = bo_step(session, problem.objective, refine_top=args.refine_top)
+        session = bo_step(session, problem.objective)
         print(f"t={t + 1} best={session.best_so_far[1]!r}")
     x_best, y_best = session.best_so_far
     print("best_x: " + ",".join(repr(float(v)) for v in x_best))
@@ -217,9 +210,8 @@ def _session_for(args) -> BoSession:
 
 
 def cmd_suggest(args) -> int:
-    _check_refine_top(args.refine_top)
     session = _session_for(args)
-    x = ask(session, refine_top=args.refine_top)
+    x = ask(session)
     save_session(session, args.session)
     print("suggestion: " + ",".join(repr(float(v)) for v in x))
     return 0
@@ -285,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-resolution", type=int, default=101)
     p.add_argument("--sigma2", type=float, default=1e-6)
     p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--refine-top", type=int, default=8)
     p.add_argument("--out", required=True, help="results CSV path")
     p.add_argument("--summary", help="optional summary CSV path")
     p.set_defaults(func=cmd_bench)
@@ -299,14 +290,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--sigma2", type=float, default=1e-6)
     p.add_argument("--init-size", type=int, default=2)
-    p.add_argument("--refine-top", type=int, default=8)
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("suggest", help="propose the next experiment")
     p.add_argument("--session", required=True)
     p.add_argument("--model", required=True)
     _add_session_flags(p)
-    p.add_argument("--refine-top", type=int, default=None)
     p.set_defaults(func=cmd_suggest)
 
     p = sub.add_parser("tell", help="record an experiment result")

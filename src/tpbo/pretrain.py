@@ -43,8 +43,9 @@ class AuxDataset:
     """Auxiliary observations with inputs normalized to the [-1, 1] box.
 
     ``input_lo``/``input_hi`` record the original per-column bounds when the
-    data was rescaled at ingestion (identity bounds otherwise), so suggested
-    points can be mapped back to native units.
+    data was rescaled at ingestion (identity bounds otherwise); they are
+    stored for a later mapping of suggested points back to native units,
+    which nothing performs yet.
     """
 
     inputs: np.ndarray
@@ -144,6 +145,7 @@ def _check_gram(gram: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
         raise ValueError("gram must be a square matrix")
     if gram.shape[0] != y.shape[0]:
         raise ValueError("gram and targets must have matching sizes")
+    require_finite(gram)
     if not np.allclose(gram, gram.T, atol=1e-8 * max(1.0, float(np.abs(gram).max()))):
         raise ValueError("gram must be symmetric")
     return gram, y

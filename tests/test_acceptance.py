@@ -256,7 +256,7 @@ def test_criterion_8_benchmark_trend():
 def test_criterion_9_bench_determinism(tmp_path):
     with verdict(9, "benchmark output byte-identical across invocations"):
         args = ["bench", "--functions", "himmelblau", "--methods", "tp-ei,ei",
-                "--seeds", "2", "--iters", "3", "--refine-top", "2"]
+                "--seeds", "2", "--iters", "3"]
         a = str(tmp_path / "first.csv")
         b = str(tmp_path / "second.csv")
         assert main(args + ["--out", a]) == 0

@@ -4,6 +4,7 @@ import ctypes
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,7 +235,7 @@ class TestProtocol:
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         write_results(run_benchmark(spec), p1)
         write_results(run_benchmark(spec), p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_all_methods_run(self):
         spec = tiny_spec(methods=METHODS, seeds=1, iterations=2)
@@ -485,7 +486,7 @@ class TestCsvOutput:
     def test_results_format(self, tmp_path):
         path = str(tmp_path / "r.csv")
         write_results(self.RECORDS, path)
-        lines = open(path, encoding="utf-8").read().split("\n")
+        lines = Path(path).read_text(encoding="utf-8").split("\n")
         assert lines[0] == "method,function,seed,iteration,best_value"
         assert lines[1] == "ei,ackley,0,1,0.1"
         assert lines[-1] == ""  # trailing newline
@@ -495,7 +496,7 @@ class TestCsvOutput:
         records = [RegretRecord("ei", "ackley", 0, 1, 0.1 + 0.2)]
         path = str(tmp_path / "r.csv")
         write_results(records, path)
-        cell = open(path, encoding="utf-8").read().split("\n")[1].split(",")[-1]
+        cell = Path(path).read_text(encoding="utf-8").split("\n")[1].split(",")[-1]
         assert float(cell) == 0.1 + 0.2
 
     def test_summary_values(self, tmp_path):
@@ -507,7 +508,7 @@ class TestCsvOutput:
         assert rows[0][4] == pytest.approx(q3 - q1)
         path = str(tmp_path / "s.csv")
         write_summary(self.RECORDS, path)
-        lines = open(path, encoding="utf-8").read().split("\n")
+        lines = Path(path).read_text(encoding="utf-8").split("\n")
         assert lines[0] == "method,function,iteration,median,iqr"
         assert len(lines) == 4  # header + 2 iterations + trailing newline
 

@@ -232,7 +232,7 @@ class TestMaximizer:
 
         monkeypatch.setattr(tpbo.bo, "_acquisition", recording)
         session = small_session(seed=4, kind=kind)
-        x = maximize_acquisition(session, refine_top=refine_top)
+        x = maximize_acquisition(session, **polish_size(refine_top))
         probes, probe_values = batches[0]
         assert probes.shape == (64, 2)
         y_plus = float(np.max(session.gp.obs.values))
@@ -254,11 +254,11 @@ class TestMaximizer:
         session = small_session(seed=6, kind=kind)
         for step in range(3):
             y_plus = float(np.max(session.gp.obs.values))
-            x = maximize_acquisition(session, refine_top=refine_top)
+            x = maximize_acquisition(session, **polish_size(refine_top))
             assert len(calls) == step + 1
             fun, x0, kwargs, x_end = calls[-1]
             assert kwargs["method"] == "L-BFGS-B" and kwargs["jac"] is True
-            assert x0.shape == (2 * (refine_top or 64),)
+            assert x0.shape == (2 * (refine_top or 8),)  # 8 starts by default
             # the optimizer minimizes the negated summed acquisition
             for flat in (x0, x_end):
                 value, grad = fun(flat)
@@ -266,6 +266,19 @@ class TestMaximizer:
                 assert value == pytest.approx(want, rel=1e-12)
                 assert grad.shape == flat.shape
             tell(session, x, scaled_himmelblau(x))
+
+    def test_bo_step_polishes_eight_starts_by_default(self, monkeypatch):
+        starts = []
+        real = scipy.optimize.minimize
+
+        def recording(fun, x0, **kwargs):
+            starts.append(x0.shape)
+            return real(fun, x0, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", recording)
+        session = bo_step(small_session(seed=6), scaled_himmelblau)
+        assert starts == [(16,)]  # 2 coordinates of each of 8 starts
+        assert session.iteration == 1
 
     def test_fallback_pick_runs_no_polish(self, monkeypatch):
         monkeypatch.setattr(scipy.optimize, "minimize", None)  # any call would fail
@@ -317,6 +330,9 @@ class TestMaximizer:
     def test_refine_top_validation(self):
         with pytest.raises(ValueError):
             maximize_acquisition(small_session(), refine_top=0)
+        # None is not a polish size
+        with pytest.raises(TypeError):
+            maximize_acquisition(small_session(), refine_top=None)
         # expected improvement with no data falls back without polishing;
         # a bad refine_top is still an error there
         spec = AcquisitionSpec(kind="ei", dim=2)
@@ -325,6 +341,11 @@ class TestMaximizer:
         for refine_top in (0, -3):
             with pytest.raises(ValueError, match="refine_top"):
                 maximize_acquisition(empty, refine_top=refine_top)
+
+
+def polish_size(refine_top):
+    """Keyword arguments for a pick: None leaves the default polish size."""
+    return {} if refine_top is None else {"refine_top": refine_top}
 
 
 def quadratic_surrogate_session(kind, incumbent, var=0.0):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,10 +45,28 @@ class TestPretrainCommand:
         out = capsys.readouterr().out
         assert "lambda: 1.0" in out
         assert model_path in out
-        payload = json.loads(open(model_path).read())
+        payload = json.loads(Path(model_path).read_text())
         assert payload["kernel"]["family"] == "polynomial"
         expected = np.array([-0.125, 0.125, 0.125, -0.125])
         assert np.allclose(payload["alpha"], expected, atol=1e-9)
+
+    def test_overflowing_gram_exits_2_without_a_file(self, tmp_path, capsys):
+        csv = tmp_path / "labels.csv"
+        csv.write_text(
+            "x1,x2,y\n-1.0,-0.5,-1\n-0.3,0.8,1\n0.6,-0.9,-1\n"
+            "0.9,0.4,1\n-0.7,0.1,-1\n0.2,0.5,1\n"
+        )
+        model_path = tmp_path / "m.json"
+        # nu = 1000 overflows the exponential family's Gram to inf
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = main([
+                "pretrain", "--aux", str(csv), "--task", "classification",
+                "--kernel", "exp", "--nu-grid", "1000", "--lambda-grid", "1",
+                "--out", str(model_path),
+            ])
+        assert code == 2
+        assert "must not contain infs or NaNs" in capsys.readouterr().err
+        assert not model_path.exists()
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code = main([
@@ -93,7 +112,7 @@ class TestPretrainCommand:
             "--aux-size", "12", "--seed", "1", "--out", model_path,
         ])
         assert code == 0
-        payload = json.loads(open(model_path).read())
+        payload = json.loads(Path(model_path).read_text())
         assert len(payload["alpha"]) == 12
         assert "loo:" in capsys.readouterr().out
 
@@ -103,33 +122,33 @@ class TestBenchCommand:
         out = str(tmp_path / "results.csv")
         code = main([
             "bench", "--functions", "himmelblau", "--methods", "tp-ei,ei",
-            "--seeds", "2", "--iters", "5", "--refine-top", "2", "--out", out,
+            "--seeds", "2", "--iters", "5", "--out", out,
         ])
         assert code == 0
-        lines = open(out).read().strip().split("\n")
+        lines = Path(out).read_text().strip().split("\n")
         assert lines[0] == "method,function,seed,iteration,best_value"
         assert len(lines) == 21  # header + 20 records
 
     def test_repeat_is_byte_identical(self, tmp_path):
         args = [
             "bench", "--functions", "ackley", "--methods", "ucb",
-            "--seeds", "1", "--iters", "3", "--refine-top", "2",
+            "--seeds", "1", "--iters", "3",
         ]
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         assert main(args + ["--out", a]) == 0
         assert main(args + ["--out", b]) == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_summary_written(self, tmp_path):
         out = str(tmp_path / "r.csv")
         summary = str(tmp_path / "s.csv")
         code = main([
             "bench", "--functions", "rastrigin", "--methods", "ei",
-            "--seeds", "2", "--iters", "2", "--refine-top", "2",
+            "--seeds", "2", "--iters", "2",
             "--out", out, "--summary", summary,
         ])
         assert code == 0
-        lines = open(summary).read().strip().split("\n")
+        lines = Path(summary).read_text().strip().split("\n")
         assert lines[0] == "method,function,iteration,median,iqr"
         assert len(lines) == 3
 
@@ -164,7 +183,7 @@ class TestOptimizeCommand:
     def test_smoke(self, small_model, capsys):
         code = main([
             "optimize", "--model", small_model, "--function", "himmelblau",
-            "--iters", "2", "--seed", "0", "--refine-top", "2",
+            "--iters", "2", "--seed", "0",
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -191,17 +210,6 @@ class TestOptimizeCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and flag in err
 
-    @pytest.mark.parametrize("refine_top", ["0", "-3"])
-    def test_bad_refine_top_exits_2_before_output(self, small_model, capsys, refine_top):
-        code = main([
-            "optimize", "--model", small_model, "--function", "himmelblau",
-            "--iters", "2", "--refine-top", refine_top,
-        ])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "--refine-top" in captured.err
-
     def test_initial_design_only(self, small_model, capsys):
         code = main([
             "optimize", "--model", small_model, "--function", "himmelblau",
@@ -227,8 +235,8 @@ def readme_model(tmp_path):
 
 GOLDEN_SUGGESTIONS = [
     "suggestion: 0.25019093320933394,0.794427601939151",
-    "suggestion: -0.015682750921489148,0.012564176335414885",
-    "suggestion: 0.00437037463971898,-1.0",
+    "suggestion: -0.015682399129977077,0.012564920178484946",
+    "suggestion: 0.00436838093066204,-1.0",
 ]
 
 GOLDEN_SESSION = """{
@@ -250,8 +258,8 @@ GOLDEN_SESSION = """{
         0.25
       ],
       [
-        -0.015682750921489148,
-        0.012564176335414885
+        -0.015682399129977077,
+        0.012564920178484946
       ]
     ],
     "values": [
@@ -260,7 +268,7 @@ GOLDEN_SESSION = """{
     ]
   },
   "pending": [
-    0.00437037463971898,
+    0.00436838093066204,
     -1.0
   ],
   "seed": 7,
@@ -277,7 +285,7 @@ class TestSuggestTell:
     def test_round_trip(self, small_model, tmp_path, capsys):
         session = str(tmp_path / "session.json")
         base = ["--session", session, "--model", small_model,
-                "--seed", "5", "--refine-top", "2"]
+                "--seed", "5"]
         assert main(["suggest"] + base) == 0
         first = capsys.readouterr().out
         assert first.startswith("suggestion: ")
@@ -295,7 +303,7 @@ class TestSuggestTell:
         out = capsys.readouterr().out
         assert "iteration: 1" in out
         assert "observations: 1" in out
-        payload = json.loads(open(session).read())
+        payload = json.loads(Path(session).read_text())
         assert payload["pending"] is None
         assert payload["iteration"] == 1
         assert payload["observations"]["values"] == [0.4]
@@ -305,10 +313,26 @@ class TestSuggestTell:
         third = capsys.readouterr().out
         assert third.startswith("suggestion: ")
 
+    def test_suggest_polishes_eight_starts(self, small_model, tmp_path, capsys, monkeypatch):
+        import scipy.optimize
+
+        starts = []
+        real = scipy.optimize.minimize
+
+        def recording(fun, x0, **kwargs):
+            starts.append(x0.shape)
+            return real(fun, x0, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", recording)
+        base = ["--session", str(tmp_path / "session.json"), "--model", small_model]
+        assert main(["tell"] + base + ["--x=-0.5,0.25", "--y", "0.3"]) == 0
+        assert main(["suggest"] + base) == 0
+        assert capsys.readouterr().out.count("suggestion: ") == 1
+        assert starts == [(16,)]  # 2 coordinates of each of 8 starts
+
     def test_tell_outside_box_exits_2(self, small_model, tmp_path, capsys):
         session = str(tmp_path / "session.json")
-        assert main(["suggest", "--session", session, "--model", small_model,
-                     "--refine-top", "2"]) == 0
+        assert main(["suggest", "--session", session, "--model", small_model]) == 0
         capsys.readouterr()
         code = main(["tell", "--session", session, "--model", small_model,
                      "--x", "2.0,0.0", "--y", "1.0"])
@@ -317,8 +341,7 @@ class TestSuggestTell:
 
     def test_tell_bad_coordinates_exit_2(self, small_model, tmp_path):
         session = str(tmp_path / "session.json")
-        assert main(["suggest", "--session", session, "--model", small_model,
-                     "--refine-top", "2"]) == 0
+        assert main(["suggest", "--session", session, "--model", small_model]) == 0
         assert main(["tell", "--session", session, "--model", small_model,
                      "--x", "a,b", "--y", "1.0"]) == 2
 
@@ -327,7 +350,7 @@ class TestSuggestTell:
         assert main(["tell", "--session", session, "--model", small_model,
                      "--x", "-0.5,0.25", "--y", "0.3"]) == 0
         assert "observations: 1" in capsys.readouterr().out
-        payload = json.loads(open(session).read())
+        payload = json.loads(Path(session).read_text())
         assert payload["observations"]["points"] == [[-0.5, 0.25]]
         assert payload["observations"]["values"] == [0.3]
 
@@ -346,7 +369,7 @@ class TestSuggestTell:
         payload[field] = value
         session.write_text(json.dumps(payload))
         capsys.readouterr()
-        for command, flags in (("suggest", ["--refine-top", "2"]),
+        for command, flags in (("suggest", []),
                                ("tell", ["--x=0.5,0.25", "--y", "0.3"])):
             code = main([command, "--session", str(session), "--model", small_model] + flags)
             assert code == 2
@@ -372,29 +395,17 @@ class TestSuggestTell:
         # a 2-D session with a pending point, then with data and none pending
         assert main(["suggest", "--session", str(session), "--model", small_model]) == 0
         capsys.readouterr()
-        rejected("suggest", "--refine-top", "2")
+        rejected("suggest")
         rejected("tell", "--x=0.5,0.25,0.0", "--y", "0.3")
         assert main(["tell", "--session", str(session), "--model", small_model,
                      "--x=-0.5,0.25", "--y", "0.3"]) == 0
         capsys.readouterr()
-        rejected("suggest", "--refine-top", "2")
+        rejected("suggest")
         rejected("tell", "--x=0.5,0.25", "--y", "0.3")
-
-    @pytest.mark.parametrize("refine_top", ["0", "-3"])
-    def test_bad_refine_top_exits_2(self, small_model, tmp_path, capsys, refine_top):
-        # neither a fresh EI session nor a pending suggestion polishes a
-        # probe; the flag is still checked
-        session = tmp_path / "session.json"
-        base = ["suggest", "--session", str(session), "--model", small_model]
-        assert main(base + ["--refine-top", refine_top]) == 2
-        assert "--refine-top" in capsys.readouterr().err
-        assert not session.exists()
-        assert main(base) == 0
-        assert main(base + ["--refine-top", refine_top]) == 2
 
     def test_settings_fixed_at_creation(self, small_model, tmp_path, capsys):
         session = tmp_path / "session.json"
-        base = ["--session", str(session), "--model", small_model, "--refine-top", "2"]
+        base = ["--session", str(session), "--model", small_model]
         created = ["--acq", "ucb", "--delta", "0.2", "--sigma2", "1e-05", "--seed", "9"]
         assert main(["suggest"] + base + created) == 0
         first = capsys.readouterr()
@@ -430,9 +441,9 @@ class TestSuggestTell:
 
 
     def test_golden_sequence(self, readme_model, tmp_path, capsys):
-        """Frozen ask/tell run with every probe polished (`suggest` passes
-        no --refine-top); values regenerate only if the sampler or local
-        optimizer implementation changes."""
+        """Frozen ask/tell run through `suggest`, whose picks polish the
+        default `bo.POLISH_STARTS` probes; values regenerate only if the
+        sampler or local optimizer implementation changes."""
         session = tmp_path / "session.json"
         base = ["--session", str(session), "--model", readme_model]
         suggestions = []
@@ -486,6 +497,23 @@ class TestParser:
         assert main(["--help"]) == 0
         assert "pretrain" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["bench", "optimize", "suggest"])
+    def test_refine_top_flag_is_gone(self, small_model, tmp_path, capsys, command):
+        # every pick polishes the same number of probes; no command takes a size
+        out = tmp_path / "out"
+        argv = {
+            "bench": ["--functions", "himmelblau", "--methods", "ei", "--seeds", "1",
+                      "--iters", "1", "--out", str(out)],
+            "optimize": ["--model", small_model, "--function", "himmelblau", "--iters", "1"],
+            "suggest": ["--session", str(out), "--model", small_model],
+        }[command]
+        capsys.readouterr()
+        assert main([command] + argv + ["--refine-top", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --refine-top 2" in captured.err
+        assert not out.exists()
+
     def test_subprocess_entry(self, tmp_path):
         # the child imports tpbo from where this process found it
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -503,7 +531,7 @@ class TestParser:
         # that factor a matrix or pick a point load them.
         session = str(tmp_path / "session.json")
         assert main(["suggest", "--session", session, "--model", small_model,
-                     "--seed", "5", "--refine-top", "2"]) == 0
+                     "--seed", "5"]) == 0
         x_text = capsys.readouterr().out.split("suggestion: ")[1].split()[0]
 
         assert scipy_subpackages(None) == set()

@@ -111,6 +111,11 @@ class TestHinge:
             cand = y * rng.uniform(0.0, 1.0 / lam, size=n)
             assert best <= hinge_objective(gram, cand) + 1e-9
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_nonfinite_gram_rejected(self, bad):
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            train_hinge(nonfinite_gram(bad), np.array([1.0, -1.0]), 1.0)
+
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError):
             train_hinge(np.eye(2), np.array([1.0, 0.5]), 1.0)
@@ -156,6 +161,11 @@ class TestLoo:
         # response is 1/11 with the wrong sign, for every fold by symmetry.
         assert loo_error(XOR_GRAM, XOR_LABELS, 1.0, "classification") == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_nonfinite_classification_gram_rejected(self, bad):
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            loo_error(nonfinite_gram(bad), np.array([1.0, -1.0]), 1.0, "classification")
+
     def test_unknown_task_rejected(self):
         with pytest.raises(ValueError):
             loo_error(np.eye(2), np.array([1.0, -1.0]), 1.0, "ranking")
@@ -167,6 +177,13 @@ class TestLoo:
         grams = {1.0: np.eye(3), 2.0: lopsided}
         with pytest.raises(ValueError, match="gram must be symmetric"):
             select_by_loo(grams.__getitem__, np.ones(3), "regression", (1.0, 2.0), (0.1, 1.0))
+
+
+def nonfinite_gram(bad):
+    """A 2 x 2 Gram with `bad` off the diagonal."""
+    gram = np.eye(2)
+    gram[0, 1] = gram[1, 0] = bad
+    return gram
 
 
 def scipy_loo(gram, y, lam):
@@ -209,8 +226,6 @@ class TestLapackRoute:
         got = select_by_loo(gram_for, y, "regression", DEFAULT_NU_GRID, DEFAULT_LAMBDA_GRID)
         assert got == want
 
-    # the symmetry check's tolerance scales with the largest entry, here inf
-    @pytest.mark.filterwarnings("ignore:One of rtol or atol is not valid")
     def test_nonfinite_ridge_system_rejected(self, monkeypatch):
         calls = []
         real = scipy.linalg.lapack.dpotrf
