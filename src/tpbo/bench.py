@@ -28,7 +28,6 @@ from .pretrain import (
     DEFAULT_LAMBDA_GRID,
     DEFAULT_NU_GRID,
     AuxDataset,
-    HyperGrid,
     build_tuned,
     pretrain,
     select_by_loo,
@@ -44,6 +43,11 @@ _TAG_INIT = 101
 _TAG_AUX = 202
 _TAG_SESSION = 303
 _TAG_DEVICE = 404
+
+# The comparison protocol (see BenchmarkSpec); the CLI defaults read it too.
+INIT_SIZE = 2
+NOISE_VAR = 1e-6
+AUX_SIZE = 50
 
 
 @dataclass(frozen=True)
@@ -152,7 +156,7 @@ def normalize_problem(tf: TestFunction, grid_resolution: int = 101) -> Normalize
     )
 
 
-def make_flipped_aux(problem: NormalizedProblem, n: int = 50, seed=0) -> AuxDataset:
+def make_flipped_aux(problem: NormalizedProblem, n: int = AUX_SIZE, seed=0) -> AuxDataset:
     """Uniform auxiliary draw whose targets rank the space inversely to f."""
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -163,20 +167,20 @@ def make_flipped_aux(problem: NormalizedProblem, n: int = 50, seed=0) -> AuxData
 
 @dataclass(frozen=True)
 class BenchmarkSpec:
-    """Everything a benchmark run depends on; picklable for worker processes."""
+    """Which cells a benchmark run covers; picklable for worker processes.
+
+    The protocol each cell follows is fixed: `INIT_SIZE` seeded initial
+    points, `AUX_SIZE` flipped auxiliary points, noise variance `NOISE_VAR`,
+    `AcquisitionSpec`'s default UCB delta (0.1) and the default (nu, lambda)
+    grids.
+    """
 
     functions: Tuple[str, ...] = FUNCTION_ORDER
     methods: Tuple[str, ...] = METHODS
     seeds: int = 10
     iterations: int = 40
-    aux_size: int = 50
-    init_size: int = 2
     grid_resolution: int = 101
-    sigma2: float = 1e-6
-    delta: float = 0.1
     refine_top: int = POLISH_STARTS
-    nu_grid: Tuple[float, ...] = DEFAULT_NU_GRID
-    lambda_grid: Tuple[float, ...] = DEFAULT_LAMBDA_GRID
 
     def __post_init__(self) -> None:
         for fn in self.functions:
@@ -189,12 +193,6 @@ class BenchmarkSpec:
             raise ValueError("functions and methods must be nonempty")
         if self.seeds < 1 or self.iterations < 1:
             raise ValueError("seeds and iterations must be at least 1")
-        if self.aux_size < 1 or self.init_size < 1:
-            raise ValueError("aux_size and init_size must be at least 1")
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError("delta must lie strictly inside (0, 1)")
-        if self.sigma2 < 0:
-            raise ValueError("sigma2 must be nonnegative")
         if self.refine_top < 1:
             raise ValueError("refine_top must be at least 1")
 
@@ -267,7 +265,7 @@ def run_cell(function: str, method: str, seed: int, spec: BenchmarkSpec) -> List
     """
     fn_idx = FUNCTION_ORDER.index(function)
     problem = normalize_problem(FUNCTIONS[function], spec.grid_resolution)
-    X0, y0 = _initial_design(problem, fn_idx, seed, spec.init_size)
+    X0, y0 = _initial_design(problem, fn_idx, seed, INIT_SIZE)
     kind = method.split("-")[-1]
     retune = method in ("ei", "ucb")
 
@@ -276,14 +274,13 @@ def run_cell(function: str, method: str, seed: int, spec: BenchmarkSpec) -> List
             kernel = SeKernel(1.0)  # replaced before the first pick
         else:
             aux = make_flipped_aux(
-                problem, spec.aux_size, np.random.SeedSequence([fn_idx, seed, _TAG_AUX])
+                problem, seed=np.random.SeedSequence([fn_idx, seed, _TAG_AUX])
             )
             if method.startswith("tp-"):
-                grid = HyperGrid(spec.nu_grid, spec.lambda_grid)
-                kernel = build_tuned(pretrain(aux, FreeKernelSpec(family="se"), grid))
+                kernel = build_tuned(pretrain(aux, FreeKernelSpec(family="se")))
             else:
                 kernel = ArdSeKernel(
-                    tune_ard_loo(aux.inputs, aux.targets, spec.nu_grid, spec.lambda_grid)
+                    tune_ard_loo(aux.inputs, aux.targets, DEFAULT_NU_GRID, DEFAULT_LAMBDA_GRID)
                 )
     except VanishingKernelError as exc:
         logger.warning(
@@ -292,9 +289,9 @@ def run_cell(function: str, method: str, seed: int, spec: BenchmarkSpec) -> List
         return []
     session = new_session(
         kernel,
-        AcquisitionSpec(kind=kind, dim=2, delta=spec.delta),
+        AcquisitionSpec(kind=kind, dim=2),
         seed=_derived_seed(fn_idx, seed, _TAG_SESSION),
-        noise_var=spec.sigma2,
+        noise_var=NOISE_VAR,
         init_points=X0,
         init_values=y0,
     )
@@ -302,7 +299,7 @@ def run_cell(function: str, method: str, seed: int, spec: BenchmarkSpec) -> List
     for _ in range(spec.iterations):
         if retune:
             obs = session.gp.obs
-            nu, lam = tune_se_loo(obs.points, obs.values, spec.nu_grid, spec.lambda_grid)
+            nu, lam = tune_se_loo(obs.points, obs.values, DEFAULT_NU_GRID, DEFAULT_LAMBDA_GRID)
             session.gp = GpPosterior.from_data(SeKernel(nu), obs.points, obs.values, lam)
         session = bo_step(session, problem.objective, refine_top=spec.refine_top)
         best.append(session.best_so_far[1])

@@ -12,15 +12,19 @@ Exit codes are stable across commands: 0 success, 2 input error,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
 import numpy as np
 
 from .bench import (
+    AUX_SIZE,
     FUNCTION_ORDER,
     FUNCTIONS,
+    INIT_SIZE,
     METHODS,
+    NOISE_VAR,
     BenchmarkSpec,
     _initial_design,
     make_flipped_aux,
@@ -56,7 +60,7 @@ KERNEL_ALIASES = {"poly": "polynomial", "exp": "exponential", "sinh": "hyperboli
 
 # Settings `suggest`/`tell` fix when they create a session file; a later
 # value that differs from the stored one is ignored with a warning.
-SESSION_DEFAULTS = {"acq": "ei", "delta": 0.1, "sigma2": 1e-6, "seed": 0}
+SESSION_DEFAULTS = {"acq": "ei", "delta": AcquisitionSpec.delta, "sigma2": NOISE_VAR, "seed": 0}
 
 
 def _parse_float_list(text: str, flag: str) -> tuple:
@@ -80,7 +84,15 @@ def _resolve_names(text: str, valid: tuple, what: str) -> tuple:
     return names
 
 
+def _require_out_dir(path: str, flag: str) -> None:
+    """Fail before any work when `path`'s directory does not exist."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise ValueError(f"{flag} {path}: directory {parent} does not exist")
+
+
 def cmd_pretrain(args) -> int:
+    _require_out_dir(args.out, "--out")
     family = KERNEL_ALIASES.get(args.kernel, args.kernel)
     if family not in FAMILIES:
         raise ValueError(
@@ -115,15 +127,13 @@ def cmd_bench(args) -> int:
         methods=_resolve_names(args.methods, METHODS, "method"),
         seeds=args.seeds,
         iterations=args.iters,
-        aux_size=args.aux_size,
-        init_size=args.init_size,
-        grid_resolution=args.grid_resolution,
-        sigma2=args.sigma2,
-        delta=args.delta,
     )
+    _require_out_dir(args.out, "--out")
+    if args.summary is not None:
+        _require_out_dir(args.summary, "--summary")
     records = run_benchmark(spec)
     write_results(records, args.out)
-    print(f"init_size: {spec.init_size}")
+    print(f"init_size: {INIT_SIZE}")
     print(f"{len(records)} records written to {args.out}")
     if args.summary is not None:
         write_summary(records, args.summary)
@@ -262,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu-grid", default=",".join(str(v) for v in DEFAULT_NU_GRID))
     p.add_argument("--lambda-grid",
                    default=",".join(str(v) for v in DEFAULT_LAMBDA_GRID))
-    p.add_argument("--aux-size", type=int, default=50)
+    p.add_argument("--aux-size", type=int, default=AUX_SIZE)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output model JSON path")
     p.set_defaults(func=cmd_pretrain)
@@ -272,11 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", default="all")
     p.add_argument("--seeds", type=int, default=10)
     p.add_argument("--iters", type=int, default=40)
-    p.add_argument("--aux-size", type=int, default=50)
-    p.add_argument("--init-size", type=int, default=2)
-    p.add_argument("--grid-resolution", type=int, default=101)
-    p.add_argument("--sigma2", type=float, default=1e-6)
-    p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--out", required=True, help="results CSV path")
     p.add_argument("--summary", help="optional summary CSV path")
     p.set_defaults(func=cmd_bench)
@@ -287,9 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=40)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--acq", choices=("ei", "ucb"), default="ei")
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--sigma2", type=float, default=1e-6)
-    p.add_argument("--init-size", type=int, default=2)
+    p.add_argument("--delta", type=float, default=AcquisitionSpec.delta)
+    p.add_argument("--sigma2", type=float, default=NOISE_VAR)
+    p.add_argument("--init-size", type=int, default=INIT_SIZE)
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("suggest", help="propose the next experiment")

@@ -57,7 +57,6 @@ from .errors import NumericalError
 # 9.999999999999999e-05, short of the last rung.
 _JITTER_RUNGS = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
 JITTER_FIRST = _JITTER_RUNGS[0]
-JITTER_LAST = _JITTER_RUNGS[-1]
 
 
 class _SquaredExponential:
@@ -118,10 +117,6 @@ class Observations:
         self.points = points
         self.values = values
         self.noise_var = float(noise_var)
-
-    @classmethod
-    def empty(cls, dim: int, noise_var: float) -> "Observations":
-        return cls(np.empty((0, dim)), np.empty(0), noise_var)
 
     @property
     def size(self) -> int:

@@ -15,6 +15,7 @@ import tpbo._blas
 from tpbo.bench import (
     FUNCTION_ORDER,
     FUNCTIONS,
+    INIT_SIZE,
     METHODS,
     BenchmarkSpec,
     RegretRecord,
@@ -395,6 +396,15 @@ class TestProtocol:
         with pytest.raises(ValueError, match="refine_top"):
             BenchmarkSpec(refine_top=0)
 
+    @pytest.mark.parametrize(
+        "field", ["aux_size", "init_size", "sigma2", "delta", "nu_grid", "lambda_grid"]
+    )
+    def test_protocol_is_not_a_field(self, field):
+        # every cell follows the one protocol: INIT_SIZE, NOISE_VAR and the
+        # library defaults
+        with pytest.raises(TypeError, match=field):
+            BenchmarkSpec(**{field: 10})
+
     def test_cell_logs_nothing(self, caplog):
         # where the expected improvement underflows, picks still rank the
         # probes and polish, so no pick has anything to report
@@ -421,8 +431,8 @@ class TestProtocol:
         monkeypatch.setattr(gp_mod, "_factor_shifted", counting)
         spec = tiny_spec(methods=(method,))
         run_cell("himmelblau", method, 0, spec)
-        # pick t factors the init_size + t observations it is made from, once
-        assert sizes == [spec.init_size + t for t in range(spec.iterations)]
+        # pick t factors the INIT_SIZE + t observations it is made from, once
+        assert sizes == [INIT_SIZE + t for t in range(spec.iterations)]
 
     def test_picks_bypass_scipy_linalg_wrappers(self, monkeypatch):
         # scipy's cho_factor, cho_solve and solve_triangular cost several

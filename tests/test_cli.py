@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tpbo.cli import main
+import tpbo.cli
+from tpbo.cli import _attach_x_value, build_parser, main
 
 XOR_CSV = """x1,x2,y
 1.0,1.0,-1.0
@@ -67,6 +70,30 @@ class TestPretrainCommand:
         assert code == 2
         assert "must not contain infs or NaNs" in capsys.readouterr().err
         assert not model_path.exists()
+
+    def test_rank_deficient_ridge_exits_4_naming_the_eigenvalue(self, tmp_path, capsys):
+        # four points on a line give a rank-1 linear Gram, and a ridge of
+        # 1e-300 leaves it singular
+        csv = tmp_path / "line.csv"
+        csv.write_text("x1,y\n0.1,0.2\n0.5,0.3\n-0.4,0.9\n0.9,0.1\n")
+        model_path = tmp_path / "m.json"
+        code = main([
+            "pretrain", "--aux", str(csv), "--kernel", "linear",
+            "--lambda-grid", "1e-300", "--out", str(model_path),
+        ])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert re.search(r"min eigenvalue -?\d\.\d{6}e[-+]\d+\n$", err), err
+        assert not model_path.exists()
+
+    def test_missing_out_dir_exits_2_before_training(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(tpbo.cli, "pretrain", lambda *a: calls.append(a))
+        out = tmp_path / "absent" / "m.json"
+        code = main(["pretrain", "--aux-from-function", "himmelblau", "--out", str(out)])
+        assert code == 2
+        assert calls == []
+        assert "does not exist" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code = main([
@@ -159,6 +186,23 @@ class TestBenchCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "valid" in err and "himmelblau" in err
+
+    @pytest.mark.parametrize("flag", ["--out", "--summary"])
+    def test_missing_out_dir_exits_2_before_running(self, tmp_path, capsys, monkeypatch, flag):
+        calls = []
+        monkeypatch.setattr(tpbo.cli, "run_benchmark", lambda spec: calls.append(spec))
+        paths = {"--out": tmp_path / "r.csv", "--summary": tmp_path / "s.csv"}
+        paths[flag] = tmp_path / "absent" / "x.csv"
+        code = main([
+            "bench", "--functions", "himmelblau", "--methods", "ei", "--seeds", "1",
+            "--iters", "1", "--out", str(paths["--out"]), "--summary", str(paths["--summary"]),
+        ])
+        assert code == 2
+        assert calls == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{flag} {paths[flag]}" in captured.err
+        assert not any(p.exists() for p in paths.values())
 
     def test_unknown_method_exits_2(self, tmp_path, capsys):
         code = main([
@@ -514,6 +558,34 @@ class TestParser:
         assert "unrecognized arguments: --refine-top 2" in captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--aux-size", "10"), ("--init-size", "3"), ("--grid-resolution", "201"),
+         ("--sigma2", "1e-4"), ("--delta", "0.2")],
+    )
+    def test_bench_protocol_flags_are_gone(self, tmp_path, capsys, flag, value):
+        # bench runs the one fixed protocol; only the cells it covers are set
+        out = tmp_path / "out.csv"
+        argv = ["bench", "--functions", "himmelblau", "--methods", "ei", "--seeds", "1",
+                "--iters", "1", "--out", str(out), flag, value]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag} {value}" in captured.err
+        assert not out.exists()
+
+    def test_readme_command_lines_parse(self):
+        # a renamed or deleted flag must not leave the README's examples stale
+        lines = readme_command_lines()
+        assert len(lines) >= 7
+        parser = build_parser()
+        for line in lines:
+            argv = shlex.split(line)[1:]
+            try:
+                parser.parse_args(_attach_x_value(argv))
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {line}")
+
     def test_subprocess_entry(self, tmp_path):
         # the child imports tpbo from where this process found it
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -570,3 +642,17 @@ def scipy_subpackages(argv):
     )
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout.splitlines()[-1])) - {"scipy"}
+
+
+def readme_command_lines():
+    """Every ``tpbo ...`` command in README.md's ``sh`` blocks, with
+    backslash continuations joined and comments dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S):
+        joined = re.sub(r"\\\n\s*", " ", block)
+        for line in joined.splitlines():
+            line = line.split("#", 1)[0].strip()
+            if line.startswith("tpbo "):
+                commands.append(line)
+    return commands

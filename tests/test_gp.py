@@ -36,7 +36,7 @@ def dense_posterior(kernel, X, y, noise_var, x):
 
 class TestPosterior:
     def test_empty_posterior_is_prior(self):
-        gp = GpPosterior(SeKernel(1.0), Observations.empty(2, 1e-6))
+        gp = GpPosterior(SeKernel(1.0), Observations(np.empty((0, 2)), np.empty(0), 1e-6))
         (mean,), (var,) = gp.posterior_batch(np.array([[0.3, -0.2]]))
         assert mean == 0.0
         assert var == pytest.approx(1.0, rel=1e-12)
@@ -124,7 +124,8 @@ class TestWeightSpaceOracle:
         spec = FreeKernelSpec(family="polynomial", degree=2, offset=1.0)
         exp = expand_features(spec, n=2, max_degree=2)
         x = np.array([0.4, -0.3])
-        mean, var = weight_space_posterior_oracle(exp, Observations.empty(2, 1e-6), x)
+        empty = Observations(np.empty((0, 2)), np.empty(0), 1e-6)
+        mean, var = weight_space_posterior_oracle(exp, empty, x)
         assert mean == 0.0
         # Prior variance equals the kernel's diagonal value.
         from feature_route import eval_free
@@ -158,7 +159,8 @@ class TestWeightSpaceOracle:
         y = rng.normal(size=6)
         x = np.array([0.2, 0.6])
         mean_big, var_big = weight_space_posterior_oracle(exp, Observations(X, y, 1e10), x)
-        _, var_prior = weight_space_posterior_oracle(exp, Observations.empty(2, 1.0), x)
+        empty = Observations(np.empty((0, 2)), np.empty(0), 1.0)
+        _, var_prior = weight_space_posterior_oracle(exp, empty, x)
         assert abs(mean_big) < 1e-6
         assert var_big == pytest.approx(var_prior, rel=1e-6)
 
@@ -211,7 +213,7 @@ class TestGradients:
 
     def test_empty_posterior_grad_is_prior(self):
         kernel = gradient_kernels()["tuned-se"]
-        gp = GpPosterior(kernel, Observations.empty(2, 1e-6))
+        gp = GpPosterior(kernel, Observations(np.empty((0, 2)), np.empty(0), 1e-6))
         P = np.array([[0.3, -0.2], [0.9, 0.1]])
         mean, var, dmean, dvar = gp.posterior_grad(P)
         d, dd = kernel.diag_grad(P)
@@ -350,7 +352,7 @@ class TestLapackRoute:
             # seven rungs, 1e-10 to 1e-4, and the error names the last one
             with pytest.raises(NumericalError, match="factorization failed at jitter 1.0e-04: min eig"):
                 gp.posterior_batch(np.zeros((1, 2)))
-            assert jitters[-1] >= tpbo.gp.JITTER_LAST * scale * (1 - 1e-6)
+            assert jitters[-1] >= tpbo.gp._JITTER_RUNGS[-1] * scale * (1 - 1e-6)
             assert len(jitters) == 7
         else:
             gp.posterior_batch(np.zeros((1, 2)))
