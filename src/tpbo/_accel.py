@@ -3,11 +3,15 @@
 Every family map and every covariance in the package goes through this
 module.  ``dot_series`` and ``log_ratio`` say what a family computes from a
 dot product or from coordinate products; ``pretrain.base_gram`` and the
-tests' ``tests/feature_route.py`` call them directly, ``TunedKernel`` through
-the chunked ``tuned_rows``.  The plain and ARD squared-exponential crosses
-live here too, with their input gradient ``se_grad``.  Each tuned evaluator
-takes ``grad`` and does gradient work (for the acquisition polish) only when
-it is set; its values are one computation either way.
+tests' ``tests/feature_route.py`` call them directly.  ``TunedKernel``
+evaluates its tuned sum on rows z = x*y by one of two routes: the chunked
+pair sum ``tuned_rows`` over every auxiliary pair, or, for a dot-series
+base in one or two dimensions, ``weight_rows`` over the monomial
+coefficients of its feature weights; ``tuned_cross`` and ``tuned_se_cross``
+take either.  The plain and ARD squared-exponential crosses live here too,
+with their input gradient ``se_grad``.  Each tuned evaluator takes ``grad``
+and does gradient work (for the acquisition polish) only when it is set;
+its values are one computation either way.
 """
 
 from __future__ import annotations
@@ -132,6 +136,12 @@ def se_grad(X1: np.ndarray, X2: np.ndarray, K: np.ndarray, nus) -> np.ndarray:
 # coordinates.  For the squared-exponential base W[q] also carries
 # exp(-nu/2(|a_i|^2+|a_j|^2)), and K(x, y) = c(x) c(y) times the
 # exponential-base sum, with c(x) = exp(-nu/2 |x|^2) per probe point.
+#
+# Expanding a dot-series sum in powers of z = x*y gives the same kernel from
+# the feature weights: S(z) = sum_beta C[beta] z^beta over exponent tuples
+# beta, with C[beta] = s_|beta| |beta|!/beta! u_beta^2, s_r the series'
+# Taylor coefficients and u_beta = sum_i alpha_i a_i^beta (``TunedKernel``
+# builds C).  ``weight_rows`` evaluates that truncated sum.
 
 
 def tuned_rows(
@@ -193,28 +203,52 @@ def tuned_rows(
     return (out, dout) if grad else out
 
 
-def tuned_cross(
-    P: np.ndarray,
-    W: np.ndarray,
-    family: str,
-    nu: float,
-    degree: int,
-    offset: float,
-    X1: np.ndarray,
-    X2: np.ndarray,
-    grad: bool = False,
-):
+def weight_rows(C: np.ndarray, dC: np.ndarray, Z: np.ndarray, grad: bool = False):
+    """sum_beta C[beta] z^beta for every row z of Z; with ``grad``, also its gradient.
+
+    Z has n = 1 or 2 columns.  ``C`` is the (R+1, w) coefficient table over
+    exponents: that of z_1 down its rows and that of z_2 across (w = 1 in
+    1-D).  ``dC`` holds its n slope tables dC/dz_k side by side, (R+1, n w).
+    Each chunk of rows builds the powers z_k^0..z_k^R of every axis in one
+    cumprod; a product with C over the z_1 powers and a contraction with the
+    z_2 powers give the sum, and the same with ``dC`` every slope.  The sum
+    is the same computation with or without ``grad``.
+    """
+    m, n = Z.shape
+    R1, w = C.shape
+    rows = max(1, _CHUNK_ELEMS // ((1 + n) * w + n * R1))
+    out = np.empty(m)
+    dout = np.empty((m, n)) if grad else None
+    powers = np.empty((min(m, rows), n, R1))
+    powers[:, :, 0] = 1.0
+    ones = np.ones((min(m, rows), 1))
+    for r0 in range(0, m, rows):
+        r1 = min(m, r0 + rows)
+        pw = powers[: r1 - r0]
+        pw[:, :, 1:] = Z[r0:r1, :, None]
+        np.cumprod(pw, axis=2, out=pw)
+        first = pw[:, 0]
+        last = pw[:, 1] if n == 2 else ones[: r1 - r0]
+        out[r0:r1] = np.einsum("rb,rb->r", first @ C, last)
+        if grad:
+            slopes = (first @ dC).reshape(-1, n, w)
+            dout[r0:r1] = np.einsum("rkb,rb->rk", slopes, last)
+    return (out, dout) if grad else out
+
+
+def tuned_cross(rows, X1: np.ndarray, X2: np.ndarray, grad: bool = False):
     """Tuned cross-covariance over the rows x*y of every pair (x in X1, y in X2).
 
-    With ``grad``, also its input gradient dK[i, j, k] = dK(x_i, y_j)/dx_ik:
-    by the chain rule through z = x * y, y_jk times the tuned-row gradient
-    in z_k at z = x_i * y_j.
+    ``rows(Z, grad)`` is the tuned sum on rows of Z, by either route.  With
+    ``grad``, also the input gradient dK[i, j, k] = dK(x_i, y_j)/dx_ik: by
+    the chain rule through z = x * y, y_jk times the row gradient in z_k at
+    z = x_i * y_j.
     """
     X1, X2 = _as2d(X1), _as2d(X2)
     m1, n = X1.shape
     m2 = X2.shape[0]
     Z = (X1[:, None, :] * X2[None, :, :]).reshape(-1, n)
-    K = tuned_rows(P, W, family, nu, degree, offset, Z, grad=grad)
+    K = rows(Z, grad)
     if not grad:
         return K.reshape(m1, m2)
     K, dZ = K
@@ -234,8 +268,7 @@ def se_norm_scale(S, c1, c2, nu, X, grad: bool = False):
 
 
 def tuned_se_cross(
-    P: np.ndarray,
-    W: np.ndarray,
+    rows,
     nu: float,
     X1: np.ndarray,
     X2: np.ndarray,
@@ -243,7 +276,7 @@ def tuned_se_cross(
     c2: np.ndarray,
     grad: bool = False,
 ):
-    """Tuned SE cross c1(x) c2(y) S(x*y), with S the exponential-base cross;
-    ``grad`` as in ``tuned_cross``."""
-    S = tuned_cross(P, W, "exponential", float(nu), 0, 0.0, X1, X2, grad)
+    """Tuned SE cross c1(x) c2(y) S(x*y), with S the exponential-base cross
+    of ``rows``; ``grad`` as in ``tuned_cross``."""
+    S = tuned_cross(rows, X1, X2, grad)
     return se_norm_scale(S, c1[:, None], c2[None, :], nu, X1[:, None, :], grad)

@@ -3,9 +3,10 @@
 The paper derives the tuned covariance from a weight-space view: a prior
 w ~ N(0, diag(tau^2)) on monomial features theta, reweighted by an auxiliary
 SVM fit to tau * sum_i alpha_i theta(a_i).  ``tpbo.mkernel.TunedKernel``
-evaluates that covariance in closed form and ``tpbo.gp.GpPosterior`` runs
-inference in function space.  This module keeps the explicit route so the
-tests can compare the two:
+evaluates that covariance from closed forms summed over auxiliary pairs or,
+in one or two dimensions, from a table of squared reweighted weights, and
+``tpbo.gp.GpPosterior`` runs inference in function space.  This module
+keeps the explicit route, feature by feature, so the tests can compare:
 
 - ``m_dot`` and ``eval_free`` evaluate one free-kernel family member at any
   even arity, one set of vectors at a time;

@@ -584,18 +584,18 @@ GOLDEN_PICKS = {
         [-1.0, -1.0],
     ],
     ("polynomial", "ei"): [
-        [-0.4264986363074414, -1.0],
+        [-0.42649863630744117, -1.0],
         [1.0, 1.0],
         [1.0, -1.0],
-        [0.1296628801924277, -0.47657962641704077],
+        [0.12966288019242836, -0.4765796264170426],
         [-1.0, 1.0],
     ],
     ("polynomial", "ucb"): [
         [-1.0, -1.0],
         [1.0, 1.0],
-        [0.08434352039910929, -1.0],
+        [0.08434352039910938, -1.0],
         [1.0, -1.0],
-        [-0.022002967270636616, 1.0],
+        [-0.022002967270633684, 1.0],
     ],
     ("hyperbolic-sine", "ei"): [
         [-1.0, -1.0],

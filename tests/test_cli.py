@@ -279,8 +279,8 @@ def readme_model(tmp_path):
 
 GOLDEN_SUGGESTIONS = [
     "suggestion: 0.25019093320933394,0.794427601939151",
-    "suggestion: -0.015682399129977077,0.012564920178484946",
-    "suggestion: 0.00436838093066204,-1.0",
+    "suggestion: -0.01568305189807602,0.012564529906745238",
+    "suggestion: 0.0043687044866279326,-1.0",
 ]
 
 GOLDEN_SESSION = """{
@@ -302,8 +302,8 @@ GOLDEN_SESSION = """{
         0.25
       ],
       [
-        -0.015682399129977077,
-        0.012564920178484946
+        -0.01568305189807602,
+        0.012564529906745238
       ]
     ],
     "values": [
@@ -312,7 +312,7 @@ GOLDEN_SESSION = """{
     ]
   },
   "pending": [
-    0.00436838093066204,
+    0.0043687044866279326,
     -1.0
   ],
   "seed": 7,

@@ -24,6 +24,8 @@ from feature_route import (
     tuned_weights_oracle,
 )
 from tpbo import _accel
+from tpbo.bench import FUNCTIONS, make_flipped_aux, normalize_problem, synthetic_two_device
+from tpbo.pretrain import HyperGrid, build_tuned, pretrain
 from tpbo import (
     FAMILIES,
     FreeKernelSpec,
@@ -35,6 +37,7 @@ from tpbo import (
 XOR_POINTS = np.array([[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]])
 XOR_ALPHA = np.array([-0.125, 0.125, 0.125, -0.125])
 QUADRATIC = FreeKernelSpec(family="polynomial", degree=2, offset=1.0)
+DOT_FAMILIES = [family for family in FAMILIES if family != "log-ratio"]
 
 
 def brute_tuned(base, aux, alpha, x, xp):
@@ -388,11 +391,11 @@ class TestGradients:
     """cross_grad/diag_grad against their values and central differences."""
 
     @staticmethod
-    def kernel(family, dim=3):
+    def kernel(family, dim=3, n_aux=6):
         # Inputs inside (-0.8, 0.8) keep every log-ratio coordinate product in (-1, 1).
         rng = np.random.default_rng(17)
         spec = FreeKernelSpec(family=family, nu=0.7, degree=3, offset=0.5)
-        t = TunedKernel(spec, rng.uniform(-0.8, 0.8, (6, dim)), rng.normal(size=6))
+        t = TunedKernel(spec, rng.uniform(-0.8, 0.8, (n_aux, dim)), rng.normal(size=n_aux))
         return t, rng.uniform(-0.8, 0.8, (7, dim)), rng.uniform(-0.8, 0.8, (4, dim))
 
     @staticmethod
@@ -413,6 +416,13 @@ class TestGradients:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_matches_central_differences(self, family):
         self.check(*self.kernel(family))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("family", DOT_FAMILIES)
+    def test_weight_route_matches_central_differences(self, family, dim):
+        t, X1, X2 = self.kernel(family, dim, n_aux=30)
+        assert t.route == "weights"
+        self.check(t, X1, X2)
 
     @pytest.mark.parametrize("chunk_elems", [1, 100])
     @pytest.mark.parametrize("family", FAMILIES)
@@ -490,11 +500,12 @@ class TestInPlaceRows:
     def test_peak_memory_in_chunk_buffers(self, family, buffers):
         # 50 auxiliary points make 1275 pairs; an 8 x 8 cross is one chunk of
         # 64 rows.  Only polynomial and hyperbolic-sine gradients need a
-        # second buffer, for the slope.
+        # second buffer, for the slope.  Three dimensions keep the pair route.
         rng = np.random.default_rng(19)
         spec = FreeKernelSpec(family=family, nu=0.7, degree=3, offset=0.5)
-        t = TunedKernel(spec, rng.uniform(-0.8, 0.8, (50, 2)), rng.normal(size=50))
-        X = rng.uniform(-0.8, 0.8, (8, 2))
+        t = TunedKernel(spec, rng.uniform(-0.8, 0.8, (50, 3)), rng.normal(size=50))
+        assert t.route == "pairs"
+        X = rng.uniform(-0.8, 0.8, (8, 3))
         chunk = 64 * 1275 * 8
         for call in (lambda: t.cross_grad(X, X), lambda: t(X, X), lambda: t.diag_grad(X)):
             call()
@@ -505,3 +516,147 @@ class TestInPlaceRows:
             finally:
                 tracemalloc.stop()
             assert peak <= buffers * chunk
+
+
+def longdouble_pair_sum(t, X1, X2):
+    """K(x, y) of a dot-series TunedKernel, summed over every auxiliary pair
+    in extended precision: the reference both routes are measured against."""
+    ld = np.longdouble
+    spec = t.base
+    a, w = t.aux_points.astype(ld), t.alpha.astype(ld)
+    X1, X2 = X1.astype(ld), X2.astype(ld)
+    D = np.einsum("ik,jk,xk,yk->xyij", a, a, X1, X2)
+    series = SERIES["exponential" if spec.family == "se" else spec.family]
+    G = series(D, ld(spec.nu), spec.degree, ld(spec.offset))
+    if spec.family == "se":
+        w = w * np.exp(-0.5 * spec.nu * np.sum(a * a, axis=1))
+    K = np.einsum("i,j,xyij->xy", w, w, G)
+    if spec.family == "se":
+        K *= np.exp(-0.5 * spec.nu * np.sum(X1 * X1, axis=1))[:, None]
+        K *= np.exp(-0.5 * spec.nu * np.sum(X2 * X2, axis=1))[None, :]
+    return K
+
+
+def pair_twin(t):
+    """The same kernel in three dimensions, which always take the pair route:
+    the added coordinates are zero and change no value."""
+    def pad(X):
+        X = np.atleast_2d(X)
+        return np.pad(X, ((0, 0), (0, 3 - X.shape[1])))
+
+    twin = TunedKernel(t.base, pad(t.aux_points), t.alpha)
+    assert twin.route == "pairs"
+    return twin, pad
+
+
+class TestWeightRoute:
+    """The monomial (feature-weight) route of ``TunedKernel`` in one and two
+    dimensions, against the pair route and extended-precision references."""
+
+    @staticmethod
+    def kernel(family, dim, nu=0.7, n_aux=30, seed=20):
+        rng = np.random.default_rng(seed)
+        spec = FreeKernelSpec(family=family, nu=nu, degree=3, offset=0.5)
+        t = TunedKernel(spec, rng.uniform(-1, 1, (n_aux, dim)), rng.normal(size=n_aux))
+        return t, rng.uniform(-1, 1, (9, dim)), rng.uniform(-1, 1, (5, dim))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("family", DOT_FAMILIES)
+    def test_matches_pair_route(self, family, dim):
+        t, X1, X2 = self.kernel(family, dim)
+        assert t.route == "weights"
+        twin, pad = pair_twin(t)
+        K, dK = t.cross_grad(X1, X2)
+        K2, dK2 = twin.cross_grad(pad(X1), pad(X2))
+        scale = np.sqrt(np.outer(t.diag(X1), t.diag(X2)))
+        assert np.all(np.abs(K - K2) <= 1e-12 * scale)
+        assert dK == pytest.approx(dK2[..., :dim], rel=1e-10, abs=1e-12 * np.max(np.abs(dK2)))
+        d, dd = t.diag_grad(X1)
+        d2, dd2 = twin.diag_grad(pad(X1))
+        assert d == pytest.approx(d2, rel=1e-12)
+        assert dd == pytest.approx(dd2[:, :dim], rel=1e-10, abs=1e-12 * np.max(np.abs(dd2)))
+
+    @pytest.mark.parametrize("nu", [0.3, 1.0, 3.0])
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("family", DOT_FAMILIES)
+    def test_matches_longdouble_pair_sum(self, family, dim, nu):
+        # A few ulps of sqrt(k(x, x) k(y, y)), which bounds |k(x, y)|.
+        t, X1, X2 = self.kernel(family, dim, nu=nu, n_aux=50)
+        assert t.route == "weights"
+        want = longdouble_pair_sum(t, X1, X2)
+        scale = np.sqrt(np.outer(np.diag(longdouble_pair_sum(t, X1, X1)),
+                                 np.diag(longdouble_pair_sum(t, X2, X2))))
+        err = np.abs(t(X1, X2) - want) / scale
+        assert float(np.max(err)) <= 8 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("family", DOT_FAMILIES)
+    def test_coefficients_match_feature_weights(self, family, dim):
+        # C_beta is the squared reweighted weight of the monomial z^beta.
+        t, _, _ = self.kernel(family, dim)
+        table = t._tables[0]
+        expansion = expand_features(t.base, n=dim, max_degree=t.order)
+        tau = tuned_weights_oracle(t, expansion)
+        want = np.zeros_like(table)
+        for beta, weight in zip(expansion.multi_indices, tau):
+            want[beta[0], beta[1] if dim == 2 else 0] = weight**2
+        assert table == pytest.approx(want, rel=1e-10, abs=1e-13 * np.max(want))
+
+    @pytest.mark.parametrize("family", DOT_FAMILIES)
+    def test_points_outside_the_box_take_the_pairs(self, family):
+        t, X1, X2 = self.kernel(family, 2)
+        twin, pad = pair_twin(t)
+        X1 = 1.5 * X1
+        assert np.max(np.abs(X1)) > 1.0
+        scale = np.sqrt(np.outer(twin.diag(pad(X1)), twin.diag(pad(X2))))
+        assert np.all(np.abs(t(X1, X2) - twin(pad(X1), pad(X2))) <= 1e-13 * scale)
+        assert t.diag(X1) == pytest.approx(twin.diag(pad(X1)), rel=1e-13)
+
+    def test_route_and_order_are_read_only(self):
+        t, _, _ = self.kernel("se", 2)
+        for name in ("route", "order"):
+            with pytest.raises(AttributeError):
+                setattr(t, name, None)
+
+
+class TestRouteChoice:
+    """The route is chosen at construction by counting monomials against pairs."""
+
+    @staticmethod
+    def flipped_model(function, nu):
+        problem = normalize_problem(FUNCTIONS[function])
+        aux = make_flipped_aux(problem, seed=0)
+        return pretrain(aux, FreeKernelSpec(family="se"), HyperGrid(nu_values=(nu,)))
+
+    @pytest.mark.parametrize("function", ["himmelblau", "ackley"])
+    @pytest.mark.parametrize("nu, order", [(1.0, 22), (3.0, 35)])
+    def test_flipped_aux_se_takes_the_weights(self, function, nu, order):
+        t = build_tuned(self.flipped_model(function, nu))
+        assert (t.route, t.order) == ("weights", order)
+        assert math.comb(order + 2, 2) < 50 * 51 // 2
+
+    def test_flipped_aux_se_at_nu_10_keeps_the_pairs(self):
+        t = build_tuned(self.flipped_model("himmelblau", 10.0))
+        assert (t.route, t.order) == ("pairs", None)
+
+    def test_log_ratio_keeps_the_pairs(self):
+        rng = np.random.default_rng(21)
+        t = TunedKernel(FreeKernelSpec(family="log-ratio"), rng.uniform(-0.9, 0.9, (50, 2)),
+                        rng.normal(size=50))
+        assert (t.route, t.order) == ("pairs", None)
+
+    def test_two_device_model_keeps_the_pairs(self):
+        aux = synthetic_two_device(0).aux
+        t = TunedKernel(FreeKernelSpec(family="se", nu=1.0), aux.inputs,
+                        np.ones(aux.inputs.shape[0]))
+        assert (t.route, t.order) == ("pairs", None)
+
+    def test_polynomial_route_by_count(self):
+        # Degree 3 in 2-D has C(5, 2) = 10 monomials: fewer than the 15 pairs
+        # of five points, but not than the 10 of four.
+        rng = np.random.default_rng(22)
+        spec = FreeKernelSpec(family="polynomial", degree=3)
+        five = TunedKernel(spec, rng.uniform(-1, 1, (5, 2)), rng.normal(size=5))
+        four = TunedKernel(spec, rng.uniform(-1, 1, (4, 2)), rng.normal(size=4))
+        assert (five.route, five.order) == ("weights", 3)
+        assert (four.route, four.order) == ("pairs", None)

@@ -61,6 +61,25 @@ def test_tracer_records_tuned_kernel_spans_and_uninstalls(spans):
     assert metrics["mkernel.tuned.calls"] == 1
 
 
+def test_weight_route_records_tuned_se_cross_spans(spans):
+    # A 2-D se model of 50 points is evaluated from its feature weights;
+    # the traced run must still see its crosses.
+    rng = np.random.default_rng(1)
+    kernel = TunedKernel(
+        FreeKernelSpec(family="se", nu=1.0), rng.uniform(-1, 1, (50, 2)), rng.normal(size=50)
+    )
+    assert kernel.route == "weights"
+    X1 = rng.uniform(-1, 1, size=(4, 2))
+    X2 = rng.uniform(-1, 1, size=(3, 2))
+    tracer = spans.Tracer()
+    with tracer:
+        kernel(X1, X2)
+        kernel.cross_grad(X1, X2)
+    names = [span[0] for span in tracer.spans]
+    assert names.count("accel.tuned_se_cross") == 2
+    assert tracer.aggregate(rounds=1)["accel.tuned_se_cross.s"] > 0.0
+
+
 def test_traced_ei_cell_spans_per_iteration(spans):
     spec = tpbo.bench.BenchmarkSpec(
         functions=("himmelblau",), methods=("ei",), seeds=1, iterations=3, refine_top=2
