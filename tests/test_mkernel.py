@@ -24,14 +24,14 @@ from feature_route import (
     tuned_weights_oracle,
 )
 from tpbo import _accel
-from tpbo.bench import FUNCTIONS, make_flipped_aux, normalize_problem, synthetic_two_device
-from tpbo.pretrain import HyperGrid, build_tuned, pretrain
 from tpbo import (
     FAMILIES,
     FreeKernelSpec,
     TunedKernel,
     VanishingKernelError,
 )
+from tpbo.bench import FUNCTIONS, make_flipped_aux, normalize_problem, synthetic_two_device
+from tpbo.pretrain import HyperGrid, build_tuned, pretrain
 
 # Exclusive-or fixture: four labelled corners, quadratic kernel, unit ridge.
 XOR_POINTS = np.array([[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]])
