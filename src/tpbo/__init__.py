@@ -13,14 +13,12 @@ from .bo import (
     ask,
     beta_t,
     bo_step,
-    ei,
     load_session,
     maximize_acquisition,
     new_session,
     rng_for,
     save_session,
     tell,
-    ucb,
 )
 from .errors import NumericalError, TpboError, VanishingKernelError
 from .gp import ArdSeKernel, GpPosterior, Observations, SeKernel
@@ -44,13 +42,11 @@ __all__ = [
     "ask",
     "beta_t",
     "bo_step",
-    "ei",
     "load_session",
     "maximize_acquisition",
     "new_session",
     "rng_for",
     "save_session",
     "tell",
-    "ucb",
     "__version__",
 ]

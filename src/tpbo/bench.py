@@ -217,23 +217,26 @@ def _initial_design(problem: NormalizedProblem, fn_idx: int, seed: int, size: in
     return X0, problem.objective(X0)
 
 
-def tune_se_loo(X, y, nu_grid, lambda_grid) -> Tuple[float, float]:
-    """Grid-search (nu, lambda) minimizing leave-one-out squared error.
+def tune_se_loo(X, y) -> Tuple[float, float]:
+    """Grid-search (nu, lambda) over the default grids minimizing
+    leave-one-out squared error.
 
     Ties break toward the smallest nu, then the smallest lambda.
     """
     X = np.asarray(X, dtype=float)
     _, nu, lam = select_by_loo(
-        lambda nu: _accel.se_cross(X, X, nu), y, "regression", nu_grid, lambda_grid
+        lambda nu: _accel.se_cross(X, X, nu), y, "regression",
+        DEFAULT_NU_GRID, DEFAULT_LAMBDA_GRID,
     )
     return nu, lam
 
 
-def tune_ard_loo(X, y, nu_grid, lambda_grid) -> np.ndarray:
+def tune_ard_loo(X, y) -> np.ndarray:
     """Coordinate-wise greedy per-dimension length-scale search.
 
-    Each coordinate sweeps the shared nu grid with lambda minimized out;
-    two full passes, ties toward the smaller nu.
+    Each coordinate sweeps the default nu grid with lambda minimized out
+    over the default lambda grid; two full passes, ties toward the smaller
+    nu.
     """
     X = np.asarray(X, dtype=float)
     dims = X.shape[1]
@@ -247,7 +250,8 @@ def tune_ard_loo(X, y, nu_grid, lambda_grid) -> np.ndarray:
     for _ in range(2):
         for d in range(dims):
             _, nus[d], _ = select_by_loo(
-                lambda nu: ard_gram(d, nu), y, "regression", nu_grid, lambda_grid
+                lambda nu: ard_gram(d, nu), y, "regression",
+                DEFAULT_NU_GRID, DEFAULT_LAMBDA_GRID,
             )
     return nus
 
@@ -279,9 +283,7 @@ def run_cell(function: str, method: str, seed: int, spec: BenchmarkSpec) -> List
             if method.startswith("tp-"):
                 kernel = build_tuned(pretrain(aux, FreeKernelSpec(family="se")))
             else:
-                kernel = ArdSeKernel(
-                    tune_ard_loo(aux.inputs, aux.targets, DEFAULT_NU_GRID, DEFAULT_LAMBDA_GRID)
-                )
+                kernel = ArdSeKernel(tune_ard_loo(aux.inputs, aux.targets))
     except VanishingKernelError as exc:
         logger.warning(
             "skipping %s on %s (seed %d): %s", method, function, seed, exc
@@ -299,7 +301,7 @@ def run_cell(function: str, method: str, seed: int, spec: BenchmarkSpec) -> List
     for _ in range(spec.iterations):
         if retune:
             obs = session.gp.obs
-            nu, lam = tune_se_loo(obs.points, obs.values, DEFAULT_NU_GRID, DEFAULT_LAMBDA_GRID)
+            nu, lam = tune_se_loo(obs.points, obs.values)
             session.gp = GpPosterior.from_data(SeKernel(nu), obs.points, obs.values, lam)
         session = bo_step(session, problem.objective, refine_top=spec.refine_top)
         best.append(session.best_so_far[1])

@@ -111,38 +111,6 @@ def _ei_terms(mean: np.ndarray, sd: np.ndarray, y_plus: float):
     return np.maximum(values, 0.0), d_mean, d_sd
 
 
-def ei(mean, sd, y_plus):
-    """Expected improvement over y_plus; the sd = 0 case is the pointwise limit.
-
-    Accepts scalars or arrays (broadcast together); never returns a negative
-    value.
-    """
-    mean_in = np.asarray(mean, dtype=float)
-    sd_in = np.asarray(sd, dtype=float)
-    scalar = mean_in.ndim == 0 and sd_in.ndim == 0
-    mean_a, sd_a = np.broadcast_arrays(np.atleast_1d(mean_in), np.atleast_1d(sd_in))
-    if np.any(sd_a < 0):
-        raise ValueError("sd must be nonnegative")
-    out = _ei_terms(mean_a, sd_a, y_plus)[0]
-    if scalar:
-        return float(out[0])
-    return out
-
-
-def ucb(mean, sd, t: int, spec: AcquisitionSpec):
-    """Upper confidence bound mean + sqrt(beta_t) sd."""
-    mean_a, sd_a = np.broadcast_arrays(
-        np.asarray(mean, dtype=float), np.asarray(sd, dtype=float)
-    )
-    if np.any(sd_a < 0):
-        raise ValueError("sd must be nonnegative")
-    beta = beta_t(t, spec.dim, spec.delta)
-    out = mean_a + math.sqrt(beta) * sd_a
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 @dataclass
 class BoSession:
     """Mutable state of one optimization run; single-writer.

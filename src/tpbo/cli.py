@@ -142,11 +142,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    for flag, value in (("--iters", args.iters), ("--init-size", args.init_size)):
-        if value < 0:
-            raise ValueError(f"{flag} must be >= 0, got {value}")
-    if args.iters == 0 and args.init_size == 0:
-        raise ValueError("--iters 0 with --init-size 0 evaluates no point; raise one of them")
+    if args.iters < 0:
+        raise ValueError(f"--iters must be >= 0, got {args.iters}")
     model = load_aux_model(args.model)
     kernel = build_tuned(model)
     if args.function not in FUNCTIONS:
@@ -157,14 +154,13 @@ def cmd_optimize(args) -> int:
         raise ValueError("built-in functions are 2-D; the model dimension differs")
     problem = normalize_problem(FUNCTIONS[args.function])
     fn_idx = FUNCTION_ORDER.index(args.function)
-    X0, y0 = _initial_design(problem, fn_idx, args.seed, args.init_size)
-    spec = AcquisitionSpec(kind=args.acq, dim=2, delta=args.delta)
+    X0, y0 = _initial_design(problem, fn_idx, args.seed, INIT_SIZE)
     session = new_session(
-        kernel, spec, seed=args.seed, noise_var=args.sigma2,
-        init_points=X0, init_values=y0,
+        kernel, AcquisitionSpec(kind=args.acq, dim=2), seed=args.seed,
+        noise_var=NOISE_VAR, init_points=X0, init_values=y0,
     )
     print(f"function: {args.function}")
-    print(f"init_size: {args.init_size}")
+    print(f"init_size: {INIT_SIZE}")
     for t in range(args.iters):
         session = bo_step(session, problem.objective)
         print(f"t={t + 1} best={session.best_so_far[1]!r}")
@@ -292,9 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=40)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--acq", choices=("ei", "ucb"), default="ei")
-    p.add_argument("--delta", type=float, default=AcquisitionSpec.delta)
-    p.add_argument("--sigma2", type=float, default=NOISE_VAR)
-    p.add_argument("--init-size", type=int, default=INIT_SIZE)
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("suggest", help="propose the next experiment")

@@ -31,6 +31,10 @@ instead: each matrix handed to LAPACK, the shifted Gram and every
 right-hand side, is tested with ``np.isfinite`` first (``ValueError``, as
 scipy's ``check_finite`` raises), and every ``info`` is tested by hand.
 L itself is not re-tested, since ``dpotrf`` made it from a finite matrix.
+`cholesky_factor` and `cholesky_solve` are the one ``dpotrf`` and the one
+``dpotrs`` call of the package, with those checks, and `indefinite_error`
+its one report of a matrix that is not positive definite; ``pretrain``
+factors its ridge systems through them too, in the upper triangle.
 
 Importing this module loads no scipy.  Each routine is imported where it
 is called (``eigvalsh`` only on the failure path), so a process that never
@@ -150,28 +154,50 @@ def check_lapack_info(routine: str, info: int) -> None:
         raise ValueError(f"illegal value in argument {-info} of {routine}")
 
 
-def _factor_shifted(gram: np.ndarray, shift: float) -> np.ndarray:
-    """Lower Cholesky factor of gram + shift*I with an escalating relative jitter
-    ladder; ``dpotrf``'s ``info > 0`` (not positive definite) climbs one rung."""
+def cholesky_factor(H: np.ndarray, lower: bool) -> np.ndarray | None:
+    """Cholesky factor of the symmetric matrix H by ``dpotrf``, in the lower
+    or upper triangle, or None when H is not positive definite.
+
+    H is checked finite first, and a negative ``info`` raises.  The other
+    triangle of the result holds what H held there.
+    """
     from scipy.linalg.lapack import dpotrf
 
+    require_finite(H)
+    c, info = dpotrf(H, lower=lower, clean=0)
+    check_lapack_info("dpotrf", info)
+    return c if info == 0 else None
+
+
+def cholesky_solve(c: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
+    """H^-1 b by ``dpotrs`` from `cholesky_factor`'s factor c of H, after checking b."""
+    from scipy.linalg.lapack import dpotrs
+
+    require_finite(b)
+    x, info = dpotrs(c, b, lower=lower)
+    check_lapack_info("dpotrs", info)
+    return x
+
+
+def indefinite_error(H: np.ndarray, failure: str) -> NumericalError:
+    """`failure` and the smallest eigenvalue of H, as a ``NumericalError``."""
+    from scipy.linalg import eigvalsh
+
+    return NumericalError(f"{failure}: min eigenvalue {float(eigvalsh(H).min()):.6e}")
+
+
+def _factor_shifted(gram: np.ndarray, shift: float) -> np.ndarray:
+    """Lower Cholesky factor of gram + shift*I with an escalating relative jitter
+    ladder; a matrix that is not positive definite climbs one rung."""
     n = gram.shape[0]
     mean_diag = float(np.mean(np.diag(gram))) + shift
     scale = max(abs(mean_diag), 1e-300)
     for jitter in _JITTER_RUNGS:
         H = gram + (shift + jitter * scale) * np.eye(n)
-        require_finite(H)
-        L, info = dpotrf(H, lower=1, clean=0)
-        check_lapack_info("dpotrf", info)
-        if info == 0:
+        L = cholesky_factor(H, lower=True)
+        if L is not None:
             return L
-    from scipy.linalg import eigvalsh
-
-    min_eig = float(eigvalsh(H).min())
-    raise NumericalError(
-        f"posterior factorization failed at jitter {jitter:.1e}: "
-        f"min eigenvalue {min_eig:.6e}"
-    )
+    raise indefinite_error(H, f"posterior factorization failed at jitter {jitter:.1e}")
 
 
 def _solve_lower(L: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
@@ -207,14 +233,9 @@ class GpPosterior:
     def _solve(self):
         """The Cholesky factor of the shifted Gram and the weights alpha; cached."""
         if self._solved is None:
-            from scipy.linalg.lapack import dpotrs
-
             obs = self.obs
             L = _factor_shifted(self.kernel(obs.points, obs.points), obs.noise_var)
-            require_finite(obs.values)
-            alpha, info = dpotrs(L, obs.values, lower=1)
-            check_lapack_info("dpotrs", info)
-            self._solved = L, alpha
+            self._solved = L, cholesky_solve(L, obs.values, lower=True)
         return self._solved
 
     def posterior_batch(self, X) -> tuple[np.ndarray, np.ndarray]:

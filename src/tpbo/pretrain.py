@@ -21,8 +21,8 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import _accel
-from .errors import NumericalError, VanishingKernelError, _json_int, _write_json
-from .gp import check_lapack_info, require_finite
+from .errors import VanishingKernelError, _json_int, _write_json
+from .gp import cholesky_factor, cholesky_solve, indefinite_error, require_finite
 from .mkernel import VANISH_TOL, FreeKernelSpec, TunedKernel
 
 logger = logging.getLogger(__name__)
@@ -154,35 +154,18 @@ def _check_gram(gram: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def _factor_ridge(gram: np.ndarray, lam: float) -> np.ndarray:
     """Upper Cholesky factor of gram + lam*I, failing loudly when indefinite.
 
-    Calls LAPACK's ``dpotrf`` directly.  The ridge matrix is checked finite
-    first (``ValueError``, scipy's ``check_finite`` message), ``info < 0`` is
-    a ``ValueError`` and ``info > 0`` (not positive definite) a
-    ``NumericalError`` naming the smallest eigenvalue.  Solve with
-    ``dpotrs(c, b, lower=0)``.
+    Factored by `gp.cholesky_factor`, which checks the ridge matrix finite
+    (``ValueError``, scipy's ``check_finite`` message) and ``info``; a
+    matrix that is not positive definite is a ``NumericalError`` naming its
+    smallest eigenvalue (`gp.indefinite_error`).  The triangle is the upper
+    one, scipy's ``cho_factor`` default, so fits and LOO errors keep that
+    route's bits.  Solve with ``gp.cholesky_solve(c, b, lower=False)``.
     """
-    from scipy.linalg.lapack import dpotrf
-
     H = gram + lam * np.eye(gram.shape[0])
-    require_finite(H)
-    c, info = dpotrf(H, lower=0, clean=0)
-    check_lapack_info("dpotrf", info)
-    if info > 0:
-        from scipy.linalg import eigvalsh
-
-        min_eig = float(eigvalsh(H).min())
-        raise NumericalError(
-            f"ridge system factorization failed: min eigenvalue {min_eig:.6e}"
-        )
+    c = cholesky_factor(H, lower=False)
+    if c is None:
+        raise indefinite_error(H, "ridge system factorization failed")
     return c
-
-
-def _ridge_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(gram + lam*I)^-1 b from `_factor_ridge`'s factor by ``dpotrs``."""
-    from scipy.linalg.lapack import dpotrs
-
-    x, info = dpotrs(c, b, lower=0)
-    check_lapack_info("dpotrs", info)
-    return x
 
 
 def train_lssvm(gram: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
@@ -190,9 +173,7 @@ def train_lssvm(gram: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     gram, y = _check_gram(gram, y)
     if lam <= 0:
         raise ValueError("lambda must be > 0")
-    c = _factor_ridge(gram, lam)
-    require_finite(y)
-    return _ridge_solve(c, y)
+    return cholesky_solve(_factor_ridge(gram, lam), y, lower=False)
 
 
 def train_hinge(
@@ -257,11 +238,11 @@ def loo_error(gram: np.ndarray, y: np.ndarray, lam: float, task: str) -> float:
 
     Regression uses the closed form for ridge residuals,
     e_i = alpha_i / (H^-1)_ii with H = K + lambda I, and returns the mean
-    squared residual.  H is factored by LAPACK's ``dpotrf`` (through
-    `_factor_ridge`, which checks H finite and ``info``), and alpha and
-    H^-1 come from ``dpotrs`` solves, with y checked finite first and each
-    ``info`` checked.  Classification refits each fold explicitly and
-    returns the misclassification fraction.
+    squared residual.  H is factored by `_factor_ridge` through
+    `gp.cholesky_factor`, and alpha and H^-1 come from `gp.cholesky_solve`:
+    the package's one ``dpotrf`` and one ``dpotrs`` wrapper, which check
+    every matrix finite and every ``info``.  Classification refits each fold
+    explicitly and returns the misclassification fraction.
     """
     gram, y = _check_gram(gram, y)
     return _loo_error(gram, y, lam, task)
@@ -271,9 +252,8 @@ def _loo_error(gram: np.ndarray, y: np.ndarray, lam: float, task: str) -> float:
     """`loo_error` without the input checks: `gram` and `y` come from `_check_gram`."""
     if task == "regression":
         c = _factor_ridge(gram, lam)
-        require_finite(y)
-        alpha = _ridge_solve(c, y)
-        inv_diag = np.diag(_ridge_solve(c, np.eye(gram.shape[0])))
+        alpha = cholesky_solve(c, y, lower=False)
+        inv_diag = np.diag(cholesky_solve(c, np.eye(gram.shape[0]), lower=False))
         residuals = alpha / inv_diag
         return float(np.mean(residuals**2))
     if task != "classification":
@@ -451,8 +431,11 @@ def load_aux_model(path) -> AuxModel:
 
 
 def load_aux_csv(path, task: str) -> AuxDataset:
-    """Read ``x1,...,xn,y`` rows, rescaling inputs to [-1, 1] per column."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    """Read ``x1,...,xn,y`` rows, rescaling inputs to [-1, 1] per column.
+
+    A leading UTF-8 byte-order mark, as spreadsheet exports write, is skipped.
+    """
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -35,17 +35,12 @@ from tpbo.errors import VanishingKernelError
 from tpbo.gp import ArdSeKernel, SeKernel
 from tpbo.pretrain import DEFAULT_LAMBDA_GRID, DEFAULT_NU_GRID, loo_error
 
-# Unsorted grids with duplicates: selection must not depend on grid order.
-MESSY_NU = (3.0, 0.1, 1.0, 0.1)
-MESSY_LAMBDA = (1e-2, 1e-4, 1.0, 1e-2)
-
-
 def brute_force_pick(kernel_for, X, y):
-    """First strict LOO improvement over the sorted distinct grid."""
+    """First strict LOO improvement over the sorted default grids."""
     best = None
-    for nu in sorted(set(MESSY_NU)):
+    for nu in sorted(DEFAULT_NU_GRID):
         gram = kernel_for(nu)(X, X)
-        for lam in sorted(set(MESSY_LAMBDA)):
+        for lam in sorted(DEFAULT_LAMBDA_GRID):
             err = loo_error(gram, y, lam, "regression")
             if best is None or err < best[0]:
                 best = (err, nu, lam)
@@ -122,7 +117,7 @@ class TestTuners:
         rng = np.random.default_rng(3)
         X = rng.uniform(-1, 1, (30, 2))
         y = np.sin(3 * X[:, 0]) * np.cos(2 * X[:, 1])
-        nu, lam = tune_se_loo(X, y, DEFAULT_NU_GRID, DEFAULT_LAMBDA_GRID)
+        nu, lam = tune_se_loo(X, y)
         assert nu in DEFAULT_NU_GRID
         assert lam in DEFAULT_LAMBDA_GRID
 
@@ -133,7 +128,7 @@ class TestTuners:
         rng = np.random.default_rng(8)
         X = rng.uniform(-1, 1, (15, 2))
         y = np.sin(3 * X[:, 0]) * np.cos(2 * X[:, 1]) if signal else np.zeros(15)
-        got = tune_se_loo(X, y, MESSY_NU, MESSY_LAMBDA)
+        got = tune_se_loo(X, y)
         assert got == brute_force_pick(SeKernel, X, y)
         if not signal:
             assert got == (0.1, 1e-4)
@@ -152,7 +147,7 @@ class TestTuners:
                     return ArdSeKernel(trial)
 
                 want[d] = brute_force_pick(kernel_for, X, y)[0]
-        got = tune_ard_loo(X, y, MESSY_NU, MESSY_LAMBDA)
+        got = tune_ard_loo(X, y)
         assert np.array_equal(got, want)
         if not signal:
             assert np.array_equal(got, [0.1, 0.1])
@@ -161,7 +156,7 @@ class TestTuners:
         rng = np.random.default_rng(3)
         X = rng.uniform(-1, 1, (40, 2))
         y = np.sin(4.0 * X[:, 0])  # second coordinate carries no signal
-        nus = tune_ard_loo(X, y, DEFAULT_NU_GRID, DEFAULT_LAMBDA_GRID)
+        nus = tune_ard_loo(X, y)
         assert nus.shape == (2,)
         assert nus[1] == min(DEFAULT_NU_GRID)
         assert nus[0] > nus[1]
@@ -453,7 +448,7 @@ class TestProtocol:
             assert len(run_cell("himmelblau", method, 0, spec)) == 1
         rng = np.random.default_rng(0)
         X = rng.uniform(-1, 1, (12, 2))
-        nu, lam = tune_se_loo(X, np.sin(3 * X[:, 0]), DEFAULT_NU_GRID, DEFAULT_LAMBDA_GRID)
+        nu, lam = tune_se_loo(X, np.sin(3 * X[:, 0]))
         assert nu in DEFAULT_NU_GRID and lam in DEFAULT_LAMBDA_GRID
 
 

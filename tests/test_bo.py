@@ -19,14 +19,12 @@ from tpbo.bo import (
     ask,
     beta_t,
     bo_step,
-    ei,
     load_session,
     maximize_acquisition,
     new_session,
     rng_for,
     save_session,
     tell,
-    ucb,
 )
 import tpbo.bo
 from tpbo.gp import ArdSeKernel, Observations, SeKernel
@@ -47,6 +45,14 @@ def small_session(seed=5, kind="ei", nu=3.0, noise_var=1e-6):
                        init_points=pts, init_values=vals)
 
 
+def ei(mean, sd, y_plus):
+    """Expected improvement from `_ei_terms`: a float for scalar arguments,
+    an array for arrays."""
+    mean, sd = np.broadcast_arrays(np.asarray(mean, dtype=float), np.asarray(sd, dtype=float))
+    values = tpbo.bo._ei_terms(np.atleast_1d(mean), np.atleast_1d(sd), y_plus)[0]
+    return float(values[0]) if mean.ndim == 0 else values
+
+
 class TestEi:
     def test_value_at_zero_z(self):
         # (m - y+)Phi(0) + sd*phi(0) with m = y+ collapses to phi(0)
@@ -58,10 +64,6 @@ class TestEi:
 
     def test_zero_sd_deterministic_improvement(self):
         assert ei(3.0, 0.0, 1.0) == pytest.approx(2.0, rel=1e-15)
-
-    def test_negative_sd_rejected(self):
-        with pytest.raises(ValueError):
-            ei(0.0, -1.0, 0.0)
 
     def test_batch_matches_scalar(self):
         means = np.array([-1.0, 0.0, 0.5, 2.0])
@@ -102,25 +104,28 @@ class TestEi:
 
 
 class TestUcb:
+    POINTS = np.array([[0.1, 0.2], [-0.6, 0.4], [0.3, -0.2]])
+
     def test_schedule_at_origin(self):
-        # n = 2, t = 0, delta = 0.1
+        # n = 2, t = 0, delta = 0.1: the bound is the mean plus sqrt(beta_0) sd
         expected = 2.0 * math.log(2.0 * math.pi**2 / 0.6)
         assert beta_t(0, 2, 0.1) == pytest.approx(expected, rel=1e-15)
-        spec = AcquisitionSpec(kind="ucb", dim=2, delta=0.1)
-        assert ucb(0.0, 1.0, 0, spec) == pytest.approx(math.sqrt(expected), rel=1e-14)
+        session = quadratic_surrogate_session("ucb", incumbent=0.0, var=1.0)
+        mean, _ = session.gp.posterior_batch(self.POINTS)
+        width = tpbo.bo._acquisition(session, self.POINTS, None) - mean
+        assert width == pytest.approx(np.full(3, math.sqrt(expected)), rel=1e-14)
 
     def test_zero_sd_returns_mean(self):
-        spec = AcquisitionSpec(kind="ucb", dim=1)
-        assert ucb(-0.7, 0.0, 9, spec) == -0.7
+        session = quadratic_surrogate_session("ucb", incumbent=0.0)
+        session.iteration = 9
+        mean, _ = session.gp.posterior_batch(self.POINTS)
+        assert np.array_equal(tpbo.bo._acquisition(session, self.POINTS, None), mean)
 
     def test_schedule_grows_with_t(self):
         vals = [beta_t(t, 4, 0.1) for t in range(6)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_validation(self):
-        spec = AcquisitionSpec(kind="ucb", dim=1)
-        with pytest.raises(ValueError):
-            ucb(0.0, -0.1, 0, spec)
         with pytest.raises(ValueError):
             beta_t(-1, 2, 0.1)
         with pytest.raises(ValueError):
@@ -440,10 +445,7 @@ class TestAcquisitionGradients:
         for got, want in zip(terms, self.reference_terms(mean, sd, 0.4)):
             assert np.array_equal(got, want)
         values = terms[0]
-        assert np.array_equal(values, ei(mean, sd, 0.4))
         assert np.all(values >= 0.0) and np.all(np.isfinite(values))
-        with pytest.raises(ValueError, match="sd must be nonnegative"):
-            ei(mean, -sd - 1e-3, 0.4)
 
     def test_ei_terms_finite_differences(self):
         mean = np.array([-1.0, 0.4, 0.5, 2.0])

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import tpbo.cli
+from tpbo.bench import FUNCTION_ORDER, FUNCTIONS, _initial_design, normalize_problem
 from tpbo.cli import _attach_x_value, build_parser, main
 
 XOR_CSV = """x1,x2,y
@@ -52,6 +53,18 @@ class TestPretrainCommand:
         assert payload["kernel"]["family"] == "polynomial"
         expected = np.array([-0.125, 0.125, 0.125, -0.125])
         assert np.allclose(payload["alpha"], expected, atol=1e-9)
+
+    def test_byte_order_mark_is_skipped(self, xor_csv, tmp_path, capsys):
+        # spreadsheet exports start a UTF-8 CSV with U+FEFF
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes("\ufeff".encode("utf-8") + Path(xor_csv).read_bytes())
+        models = []
+        for csv in (xor_csv, str(marked)):
+            models.append(tmp_path / f"model{len(models)}.json")
+            assert main(["pretrain", "--aux", csv, "--task", "classification",
+                         "--kernel", "poly", "--lambda-grid", "1",
+                         "--out", str(models[-1])]) == 0, capsys.readouterr().err
+        assert models[0].read_bytes() == models[1].read_bytes()
 
     def test_overflowing_gram_exits_2_without_a_file(self, tmp_path, capsys):
         csv = tmp_path / "labels.csv"
@@ -241,28 +254,32 @@ class TestOptimizeCommand:
         ])
         assert code == 2
 
-    @pytest.mark.parametrize(
-        "iters, init_size, flag",
-        [("-1", "2", "--iters"), ("3", "-2", "--init-size"), ("0", "0", "--init-size")],
-    )
-    def test_bad_counts_exit_2(self, small_model, capsys, iters, init_size, flag):
+    def test_negative_iters_exit_2(self, small_model, capsys):
         code = main([
             "optimize", "--model", small_model, "--function", "himmelblau",
-            "--iters", iters, "--init-size", init_size,
+            "--iters", "-1",
         ])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and flag in err
+        assert err.startswith("error:") and "--iters" in err
 
     def test_initial_design_only(self, small_model, capsys):
+        capsys.readouterr()
         code = main([
             "optimize", "--model", small_model, "--function", "himmelblau",
-            "--iters", "0", "--init-size", "2",
+            "--iters", "0", "--seed", "4",
         ])
         assert code == 0
         out = capsys.readouterr().out
         assert "t=" not in out
-        assert "best_value:" in out
+        # the best of the protocol's two seeded initial points
+        problem = normalize_problem(FUNCTIONS["himmelblau"])
+        X0, y0 = _initial_design(problem, FUNCTION_ORDER.index("himmelblau"), 4, 2)
+        best = int(np.argmax(y0))
+        assert X0.shape == (2, 2)
+        assert out.startswith("function: himmelblau\ninit_size: 2\n")
+        x, y = X0[best].tolist(), float(y0[best])
+        assert out.endswith(f"best_x: {x[0]!r},{x[1]!r}\nbest_value: {y!r}\n")
 
 
 @pytest.fixture()
@@ -573,6 +590,19 @@ class TestParser:
         assert captured.out == ""
         assert f"unrecognized arguments: {flag} {value}" in captured.err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--init-size", "3"), ("--sigma2", "1e-4"), ("--delta", "0.2")]
+    )
+    def test_optimize_protocol_flags_are_gone(self, small_model, capsys, flag, value):
+        # optimize runs bench's protocol: 2 seeded points, noise 1e-6, delta 0.1
+        argv = ["optimize", "--model", small_model, "--function", "himmelblau",
+                "--iters", "1", flag, value]
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag} {value}" in captured.err
 
     def test_readme_command_lines_parse(self):
         # a renamed or deleted flag must not leave the README's examples stale

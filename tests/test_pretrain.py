@@ -178,6 +178,18 @@ class TestLoo:
         with pytest.raises(ValueError, match="gram must be symmetric"):
             select_by_loo(grams.__getitem__, np.ones(3), "regression", (1.0, 2.0), (0.1, 1.0))
 
+    @pytest.mark.parametrize("signal", [True, False])
+    def test_selection_does_not_depend_on_grid_order(self, signal):
+        # unsorted grids with duplicates pick what the sorted grids pick;
+        # zero targets tie every cell, and the tie goes to the smallest values
+        X, y = regression_problem()
+        y = y if signal else np.zeros_like(y)
+        gram_for = lambda nu: base_gram(FreeKernelSpec(family="se", nu=nu), X)
+        messy = select_by_loo(gram_for, y, "regression", (3.0, 0.1, 1.0, 0.1), (1e-2, 1e-4, 1.0, 1e-2))
+        assert messy == select_by_loo(gram_for, y, "regression", (0.1, 1.0, 3.0), (1e-4, 1e-2, 1.0))
+        if not signal:
+            assert messy == (0.0, 0.1, 1e-4)
+
 
 def nonfinite_gram(bad):
     """A 2 x 2 Gram with `bad` off the diagonal."""

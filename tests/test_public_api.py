@@ -23,14 +23,12 @@ PUBLIC = [
     "ask",
     "beta_t",
     "bo_step",
-    "ei",
     "load_session",
     "maximize_acquisition",
     "new_session",
     "rng_for",
     "save_session",
     "tell",
-    "ucb",
 ]
 
 # The weight-space feature route is a test reference (tests/feature_route.py).
