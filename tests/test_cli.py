@@ -263,6 +263,19 @@ class TestOptimizeCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "--iters" in err
 
+    @pytest.mark.parametrize("iters, init_size, flag", [("0", "0", "--init-size")])
+    def test_bad_counts_exit_2(self, small_model, capsys, iters, init_size, flag):
+        # the design size is fixed at 2, so the parser rejects any --init-size
+        capsys.readouterr()
+        code = main([
+            "optimize", "--model", small_model, "--function", "himmelblau",
+            "--iters", iters, "--init-size", init_size,
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"tpbo: error: unrecognized arguments: {flag} {init_size}\n")
+
     def test_initial_design_only(self, small_model, capsys):
         capsys.readouterr()
         code = main([
