@@ -20,7 +20,7 @@ from typing import Callable, Iterable, List, Tuple
 import numpy as np
 
 from . import _accel, _blas
-from .bo import POLISH_STARTS, AcquisitionSpec, bo_step, new_session
+from .bo import POLISH_STARTS, AcquisitionSpec, BoSession, bo_step, new_session
 from .errors import VanishingKernelError
 from .gp import ArdSeKernel, GpPosterior, SeKernel
 from .mkernel import FreeKernelSpec
@@ -211,10 +211,17 @@ def _derived_seed(fn_idx: int, seed: int, tag: int) -> int:
     return int(state[0])
 
 
-def _initial_design(problem: NormalizedProblem, fn_idx: int, seed: int, size: int):
+def seeded_session(
+    problem: NormalizedProblem, fn_idx: int, seed: int, kernel, kind: str, session_seed: int
+) -> BoSession:
+    """The protocol's session: `INIT_SIZE` points from the (`fn_idx`, `seed`)
+    stream, which every method shares, noise `NOISE_VAR` and the default delta."""
     rng = np.random.default_rng(np.random.SeedSequence([fn_idx, seed, _TAG_INIT]))
-    X0 = rng.uniform(-1.0, 1.0, size=(size, 2))
-    return X0, problem.objective(X0)
+    X0 = rng.uniform(-1.0, 1.0, size=(INIT_SIZE, 2))
+    return new_session(
+        kernel, AcquisitionSpec(kind=kind, dim=2), seed=session_seed,
+        noise_var=NOISE_VAR, init_points=X0, init_values=problem.objective(X0),
+    )
 
 
 def tune_se_loo(X, y) -> Tuple[float, float]:
@@ -269,7 +276,6 @@ def run_cell(function: str, method: str, seed: int, spec: BenchmarkSpec) -> List
     """
     fn_idx = FUNCTION_ORDER.index(function)
     problem = normalize_problem(FUNCTIONS[function], spec.grid_resolution)
-    X0, y0 = _initial_design(problem, fn_idx, seed, INIT_SIZE)
     kind = method.split("-")[-1]
     retune = method in ("ei", "ucb")
 
@@ -289,13 +295,8 @@ def run_cell(function: str, method: str, seed: int, spec: BenchmarkSpec) -> List
             "skipping %s on %s (seed %d): %s", method, function, seed, exc
         )
         return []
-    session = new_session(
-        kernel,
-        AcquisitionSpec(kind=kind, dim=2),
-        seed=_derived_seed(fn_idx, seed, _TAG_SESSION),
-        noise_var=NOISE_VAR,
-        init_points=X0,
-        init_values=y0,
+    session = seeded_session(
+        problem, fn_idx, seed, kernel, kind, _derived_seed(fn_idx, seed, _TAG_SESSION)
     )
     best = []
     for _ in range(spec.iterations):

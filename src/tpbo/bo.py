@@ -149,6 +149,8 @@ def new_session(
     init_values,
 ) -> BoSession:
     """Start a session from an initial design (which may be empty)."""
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     init_points = _point_rows(init_points, acquisition.dim)
     init_values = np.asarray(init_values, dtype=float).reshape(-1)
     gp = GpPosterior.from_data(kernel, init_points, init_values, noise_var)

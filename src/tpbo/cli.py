@@ -3,7 +3,8 @@
 One binary, five subcommands: `pretrain` fits a model on auxiliary data,
 `bench` reproduces the test-function comparison, `optimize` runs the full
 loop against a built-in function, and `suggest`/`tell` drive a
-human-in-the-loop session backed by JSON files.
+human-in-the-loop session backed by JSON files.  The last three run `bench`'s
+noise variance and UCB delta; a session's only creation settings are --acq and --seed.
 
 Exit codes are stable across commands: 0 success, 2 input error,
 3 degenerate (vanishing) model, 4 numerical failure.
@@ -26,10 +27,10 @@ from .bench import (
     METHODS,
     NOISE_VAR,
     BenchmarkSpec,
-    _initial_design,
     make_flipped_aux,
     normalize_problem,
     run_benchmark,
+    seeded_session,
     write_results,
     write_summary,
 )
@@ -60,7 +61,7 @@ KERNEL_ALIASES = {"poly": "polynomial", "exp": "exponential", "sinh": "hyperboli
 
 # Settings `suggest`/`tell` fix when they create a session file; a later
 # value that differs from the stored one is ignored with a warning.
-SESSION_DEFAULTS = {"acq": "ei", "delta": AcquisitionSpec.delta, "sigma2": NOISE_VAR, "seed": 0}
+SESSION_DEFAULTS = {"acq": "ei", "seed": 0}
 
 
 def _parse_float_list(text: str, flag: str) -> tuple:
@@ -78,10 +79,19 @@ def _resolve_names(text: str, valid: tuple, what: str) -> tuple:
     if text == "all":
         return valid
     names = tuple(tok.strip() for tok in text.split(",") if tok.strip())
-    for name in names:
+    for i, name in enumerate(names):
         if name not in valid:
             raise ValueError(f"unknown {what} {name!r}; valid: {', '.join(valid)}")
+        if name in names[:i]:
+            raise ValueError(f"{what} {name!r} is given twice")
     return names
+
+
+def _seed(text: str) -> int:
+    """A --seed value; numpy seeds its streams with non-negative integers only."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _require_out_dir(path: str, flag: str) -> None:
@@ -154,11 +164,7 @@ def cmd_optimize(args) -> int:
         raise ValueError("built-in functions are 2-D; the model dimension differs")
     problem = normalize_problem(FUNCTIONS[args.function])
     fn_idx = FUNCTION_ORDER.index(args.function)
-    X0, y0 = _initial_design(problem, fn_idx, args.seed, INIT_SIZE)
-    session = new_session(
-        kernel, AcquisitionSpec(kind=args.acq, dim=2), seed=args.seed,
-        noise_var=NOISE_VAR, init_points=X0, init_values=y0,
-    )
+    session = seeded_session(problem, fn_idx, args.seed, kernel, args.acq, args.seed)
     print(f"function: {args.function}")
     print(f"init_size: {INIT_SIZE}")
     for t in range(args.iters):
@@ -173,10 +179,13 @@ def cmd_optimize(args) -> int:
 def _session_for(args) -> BoSession:
     """Load the session file, or start a fresh one around the model.
 
-    --acq, --delta, --sigma2 and --seed take effect only when the file is
-    created; on a loaded session a differing value draws a warning.  A
-    loaded session whose dimension differs from the model's is an error.
+    --acq and --seed take effect only when the file is created; on a loaded
+    session a differing value draws a warning.  A fresh session takes
+    `bench`'s noise variance and UCB delta, and a loaded one keeps those in
+    its file.  A loaded session whose dimension differs from the model's is
+    an error.
     """
+    _require_out_dir(args.session, "--session")
     model = load_aux_model(args.model)
     kernel = build_tuned(model)
     try:
@@ -185,26 +194,14 @@ def _session_for(args) -> BoSession:
         for flag, default in SESSION_DEFAULTS.items():
             if getattr(args, flag) is None:
                 setattr(args, flag, default)
-        dim = kernel.input_dim
-        return new_session(
-            kernel,
-            AcquisitionSpec(kind=args.acq, dim=dim, delta=args.delta),
-            args.seed,
-            args.sigma2,
-            init_points=np.empty((0, dim)),
-            init_values=np.empty(0),
-        )
+        spec = AcquisitionSpec(kind=args.acq, dim=kernel.input_dim)
+        return new_session(kernel, spec, args.seed, NOISE_VAR, init_points=(), init_values=())
     if kernel.input_dim != session.acquisition.dim:
         raise ValueError(
             f"the model is {kernel.input_dim}-D but the session "
             f"{args.session} is {session.acquisition.dim}-D"
         )
-    stored = {
-        "acq": session.acquisition.kind,
-        "delta": session.acquisition.delta,
-        "sigma2": session.gp.obs.noise_var,
-        "seed": session.rng_seed,
-    }
+    stored = {"acq": session.acquisition.kind, "seed": session.rng_seed}
     for flag, value in stored.items():
         given = getattr(args, flag)
         if given is not None and given != value:
@@ -237,9 +234,7 @@ def cmd_tell(args) -> int:
 def _add_session_flags(p: argparse.ArgumentParser) -> None:
     # None means "not given": see SESSION_DEFAULTS and _session_for
     p.add_argument("--acq", choices=("ei", "ucb"))
-    p.add_argument("--delta", type=float)
-    p.add_argument("--sigma2", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-grid",
                    default=",".join(str(v) for v in DEFAULT_LAMBDA_GRID))
     p.add_argument("--aux-size", type=int, default=AUX_SIZE)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="output model JSON path")
     p.set_defaults(func=cmd_pretrain)
 
@@ -286,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--function", required=True)
     p.add_argument("--iters", type=int, default=40)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--acq", choices=("ei", "ucb"), default="ei")
     p.set_defaults(func=cmd_optimize)
 

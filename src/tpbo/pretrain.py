@@ -34,6 +34,9 @@ TASKS = ("regression", "classification")
 DEFAULT_NU_GRID = (0.1, 0.3, 1.0, 3.0, 10.0)
 DEFAULT_LAMBDA_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 
+#: Coordinate-descent sweeps `train_hinge` runs before it gives up.
+MAX_SWEEPS = 10_000
+
 # Families whose arity-2 Gram depends on nu; others are scanned on lambda only.
 _NU_FAMILIES = ("hyperbolic-sine", "exponential", "se")
 
@@ -176,19 +179,14 @@ def train_lssvm(gram: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     return cholesky_solve(_factor_ridge(gram, lam), y, lower=False)
 
 
-def train_hinge(
-    gram: np.ndarray,
-    y: np.ndarray,
-    lam: float,
-    tol: float = 1e-10,
-    max_sweeps: int = 10_000,
-) -> np.ndarray:
+def train_hinge(gram: np.ndarray, y: np.ndarray, lam: float, tol: float = 1e-10) -> np.ndarray:
     """Hinge-loss dual by cyclic coordinate descent on the box constraints.
 
     Minimizes 1/2 alpha' K alpha - sum |alpha| subject to 0 <= y*alpha <=
     1/lambda (no bias, hence no equality constraint).  Each coordinate step
     solves its 1-D problem exactly; convergence is declared when the largest
-    KKT violation falls below ``tol``.
+    KKT violation falls below ``tol``.  A fit still above it after
+    `MAX_SWEEPS` sweeps is returned with a warning.
     """
     gram, y = _check_gram(gram, y)
     if lam <= 0:
@@ -201,7 +199,7 @@ def train_hinge(
     g = np.zeros(n)  # running K @ alpha
     diag = np.diag(gram)
     worst = float("inf")
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         for i in range(n):
             r = g[i] - diag[i] * alpha[i]
             if diag[i] > 1e-300:
@@ -228,7 +226,7 @@ def train_hinge(
         logger.warning(
             "hinge training stopped after %d sweeps with KKT violation %.3g "
             "(tolerance %.3g); the duals are not converged",
-            max_sweeps, worst, tol,
+            MAX_SWEEPS, worst, tol,
         )
     return alpha
 

@@ -17,13 +17,14 @@ from tpbo.bench import (
     FUNCTIONS,
     INIT_SIZE,
     METHODS,
+    NOISE_VAR,
     BenchmarkSpec,
     RegretRecord,
-    _initial_design,
     make_flipped_aux,
     normalize_problem,
     run_benchmark,
     run_cell,
+    seeded_session,
     summarize,
     synthetic_two_device,
     tune_ard_loo,
@@ -220,11 +221,26 @@ class TestProtocol:
 
     def test_initial_design_shared_across_methods(self):
         problem = normalize_problem(FUNCTIONS["himmelblau"])
-        X1, y1 = _initial_design(problem, 1, seed=3, size=2)
-        X2, y2 = _initial_design(problem, 1, seed=3, size=2)
+
+        def design(seed, kernel, kind, session_seed):
+            obs = seeded_session(problem, 1, seed, kernel, kind, session_seed).gp.obs
+            return obs.points, obs.values
+
+        X1, y1 = design(3, SeKernel(1.0), "ei", 0)
+        X2, y2 = design(3, SeKernel(0.3), "ucb", 5)
         assert np.array_equal(X1, X2) and np.array_equal(y1, y2)
-        X3, _ = _initial_design(problem, 1, seed=4, size=2)
+        assert np.array_equal(y1, problem.objective(X1))
+        X3, _ = design(4, SeKernel(1.0), "ei", 0)
         assert not np.array_equal(X1, X3)
+
+    @pytest.mark.parametrize("kind", ["ei", "ucb"])
+    def test_seeded_session_follows_the_protocol(self, kind):
+        problem = normalize_problem(FUNCTIONS["ackley"])
+        session = seeded_session(problem, 2, 7, SeKernel(1.0), kind, 11)
+        assert session.gp.obs.size == INIT_SIZE and session.iteration == 0
+        assert session.gp.obs.noise_var == NOISE_VAR
+        assert (session.acquisition.kind, session.acquisition.delta) == (kind, 0.1)
+        assert (session.acquisition.dim, session.rng_seed) == (2, 11)
 
     def test_bitwise_reproducible(self, tmp_path):
         spec = tiny_spec(seeds=1, iterations=3)

@@ -803,6 +803,13 @@ class TestPersistence:
             new_session(SeKernel(1.0), spec, seed=0, noise_var=1e-6,
                         init_points=[[0.5, -0.5, -0.25, 0.75]], init_values=[0.1, 0.2])
 
+    def test_new_session_rejects_a_negative_seed(self):
+        # numpy's SeedSequence would reject it only at the first pick
+        spec = AcquisitionSpec(kind="ei", dim=2)
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            new_session(SeKernel(1.0), spec, seed=-1, noise_var=1e-6,
+                        init_points=(), init_values=())
+
     @pytest.mark.parametrize(
         "domain",
         [

@@ -1,5 +1,6 @@
 """End-to-end command-line tests; most drive main() in process."""
 
+import argparse
 import json
 import os
 import re
@@ -12,8 +13,11 @@ import numpy as np
 import pytest
 
 import tpbo.cli
-from tpbo.bench import FUNCTION_ORDER, FUNCTIONS, _initial_design, normalize_problem
+from tpbo.bench import FUNCTION_ORDER, FUNCTIONS, normalize_problem, seeded_session
+from tpbo.bo import load_session
 from tpbo.cli import _attach_x_value, build_parser, main
+from tpbo.gp import SeKernel
+from tpbo.pretrain import build_tuned, load_aux_model
 
 XOR_CSV = """x1,x2,y
 1.0,1.0,-1.0
@@ -217,6 +221,27 @@ class TestBenchCommand:
         assert f"{flag} {paths[flag]}" in captured.err
         assert not any(p.exists() for p in paths.values())
 
+    @pytest.mark.parametrize(
+        "functions, methods, repeated",
+        [("himmelblau,himmelblau", "ei", "function 'himmelblau'"),
+         ("ackley", "ei,tp-ei,ei", "method 'ei'")],
+    )
+    def test_repeated_name_exits_2_before_running(
+        self, tmp_path, capsys, monkeypatch, functions, methods, repeated
+    ):
+        # a repeated name would run its cells twice and halve the summary's IQR
+        calls = []
+        monkeypatch.setattr(tpbo.cli, "run_benchmark", lambda spec: calls.append(spec))
+        out = tmp_path / "r.csv"
+        code = main(["bench", "--functions", functions, "--methods", methods,
+                     "--seeds", "1", "--iters", "2", "--out", str(out)])
+        assert code == 2
+        assert calls == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {repeated} is given twice\n"
+        assert not out.exists()
+
     def test_unknown_method_exits_2(self, tmp_path, capsys):
         code = main([
             "bench", "--methods", "sgd", "--out", str(tmp_path / "r.csv"),
@@ -287,7 +312,9 @@ class TestOptimizeCommand:
         assert "t=" not in out
         # the best of the protocol's two seeded initial points
         problem = normalize_problem(FUNCTIONS["himmelblau"])
-        X0, y0 = _initial_design(problem, FUNCTION_ORDER.index("himmelblau"), 4, 2)
+        fn_idx = FUNCTION_ORDER.index("himmelblau")
+        obs = seeded_session(problem, fn_idx, 4, SeKernel(1.0), "ei", 4).gp.obs
+        X0, y0 = obs.points, obs.values
         best = int(np.argmax(y0))
         assert out.startswith("function: himmelblau\ninit_size: 2\n")
         x, y = X0[best].tolist(), float(y0[best])
@@ -430,9 +457,9 @@ class TestSuggestTell:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("iteration", 0.5), ("seed", 3.9),
+        [("iteration", 0.5), ("seed", 3.9), ("seed", -1),
          ("observations", {"points": [[-0.5, 0.25, 0.5, 0.0]], "values": [0.3, 0.1]})],
-        ids=["iteration-fraction", "seed-fraction", "wide-row"],
+        ids=["iteration-fraction", "seed-fraction", "seed-negative", "wide-row"],
     )
     def test_malformed_session_file_exits_2(self, small_model, tmp_path, capsys, field, value):
         session = tmp_path / "session.json"
@@ -479,22 +506,21 @@ class TestSuggestTell:
     def test_settings_fixed_at_creation(self, small_model, tmp_path, capsys):
         session = tmp_path / "session.json"
         base = ["--session", str(session), "--model", small_model]
-        created = ["--acq", "ucb", "--delta", "0.2", "--sigma2", "1e-05", "--seed", "9"]
+        created = ["--acq", "ucb", "--seed", "9"]
         assert main(["suggest"] + base + created) == 0
         first = capsys.readouterr()
         assert "ignoring" not in first.err
         payload = json.loads(session.read_text())
-        assert payload["acquisition"] == {"kind": "ucb", "delta": 0.2}
-        assert (payload["seed"], payload["noise_var"]) == (9, 1e-05)
+        # delta and noise are bench's, fixed for every session
+        assert payload["acquisition"] == {"kind": "ucb", "delta": 0.1}
+        assert (payload["seed"], payload["noise_var"]) == (9, 1e-06)
 
         # the stored settings win; each differing flag draws one warning
-        assert main(["suggest"] + base + ["--acq", "ei", "--delta", "0.2",
-                                          "--sigma2", "0.5", "--seed", "7"]) == 0
+        assert main(["suggest"] + base + ["--acq", "ei", "--seed", "7"]) == 0
         second = capsys.readouterr()
         assert second.out == first.out
         assert [ln for ln in second.err.splitlines() if "ignoring" in ln] == [
             "warning: ignoring --acq ei; the session uses ucb",
-            "warning: ignoring --sigma2 0.5; the session uses 1e-05",
             "warning: ignoring --seed 7; the session uses 9",
         ]
 
@@ -512,6 +538,66 @@ class TestSuggestTell:
             "warning: ignoring --seed 0; the session uses 9"
         ]
 
+
+    def test_stored_delta_and_noise_are_kept(self, small_model, tmp_path, capsys):
+        # a file written when --delta and --sigma2 still existed keeps its values
+        session = tmp_path / "session.json"
+        payload = {
+            "domain": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+            "iteration": 1,
+            "observations": {"points": [[-0.5, 0.25]], "values": [0.31]},
+            "pending": None,
+            "seed": 9,
+            "acquisition": {"kind": "ucb", "delta": 0.2},
+            "noise_var": 1e-05,
+        }
+        session.write_text(json.dumps(payload, indent=2) + "\n")
+        loaded = load_session(str(session), build_tuned(load_aux_model(small_model)))
+        assert (loaded.acquisition.delta, loaded.gp.obs.noise_var) == (0.2, 1e-05)
+
+        base = ["--session", str(session), "--model", small_model]
+        assert main(["suggest"] + base) == 0
+        assert main(["tell"] + base + ["--x=0.5,0.5", "--y", "0.4"]) == 0
+        assert "ignoring" not in capsys.readouterr().err
+        saved = json.loads(session.read_text())
+        assert saved["acquisition"] == {"kind": "ucb", "delta": 0.2}
+        assert (saved["seed"], saved["noise_var"]) == (9, 1e-05)
+        assert saved["observations"]["values"] == [0.31, 0.4]
+
+    @pytest.mark.parametrize("command", ["suggest", "tell"])
+    @pytest.mark.parametrize("flag, value", [("--delta", "0.2"), ("--sigma2", "1e-05")])
+    def test_protocol_flags_are_gone(self, small_model, tmp_path, capsys, command, flag, value):
+        # a session runs bench's protocol: noise 1e-6, delta 0.1
+        session = tmp_path / "session.json"
+        argv = [command, "--session", str(session), "--model", small_model, flag, value]
+        if command == "tell":
+            argv += ["--x=0.5,0.5", "--y", "0.4"]
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag} {value}" in captured.err
+        assert not session.exists()
+
+    @pytest.mark.parametrize("command", ["suggest", "tell"])
+    def test_missing_session_dir_exits_2_before_work(
+        self, small_model, tmp_path, capsys, caplog, monkeypatch, command
+    ):
+        calls = []
+        monkeypatch.setattr(tpbo.cli, "load_aux_model", lambda path: calls.append(path))
+        session = tmp_path / "absent" / "s.json"
+        argv = [command, "--session", str(session), "--model", small_model]
+        if command == "tell":
+            argv += ["--x=0.5,0.5", "--y", "0.4"]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert calls == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --session {session}: directory {session.parent} does not exist\n"
+        )
+        assert caplog.records == []
 
     def test_golden_sequence(self, readme_model, tmp_path, capsys):
         """Frozen ask/tell run through `suggest`, whose picks polish the
@@ -615,6 +701,45 @@ class TestParser:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"unrecognized arguments: {flag} {value}" in captured.err
+
+    @pytest.mark.parametrize("command", ["pretrain", "optimize", "suggest", "tell"])
+    def test_negative_seed_exits_2_naming_the_flag(self, small_model, tmp_path, capsys, command):
+        # numpy seeds its streams with non-negative integers only
+        out = tmp_path / "out.json"
+        argv = {
+            "pretrain": ["--aux-from-function", "himmelblau", "--out", str(out)],
+            "optimize": ["--model", small_model, "--function", "himmelblau", "--iters", "1"],
+            "suggest": ["--session", str(out), "--model", small_model],
+            "tell": ["--session", str(out), "--model", small_model, "--x=0.5,0.5", "--y", "0.4"],
+        }[command]
+        capsys.readouterr()
+        assert main([command] + argv + ["--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"tpbo {command}: error: argument --seed: "
+            "expected a non-negative integer, got '-1'\n"
+        )
+        assert not out.exists()
+
+    def test_option_inventory(self):
+        # every knob of every subcommand; adding or removing one edits this test
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        options = {
+            name: {opt for action in p._actions for opt in action.option_strings} - {"-h", "--help"}
+            for name, p in sub.choices.items()
+        }
+        session = {"--session", "--model", "--acq", "--seed"}
+        assert options == {
+            "pretrain": {"--aux", "--aux-from-function", "--task", "--kernel", "--degree",
+                         "--offset", "--nu-grid", "--lambda-grid", "--aux-size", "--seed",
+                         "--out"},
+            "bench": {"--functions", "--methods", "--seeds", "--iters", "--out", "--summary"},
+            "optimize": {"--model", "--function", "--iters", "--seed", "--acq"},
+            "suggest": session,
+            "tell": session | {"--x", "--y"},
+        }
 
     def test_readme_command_lines_parse(self):
         # a renamed or deleted flag must not leave the README's examples stale

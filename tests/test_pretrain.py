@@ -15,6 +15,7 @@ from tpbo import FreeKernelSpec, NumericalError, VanishingKernelError
 from tpbo.pretrain import (
     DEFAULT_LAMBDA_GRID,
     DEFAULT_NU_GRID,
+    MAX_SWEEPS,
     AuxDataset,
     HyperGrid,
     base_gram,
@@ -121,11 +122,16 @@ class TestHinge:
             train_hinge(np.eye(2), np.array([1.0, 0.5]), 1.0)
 
     def test_sweep_cap_warns(self, caplog):
+        # alternating labels on four points: of the default (nu, lambda) grid,
+        # only nu 0.3 with lambda 1e-4 leaves the fit unconverged at the cap
+        X = np.array([[-1.0], [-1.0 / 3.0], [1.0 / 3.0], [1.0]])
+        gram = base_gram(FreeKernelSpec(family="se", nu=0.3), X)
         with caplog.at_level(logging.WARNING, logger="tpbo.pretrain"):
-            train_hinge(XOR_GRAM, XOR_LABELS, 1.0, max_sweeps=1)
+            train_hinge(gram, np.array([1.0, -1.0, 1.0, -1.0]), 1e-4)
         assert len(caplog.records) == 1
         message = caplog.records[0].getMessage()
-        assert "after 1 sweeps" in message and "KKT violation 0.125" in message
+        assert MAX_SWEEPS == 10_000
+        assert f"after {MAX_SWEEPS} sweeps" in message and "(tolerance 1e-10)" in message
 
     def test_converged_fit_does_not_warn(self, caplog):
         with caplog.at_level(logging.WARNING, logger="tpbo.pretrain"):
