@@ -1,11 +1,13 @@
 """Benchmark harness for the transfer method against standard baselines.
 
-Six classic 2-D test functions are normalized to maximization problems on
-the unit box with values in [0, 1].  Auxiliary data is drawn from the
-flipped surface, so the transferred covariance has to survive auxiliary
-observations that rank the search space in exactly the wrong order.  A
-synthetic five-dimensional two-device pair mimics transfer between related
-physical instruments.
+Every benchmark objective is a `NormalizedProblem`: a cost on the box
+[-1, 1]^dim, turned into a maximization score in [0, 1] by one calibrated
+affine map.  Six classic 2-D test functions are calibrated on a native grid.
+Auxiliary data is drawn from the flipped surface, so the transferred
+covariance has to survive auxiliary observations that rank the search space
+in exactly the wrong order.  A synthetic five-dimensional two-device pair,
+a `NormalizedProblem` that also carries its own auxiliary set, mimics
+transfer between related physical instruments.
 """
 
 from __future__ import annotations
@@ -62,6 +64,16 @@ class TestFunction:
     def __call__(self, X: np.ndarray) -> np.ndarray:
         return self.fn(np.asarray(X, dtype=float))
 
+    def to_native(self, Z: np.ndarray) -> np.ndarray:
+        Z = np.asarray(Z, dtype=float)
+        center = 0.5 * (self.lo + self.hi)
+        half = 0.5 * (self.hi - self.lo)
+        return center + half * Z
+
+    def on_box(self, Z: np.ndarray) -> np.ndarray:
+        """The function at box points Z in [-1, 1]^2."""
+        return self(self.to_native(Z))
+
 
 def _holder_table(X):
     x, y = X[..., 0], X[..., 1]
@@ -112,27 +124,23 @@ FUNCTION_ORDER = tuple(FUNCTIONS)
 
 @dataclass(frozen=True)
 class NormalizedProblem:
-    """Maximization problem on [-1,1]^2 with range calibrated on a grid.
+    """Maximization problem on [-1, 1]^dim with its range calibrated on a sample.
 
-    The native minimizer becomes the maximizer of `objective`; values are
-    clamped into [0, 1] where off-grid points overshoot the calibration.
+    `cost` maps box points to the native values being minimized, and
+    [`neg_lo`, `neg_hi`] is the range of their negation on the calibration
+    sample.  The cost's minimizer becomes the maximizer of `objective`;
+    values are clamped into [0, 1] where points off the sample overshoot it.
     """
 
-    function: TestFunction
-    grid_resolution: int
+    cost: Callable[[np.ndarray], np.ndarray]
+    dim: int
     neg_lo: float
     neg_hi: float
-
-    def to_native(self, Z: np.ndarray) -> np.ndarray:
-        Z = np.asarray(Z, dtype=float)
-        center = 0.5 * (self.function.lo + self.function.hi)
-        half = 0.5 * (self.function.hi - self.function.lo)
-        return center + half * Z
 
     def objective(self, Z):
         Z = np.asarray(Z, dtype=float)
         scalar = Z.ndim == 1
-        neg = -self.function(self.to_native(np.atleast_2d(Z)))
+        neg = -self.cost(np.atleast_2d(Z))
         f = (neg - self.neg_lo) / (self.neg_hi - self.neg_lo)
         f = np.clip(f, 0.0, 1.0)
         return float(f[0]) if scalar else f
@@ -149,8 +157,8 @@ def normalize_problem(tf: TestFunction, grid_resolution: int = 101) -> Normalize
     gx, gy = np.meshgrid(axis, axis, indexing="ij")
     vals = -tf(np.stack([gx, gy], axis=-1))
     return NormalizedProblem(
-        function=tf,
-        grid_resolution=grid_resolution,
+        cost=tf.on_box,
+        dim=2,
         neg_lo=float(vals.min()),
         neg_hi=float(vals.max()),
     )
@@ -161,7 +169,7 @@ def make_flipped_aux(problem: NormalizedProblem, n: int = AUX_SIZE, seed=0) -> A
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = np.random.default_rng(seed)
-    X = rng.uniform(-1.0, 1.0, size=(n, 2))
+    X = rng.uniform(-1.0, 1.0, size=(n, problem.dim))
     return AuxDataset(inputs=X, targets=problem.aux_target(X), task="regression")
 
 
@@ -183,12 +191,14 @@ class BenchmarkSpec:
     refine_top: int = POLISH_STARTS
 
     def __post_init__(self) -> None:
-        for fn in self.functions:
-            if fn not in FUNCTIONS:
-                raise ValueError(f"unknown test function {fn!r}")
-        for method in self.methods:
-            if method not in METHODS:
-                raise ValueError(f"unknown method {method!r}")
+        # a repeated name would run its cells twice and count each seed twice in the summary
+        for what, names, valid in (("function", self.functions, FUNCTION_ORDER),
+                                   ("method", self.methods, METHODS)):
+            for i, name in enumerate(names):
+                if name not in valid:
+                    raise ValueError(f"unknown {what} {name!r}; valid: {', '.join(valid)}")
+                if name in names[:i]:
+                    raise ValueError(f"{what} {name!r} is given twice")
         if not self.functions or not self.methods:
             raise ValueError("functions and methods must be nonempty")
         if self.seeds < 1 or self.iterations < 1:
@@ -217,9 +227,9 @@ def seeded_session(
     """The protocol's session: `INIT_SIZE` points from the (`fn_idx`, `seed`)
     stream, which every method shares, noise `NOISE_VAR` and the default delta."""
     rng = np.random.default_rng(np.random.SeedSequence([fn_idx, seed, _TAG_INIT]))
-    X0 = rng.uniform(-1.0, 1.0, size=(INIT_SIZE, 2))
+    X0 = rng.uniform(-1.0, 1.0, size=(INIT_SIZE, problem.dim))
     return new_session(
-        kernel, AcquisitionSpec(kind=kind, dim=2), seed=session_seed,
+        kernel, AcquisitionSpec(kind=kind, dim=problem.dim), seed=session_seed,
         noise_var=NOISE_VAR, init_points=X0, init_values=problem.objective(X0),
     )
 
@@ -411,37 +421,17 @@ class _CosineFeatures:
         waves = self.amplitudes * np.cos(self.omegas * proj + self.phases)
         return 500.0 + np.sum(waves, axis=-1)
 
-
-@dataclass(frozen=True)
-class _SquaredLoss:
-    """Normalized closeness-to-target score for one device; higher is better."""
-
-    device: _CosineFeatures
-    neg_lo: float
-    neg_hi: float
-
-    def raw(self, X: np.ndarray) -> np.ndarray:
-        return (self.device(X) - 500.0) ** 2
-
-    def __call__(self, X):
-        X = np.asarray(X, dtype=float)
-        scalar = X.ndim == 1
-        f = (-self.raw(np.atleast_2d(X)) - self.neg_lo) / (self.neg_hi - self.neg_lo)
-        f = np.clip(f, 0.0, 1.0)
-        return float(f[0]) if scalar else f
+    def squared_deviation(self, X: np.ndarray) -> np.ndarray:
+        return (self(X) - 500.0) ** 2
 
 
 @dataclass(frozen=True)
-class TwoDeviceProblem:
-    """A pair of related 5-D instruments sharing their dominant features."""
+class TwoDeviceProblem(NormalizedProblem):
+    """Device B of a related 5-D pair; `aux` holds device A's observations."""
 
-    objective: _SquaredLoss
     aux: AuxDataset
     device_a: _CosineFeatures
     device_b: _CosineFeatures
-    directions: np.ndarray
-    amp_a: np.ndarray
-    amp_b: np.ndarray
 
 
 def synthetic_two_device(seed: int = 0) -> TwoDeviceProblem:
@@ -464,21 +454,19 @@ def synthetic_two_device(seed: int = 0) -> TwoDeviceProblem:
     device_a = _CosineFeatures(directions, amp_a, omegas, phases)
     device_b = _CosineFeatures(directions, amp_b, omegas, phases)
 
-    calib = rng.uniform(-1.0, 1.0, size=(4096, 5))
-    neg = -((device_b(calib) - 500.0) ** 2)
-    objective = _SquaredLoss(device_b, float(neg.min()), float(neg.max()))
+    neg = -device_b.squared_deviation(rng.uniform(-1.0, 1.0, size=(4096, 5)))
 
     aux_x = rng.uniform(-1.0, 1.0, size=(162, 5))
-    aux_raw = (device_a(aux_x) - 500.0) ** 2
+    aux_raw = device_a.squared_deviation(aux_x)
     span = aux_raw.max() - aux_raw.min()
     aux_y = (aux_raw - aux_raw.min()) / span if span > 0 else np.zeros_like(aux_raw)
 
     return TwoDeviceProblem(
-        objective=objective,
+        cost=device_b.squared_deviation,
+        dim=5,
+        neg_lo=float(neg.min()),
+        neg_hi=float(neg.max()),
         aux=AuxDataset(inputs=aux_x, targets=aux_y, task="regression"),
         device_a=device_a,
         device_b=device_b,
-        directions=directions,
-        amp_a=amp_a,
-        amp_b=amp_b,
     )

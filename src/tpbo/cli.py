@@ -59,6 +59,11 @@ from .pretrain import (
 
 KERNEL_ALIASES = {"poly": "polynomial", "exp": "exponential", "sinh": "hyperbolic-sine"}
 
+# The flags that name files; `_check_outputs` keeps each output apart from
+# the others and from every input.
+INPUT_FLAGS = ("aux", "model")
+OUTPUT_FLAGS = ("out", "summary", "session")
+
 # Settings `suggest`/`tell` fix when they create a session file; a later
 # value that differs from the stored one is ignored with a warning.
 SESSION_DEFAULTS = {"acq": "ei", "seed": 0}
@@ -74,17 +79,11 @@ def _parse_float_list(text: str, flag: str) -> tuple:
     return values
 
 
-def _resolve_names(text: str, valid: tuple, what: str) -> tuple:
-    """The comma-separated names in `text`, each one of `valid`; ``all`` is every one."""
+def _resolve_names(text: str, valid: tuple) -> tuple:
+    """The comma-separated names in `text`; ``all`` is every one of `valid`."""
     if text == "all":
         return valid
-    names = tuple(tok.strip() for tok in text.split(",") if tok.strip())
-    for i, name in enumerate(names):
-        if name not in valid:
-            raise ValueError(f"unknown {what} {name!r}; valid: {', '.join(valid)}")
-        if name in names[:i]:
-            raise ValueError(f"{what} {name!r} is given twice")
-    return names
+    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
 
 def _seed(text: str) -> int:
@@ -94,15 +93,28 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _require_out_dir(path: str, flag: str) -> None:
-    """Fail before any work when `path`'s directory does not exist."""
-    parent = os.path.dirname(os.path.abspath(path))
-    if not os.path.isdir(parent):
-        raise ValueError(f"{flag} {path}: directory {parent} does not exist")
+def _check_outputs(args) -> None:
+    """Fail before any work when an output path of the command cannot be written.
+
+    Each output's directory must exist, the output must not be a directory,
+    and it must not name the same file as another path flag of the command:
+    writing it would destroy that input or the other output.
+    """
+    flags = INPUT_FLAGS + OUTPUT_FLAGS
+    given = {f: getattr(args, f) for f in flags if getattr(args, f, None)}
+    real = {flag: os.path.realpath(path) for flag, path in given.items()}
+    for flag in (f for f in OUTPUT_FLAGS if f in given):
+        path, parent = given[flag], os.path.dirname(os.path.abspath(given[flag]))
+        if not os.path.isdir(parent):
+            raise ValueError(f"--{flag} {path}: directory {parent} does not exist")
+        if os.path.isdir(path):
+            raise ValueError(f"--{flag} {path} is a directory")
+        for other in given:
+            if other != flag and real[other] == real[flag]:
+                raise ValueError(f"--{flag} and --{other} name the same file {path}")
 
 
 def cmd_pretrain(args) -> int:
-    _require_out_dir(args.out, "--out")
     family = KERNEL_ALIASES.get(args.kernel, args.kernel)
     if family not in FAMILIES:
         raise ValueError(
@@ -133,14 +145,11 @@ def cmd_pretrain(args) -> int:
 
 def cmd_bench(args) -> int:
     spec = BenchmarkSpec(
-        functions=_resolve_names(args.functions, FUNCTION_ORDER, "function"),
-        methods=_resolve_names(args.methods, METHODS, "method"),
+        functions=_resolve_names(args.functions, FUNCTION_ORDER),
+        methods=_resolve_names(args.methods, METHODS),
         seeds=args.seeds,
         iterations=args.iters,
     )
-    _require_out_dir(args.out, "--out")
-    if args.summary is not None:
-        _require_out_dir(args.summary, "--summary")
     records = run_benchmark(spec)
     write_results(records, args.out)
     print(f"init_size: {INIT_SIZE}")
@@ -156,13 +165,11 @@ def cmd_optimize(args) -> int:
         raise ValueError(f"--iters must be >= 0, got {args.iters}")
     model = load_aux_model(args.model)
     kernel = build_tuned(model)
-    if args.function not in FUNCTIONS:
-        raise ValueError(
-            f"unknown function {args.function!r}; valid: {', '.join(FUNCTION_ORDER)}"
-        )
-    if kernel.input_dim != 2:
-        raise ValueError("built-in functions are 2-D; the model dimension differs")
     problem = normalize_problem(FUNCTIONS[args.function])
+    if kernel.input_dim != problem.dim:
+        raise ValueError(
+            f"the model is {kernel.input_dim}-D but {args.function} is {problem.dim}-D"
+        )
     fn_idx = FUNCTION_ORDER.index(args.function)
     session = seeded_session(problem, fn_idx, args.seed, kernel, args.acq, args.seed)
     print(f"function: {args.function}")
@@ -185,7 +192,6 @@ def _session_for(args) -> BoSession:
     its file.  A loaded session whose dimension differs from the model's is
     an error.
     """
-    _require_out_dir(args.session, "--session")
     model = load_aux_model(args.model)
     kernel = build_tuned(model)
     try:
@@ -279,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="optimize a built-in function")
     p.add_argument("--model", required=True)
-    p.add_argument("--function", required=True)
+    p.add_argument("--function", required=True, choices=FUNCTION_ORDER)
     p.add_argument("--iters", type=int, default=40)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--acq", choices=("ei", "ucb"), default="ei")
@@ -326,6 +332,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:  # argparse reports its own message
         return int(exc.code) if exc.code else 0
     try:
+        _check_outputs(args)
         return args.func(args)
     except VanishingKernelError as exc:
         print(f"error: degenerate model: {exc}", file=sys.stderr)

@@ -73,7 +73,7 @@ class TestNormalization:
     def test_grid_attains_both_ends(self):
         for name in ("himmelblau", "eggholder", "styblinski_tang"):
             problem = normalize_problem(FUNCTIONS[name])
-            axis = np.linspace(-1.0, 1.0, problem.grid_resolution)
+            axis = np.linspace(-1.0, 1.0, 101)
             gx, gy = np.meshgrid(axis, axis, indexing="ij")
             f = problem.objective(np.stack([gx, gy], axis=-1).reshape(-1, 2))
             assert f.min() == 0.0
@@ -84,8 +84,7 @@ class TestNormalization:
             normalize_problem(FUNCTIONS["ackley"], grid_resolution=41)
 
     def test_native_map_covers_domain(self):
-        problem = normalize_problem(FUNCTIONS["eggholder"])
-        corners = problem.to_native(np.array([[-1.0, -1.0], [1.0, 1.0]]))
+        corners = FUNCTIONS["eggholder"].to_native(np.array([[-1.0, -1.0], [1.0, 1.0]]))
         assert corners[0].tolist() == [-512.0, -512.0]
         assert corners[1].tolist() == [512.0, 512.0]
 
@@ -408,6 +407,20 @@ class TestProtocol:
             BenchmarkSpec(refine_top=0)
 
     @pytest.mark.parametrize(
+        "functions, methods, message",
+        [(("himmelblau", "himmelblau"), ("ei",), "function 'himmelblau' is given twice"),
+         (("ackley",), ("ei", "tp-ei", "ei"), "method 'ei' is given twice"),
+         (("easom",), ("ei",), "unknown function 'easom'; valid: " + ", ".join(FUNCTION_ORDER)),
+         (("ackley",), ("sgd",), "unknown method 'sgd'; valid: " + ", ".join(METHODS))],
+        ids=["repeated-function", "repeated-method", "unknown-function", "unknown-method"],
+    )
+    def test_spec_owns_the_name_rules(self, functions, methods, message):
+        # a repeated name would run its cells twice and count each seed twice in the summary
+        with pytest.raises(ValueError) as info:
+            BenchmarkSpec(functions=functions, methods=methods, seeds=2, iterations=1)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
         "field", ["aux_size", "init_size", "sigma2", "delta", "nu_grid", "lambda_grid"]
     )
     def test_protocol_is_not_a_field(self, field):
@@ -540,7 +553,7 @@ class TestTwoDevice:
         assert prob.aux.inputs.shape == (162, 5)
         assert prob.aux.task == "regression"
         assert np.all(prob.aux.targets >= 0.0) and np.all(prob.aux.targets <= 1.0)
-        assert np.allclose(np.linalg.norm(prob.directions, axis=1), 1.0)
+        assert np.allclose(np.linalg.norm(prob.device_a.directions, axis=1), 1.0)
 
     def test_devices_differ_but_share_top_feature(self):
         prob = synthetic_two_device(seed=1)
@@ -548,14 +561,15 @@ class TestTwoDevice:
         X = rng.uniform(-1, 1, (100, 5))
         gap = np.max(np.abs(prob.device_a(X) - prob.device_b(X)))
         assert gap > 0.0
-        assert int(np.argmax(prob.amp_a)) == int(np.argmax(prob.amp_b))
-        assert np.max(np.abs(prob.amp_b / prob.amp_a - 1.0)) <= 0.25
+        amp_a, amp_b = prob.device_a.amplitudes, prob.device_b.amplitudes
+        assert int(np.argmax(amp_a)) == int(np.argmax(amp_b))
+        assert np.max(np.abs(amp_b / amp_a - 1.0)) <= 0.25
 
     def test_raw_objective_nonnegative(self):
         prob = synthetic_two_device(seed=2)
         rng = np.random.default_rng(5)
         X = rng.uniform(-1, 1, (50, 5))
-        assert np.all(prob.objective.raw(X) >= 0.0)
+        assert np.all(prob.cost(X) >= 0.0)
         f = prob.objective(X)
         assert np.all(f >= 0.0) and np.all(f <= 1.0)
 
@@ -564,4 +578,27 @@ class TestTwoDevice:
         b = synthetic_two_device(seed=3)
         assert np.array_equal(a.aux.inputs, b.aux.inputs)
         assert np.array_equal(a.aux.targets, b.aux.targets)
-        assert np.array_equal(a.amp_b, b.amp_b)
+        assert np.array_equal(a.device_b.amplitudes, b.device_b.amplitudes)
+
+    def test_golden_objective_and_aux(self):
+        # recorded before the pair became a NormalizedProblem; any moved bit fails
+        prob = synthetic_two_device(seed=0)
+        points = np.array([[0.0] * 5, [0.5, -0.25, 0.75, -1.0, 0.1],
+                           [-0.9, 0.3, 0.2, 0.6, -0.4]])
+        assert prob.objective(points).tolist() == [
+            0.9175733321979492, 0.48082078956157664, 0.9822194195748917,
+        ]
+        assert prob.objective(points[1]) == 0.48082078956157664
+        assert prob.aux.targets[:3].tolist() == [
+            0.04678838598911658, 0.013219904164866476, 0.29524863352865843,
+        ]
+
+    def test_protocol_reads_the_dimension(self):
+        prob = synthetic_two_device(seed=0)
+        assert prob.dim == 5
+        aux = make_flipped_aux(prob, 7, seed=1)
+        assert aux.inputs.shape == (7, 5)
+        assert np.array_equal(aux.targets, 1.0 - prob.objective(aux.inputs))
+        session = seeded_session(prob, 0, 3, SeKernel(1.0), "ei", 0)
+        assert session.gp.obs.points.shape == (INIT_SIZE, 5)
+        assert session.acquisition.dim == 5

@@ -261,6 +261,18 @@ def small_model(tmp_path):
     return path
 
 
+@pytest.fixture()
+def model3(tmp_path):
+    """A model trained on 3-D auxiliary data."""
+    csv = tmp_path / "aux3.csv"
+    rng = np.random.default_rng(4)
+    rows = [",".join(repr(float(v)) for v in row) for row in rng.uniform(-1, 1, (10, 4))]
+    csv.write_text("x1,x2,x3,y\n" + "\n".join(rows) + "\n")
+    model3 = str(tmp_path / "model3.json")
+    assert main(["pretrain", "--aux", str(csv), "--out", model3]) == 0
+    return model3
+
+
 class TestOptimizeCommand:
     def test_smoke(self, small_model, capsys):
         code = main([
@@ -278,6 +290,17 @@ class TestOptimizeCommand:
             "optimize", "--model", small_model, "--function", "branin",
         ])
         assert code == 2
+
+    def test_model_of_another_dimension_exits_2(self, model3, capsys, monkeypatch):
+        picks = []
+        monkeypatch.setattr(tpbo.cli, "bo_step", lambda *a, **k: picks.append(a))
+        capsys.readouterr()
+        code = main(["optimize", "--model", model3, "--function", "himmelblau", "--iters", "2"])
+        assert code == 2
+        assert picks == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the model is 3-D but himmelblau is 2-D\n"
 
     def test_negative_iters_exit_2(self, small_model, capsys):
         code = main([
@@ -475,13 +498,7 @@ class TestSuggestTell:
             assert code == 2
             assert "malformed session file" in capsys.readouterr().err
 
-    def test_model_of_another_dimension_exits_2(self, small_model, tmp_path, capsys):
-        csv = tmp_path / "aux3.csv"
-        rng = np.random.default_rng(4)
-        rows = [",".join(repr(float(v)) for v in row) for row in rng.uniform(-1, 1, (10, 4))]
-        csv.write_text("x1,x2,x3,y\n" + "\n".join(rows) + "\n")
-        model3 = str(tmp_path / "model3.json")
-        assert main(["pretrain", "--aux", str(csv), "--out", model3]) == 0
+    def test_model_of_another_dimension_exits_2(self, small_model, model3, tmp_path, capsys):
         session = tmp_path / "session.json"
 
         def rejected(command, *flags):
@@ -721,6 +738,49 @@ class TestParser:
             "expected a non-negative integer, got '-1'\n"
         )
         assert not out.exists()
+
+    def test_every_output_flag_is_checked_before_work(self, tmp_path, capsys, monkeypatch):
+        # An output that is a directory, or that names the same file as another
+        # path flag, is rejected before the command runs; the other file keeps
+        # its bytes.  Every command's output flags join this walk.
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        extra = {"tell": ["--x=0.5,0.5", "--y", "0.4"]}
+        ran = []
+        for name in sub.choices:
+            monkeypatch.setattr(tpbo.cli, f"cmd_{name}", lambda args: ran.append(args) or 0)
+        outputs = [(name, a.dest) for name, p in sub.choices.items()
+                   for a in p._actions if a.dest in tpbo.cli.OUTPUT_FLAGS]
+        assert outputs == [("pretrain", "out"), ("bench", "out"), ("bench", "summary"),
+                           ("suggest", "session"), ("tell", "session")]
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        for name, flag in outputs:
+            flags = [a.dest for a in sub.choices[name]._actions
+                     if a.dest in tpbo.cli.INPUT_FLAGS + tpbo.cli.OUTPUT_FLAGS]
+            paths = {f: tmp_path / f"{f}.file" for f in flags}
+            for path in paths.values():
+                path.write_text(f"contents of {path.name}\n")
+
+            def run(paths):
+                argv = [name] + extra.get(name, [])
+                for f, path in paths.items():
+                    argv += [f"--{f}", str(path)]
+                return main(argv)
+
+            assert run(paths) == 0 and len(ran) == 1, (name, capsys.readouterr().err)
+            ran.clear()
+            cases = [({**paths, flag: folder}, [flag])]
+            cases += [({**paths, flag: paths[other]}, [flag, other])
+                      for other in flags if other != flag]
+            for given, named in cases:
+                assert run(given) == 2, (name, named)
+                assert ran == []
+                err = capsys.readouterr().err
+                assert err.count("\n") == 1 and err.startswith("error: ")
+                assert all(f"--{f}" in err for f in named), err
+                for path in paths.values():
+                    assert path.read_text() == f"contents of {path.name}\n"
 
     def test_option_inventory(self):
         # every knob of every subcommand; adding or removing one edits this test
