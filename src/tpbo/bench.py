@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _accel, _blas
 from .bo import POLISH_STARTS, AcquisitionSpec, BoSession, bo_step, new_session
-from .errors import VanishingKernelError
+from .errors import VanishingKernelError, _write_text
 from .gp import ArdSeKernel, GpPosterior, SeKernel
 from .mkernel import FreeKernelSpec
 from .pretrain import (
@@ -377,12 +377,11 @@ def run_benchmark(spec: BenchmarkSpec) -> List[RegretRecord]:
 
 
 def write_results(records: Iterable[RegretRecord], path: str) -> None:
-    """Row-per-iteration CSV; float text is the shortest exact form."""
+    """Row-per-iteration CSV, replaced atomically; float text is the shortest exact form."""
     lines = ["method,function,seed,iteration,best_value"]
     for r in sorted(records, key=lambda r: (r.method, r.function, r.seed, r.iteration)):
         lines.append(f"{r.method},{r.function},{r.seed},{r.iteration},{r.best_value!r}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def summarize(records: Iterable[RegretRecord]):
@@ -402,8 +401,7 @@ def write_summary(records: Iterable[RegretRecord], path: str) -> None:
     lines = ["method,function,iteration,median,iqr"]
     for method, function, iteration, median, iqr in summarize(records):
         lines.append(f"{method},{function},{iteration},{median!r},{iqr!r}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 @dataclass(frozen=True)

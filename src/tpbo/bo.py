@@ -32,7 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _blas
-from .errors import _json_int, _write_json
+from .errors import _json_int, _write_text
 from .gp import GpPosterior
 
 logger = logging.getLogger(__name__)
@@ -60,11 +60,6 @@ class AcquisitionSpec:
             raise ValueError("dim must be a positive integer")
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must lie strictly inside (0, 1)")
-
-
-def _in_unit_box(x: np.ndarray) -> bool:
-    """True when every coordinate lies in [-1, 1]; NaN and inf fail."""
-    return bool(np.all(np.abs(x) <= 1.0))
 
 
 def beta_t(t: int, dim: int, delta: float) -> float:
@@ -115,9 +110,9 @@ def _ei_terms(mean: np.ndarray, sd: np.ndarray, y_plus: float):
 class BoSession:
     """Mutable state of one optimization run; single-writer.
 
-    Build one with `new_session`.  Points live in the box [-1, 1]^n, with
-    n = `acquisition.dim`.  `iteration` counts the observations recorded
-    through `tell`.
+    Build one with `new_session` or `load_session`.  Its points, observed or
+    pending, passed `_point_rows`: n = `acquisition.dim` finite coordinates
+    in the box [-1, 1]^n.  `iteration` counts the observations from `tell`.
     """
 
     gp: GpPosterior
@@ -148,22 +143,31 @@ def new_session(
     init_points,
     init_values,
 ) -> BoSession:
-    """Start a session from an initial design (which may be empty)."""
+    """Start a session from an initial design, which may be empty; a design
+    point that `_point_rows` rejects, such as one outside [-1, 1]^n, is a
+    `ValueError`."""
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    init_points = _point_rows(init_points, acquisition.dim)
+    init_points = _point_rows(init_points, acquisition.dim, "observation points")
     init_values = np.asarray(init_values, dtype=float).reshape(-1)
     gp = GpPosterior.from_data(kernel, init_points, init_values, noise_var)
     return BoSession(gp=gp, acquisition=acquisition, rng_seed=int(seed))
 
 
-def _point_rows(points, dim: int) -> np.ndarray:
-    """Observation points as an (m, dim) array; rows of another width are an error."""
+def _point_rows(points, dim: int, label: str) -> np.ndarray:
+    """The one rule for session points: rows of `dim` finite coordinates in
+    [-1, 1]^n, the box the prior's inputs were rescaled to, as an (m, dim)
+    array.  Anything else, such as a point outside the box (never clipped
+    into it), is a `ValueError` whose message starts with `label`."""
     points = np.asarray(points, dtype=float)
     if points.size == 0:
         return points.reshape(0, dim)
     if points.ndim != 2 or points.shape[1] != dim:
-        raise ValueError(f"observation points of shape {points.shape} are not rows of {dim}")
+        raise ValueError(f"{label}: shape {points.shape} is not rows of {dim}")
+    if not np.all(np.isfinite(points)):
+        raise ValueError(f"{label}: coordinates must be finite")
+    if not np.all(np.abs(points) <= 1.0):
+        raise ValueError(f"{label}: outside the box [-1, 1]^n")
     return points
 
 
@@ -291,21 +295,12 @@ def ask(session: BoSession, refine_top: int = POLISH_STARTS) -> np.ndarray:
 def tell(session: BoSession, x, y: float) -> BoSession:
     """Record an observation and advance the iteration counter.
 
-    Points that were never suggested (or differ from the pending
-    suggestion) are accepted as external data but logged, since the
+    `x` must pass `_point_rows` and `y` must be finite.  Points that were
+    never suggested (or differ from the pending suggestion) are accepted as external data but logged, since the
     surrogate they were chosen under is unknown.  Any pending suggestion
     is cleared: new data invalidates it.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != session.acquisition.dim:
-        raise ValueError(
-            f"point has dimension {x.shape[0]}, session expects "
-            f"{session.acquisition.dim}"
-        )
-    if not np.all(np.isfinite(x)):
-        raise ValueError("point coordinates must be finite")
-    if not _in_unit_box(x):
-        raise ValueError("point lies outside the box [-1, 1]^n")
+    x = _point_rows([x], session.acquisition.dim, "point")[0]
     y = float(y)
     if not math.isfinite(y):
         raise ValueError("observed value must be finite")
@@ -348,14 +343,16 @@ def save_session(session: BoSession, path: str) -> None:
         },
         "noise_var": obs.noise_var,
     }
-    _write_json(path, payload)
+    _write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
 def load_session(path: str, kernel) -> BoSession:
     """Rebuild a session from its JSON file; the kernel is supplied by the caller.
 
-    Any defect of the file is a `ValueError` that starts with
-    ``malformed session file``; a missing file raises `FileNotFoundError`.
+    Its observations and pending point must pass `_point_rows`, as a design
+    point and a told point must.  Any defect of the file is a `ValueError`
+    that starts with ``malformed session file``; a missing file raises
+    `FileNotFoundError`.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -366,30 +363,23 @@ def load_session(path: str, kernel) -> BoSession:
         if domain != {"lo": [-1.0] * dim, "hi": [1.0] * dim}:
             raise ValueError("the domain is not the box [-1, 1]^n")
         iteration = _json_int(payload["iteration"], "iteration")
-        points = _point_rows(payload["observations"]["points"], dim)
         values = np.asarray(payload["observations"]["values"], dtype=float)
-        if values.shape != points.shape[:1]:
-            raise ValueError("observation arrays disagree")
-        if iteration < 0 or iteration > points.shape[0]:
-            raise ValueError("iteration exceeds observations")
         acquisition = payload["acquisition"]
         session = new_session(
             kernel,
             AcquisitionSpec(kind=acquisition["kind"], dim=dim, delta=float(acquisition["delta"])),
             _json_int(payload["seed"], "seed"),
             float(payload["noise_var"]),
-            points,
+            payload["observations"]["points"],
             values,
         )
+        if values.shape != (session.gp.obs.size,):
+            raise ValueError("observation arrays disagree")
+        if iteration < 0 or iteration > session.gp.obs.size:
+            raise ValueError("iteration exceeds observations")
         session.iteration = iteration
-        pending = payload["pending"]
-        if pending is not None:
-            pend = np.asarray(pending, dtype=float)
-            if pend.shape != (dim,):
-                raise ValueError("pending point dimension")
-            if not _in_unit_box(pend):
-                raise ValueError("pending point lies outside the box [-1, 1]^n")
-            session.pending = pend
+        if payload["pending"] is not None:
+            session.pending = _point_rows([payload["pending"]], dim, "pending point")[0]
     except KeyError as exc:
         raise ValueError(f"malformed session file: missing {exc}") from exc
     except (TypeError, ValueError) as exc:

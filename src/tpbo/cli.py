@@ -35,6 +35,7 @@ from .bench import (
     write_summary,
 )
 from .bo import (
+    ACQUISITION_KINDS,
     AcquisitionSpec,
     BoSession,
     ask,
@@ -49,6 +50,7 @@ from .mkernel import FAMILIES, FreeKernelSpec
 from .pretrain import (
     DEFAULT_LAMBDA_GRID,
     DEFAULT_NU_GRID,
+    TASKS,
     HyperGrid,
     build_tuned,
     load_aux_csv,
@@ -96,15 +98,18 @@ def _seed(text: str) -> int:
 def _check_outputs(args) -> None:
     """Fail before any work when an output path of the command cannot be written.
 
-    Each output's directory must exist, the output must not be a directory,
-    and it must not name the same file as another path flag of the command:
-    writing it would destroy that input or the other output.
+    An output path must not be empty, its directory must exist, the output
+    must not be a directory, and it must not name the same file as another
+    path flag of the command: writing it would destroy that input or the
+    other output.
     """
     flags = INPUT_FLAGS + OUTPUT_FLAGS
-    given = {f: getattr(args, f) for f in flags if getattr(args, f, None)}
+    given = {f: getattr(args, f) for f in flags if getattr(args, f, None) is not None}
     real = {flag: os.path.realpath(path) for flag, path in given.items()}
     for flag in (f for f in OUTPUT_FLAGS if f in given):
         path, parent = given[flag], os.path.dirname(os.path.abspath(given[flag]))
+        if not path:
+            raise ValueError(f"--{flag} is an empty path")
         if not os.path.isdir(parent):
             raise ValueError(f"--{flag} {path}: directory {parent} does not exist")
         if os.path.isdir(path):
@@ -239,7 +244,7 @@ def cmd_tell(args) -> int:
 
 def _add_session_flags(p: argparse.ArgumentParser) -> None:
     # None means "not given": see SESSION_DEFAULTS and _session_for
-    p.add_argument("--acq", choices=("ei", "ucb"))
+    p.add_argument("--acq", choices=ACQUISITION_KINDS)
     p.add_argument("--seed", type=_seed)
 
 
@@ -260,12 +265,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices=FUNCTION_ORDER,
         help="draw flipped auxiliary data from a built-in test function",
     )
-    p.add_argument("--task", choices=("regression", "classification"),
-                   default="regression")
+    p.add_argument("--task", choices=TASKS, default="regression")
     p.add_argument("--kernel", default="se",
                    help="kernel family (aliases: poly, exp, sinh)")
-    p.add_argument("--degree", type=int, default=2)
-    p.add_argument("--offset", type=float, default=0.0)
+    p.add_argument("--degree", type=int, default=FreeKernelSpec.degree)
+    p.add_argument("--offset", type=float, default=FreeKernelSpec.offset)
     p.add_argument("--nu-grid", default=",".join(str(v) for v in DEFAULT_NU_GRID))
     p.add_argument("--lambda-grid",
                    default=",".join(str(v) for v in DEFAULT_LAMBDA_GRID))
@@ -277,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run the benchmark protocol")
     p.add_argument("--functions", default="all")
     p.add_argument("--methods", default="all")
-    p.add_argument("--seeds", type=int, default=10)
-    p.add_argument("--iters", type=int, default=40)
+    p.add_argument("--seeds", type=int, default=BenchmarkSpec.seeds)
+    p.add_argument("--iters", type=int, default=BenchmarkSpec.iterations)
     p.add_argument("--out", required=True, help="results CSV path")
     p.add_argument("--summary", help="optional summary CSV path")
     p.set_defaults(func=cmd_bench)
@@ -286,9 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="optimize a built-in function")
     p.add_argument("--model", required=True)
     p.add_argument("--function", required=True, choices=FUNCTION_ORDER)
-    p.add_argument("--iters", type=int, default=40)
+    p.add_argument("--iters", type=int, default=BenchmarkSpec.iterations)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--acq", choices=("ei", "ucb"), default="ei")
+    p.add_argument("--acq", choices=ACQUISITION_KINDS, default="ei")
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("suggest", help="propose the next experiment")

@@ -1,7 +1,7 @@
 """Exception types shared across the package, the file readers' integer
-check, and the one writer of session and model files."""
+check, and `_write_text`, the one writer of every output file: session and
+model JSON and the `bench` results and summary CSVs."""
 
-import json
 import os
 
 
@@ -35,18 +35,18 @@ def _json_int(value, name: str) -> int:
     return int(value)
 
 
-def _write_json(path, payload) -> None:
-    """Write `payload` as indented JSON to `path`, replacing it atomically.
+def _write_text(path, text: str) -> None:
+    """Write `text` to `path` as UTF-8, replacing it atomically.
 
     The text goes to ``path + ".tmp"`` first and replaces `path` only once it
-    is complete, so a dump that fails partway leaves an existing file as it
-    was; the partial temporary file is removed.
+    is complete, so a write that fails partway leaves an existing file as it
+    was; the partial temporary file is removed.  Line endings are written as
+    given.
     """
     tmp = os.fspath(path) + ".tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -21,7 +21,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import _accel
-from .errors import VanishingKernelError, _json_int, _write_json
+from .errors import VanishingKernelError, _json_int, _write_text
 from .gp import cholesky_factor, cholesky_solve, indefinite_error, require_finite
 from .mkernel import VANISH_TOL, FreeKernelSpec, TunedKernel
 
@@ -109,7 +109,9 @@ class HyperGrid:
 
 @dataclass(frozen=True)
 class Normalization:
-    """Affine maps applied at ingestion: targets to [0, 1], inputs to [-1, 1]."""
+    """Affine maps of the auxiliary data: `load_aux_csv` maps inputs from
+    [x_lo, x_hi] to [-1, 1] at ingestion, and `_normalize_targets` maps
+    regression targets from [y_min, y_max] to [0, 1] inside `pretrain`."""
 
     y_min: float
     y_max: float
@@ -381,7 +383,7 @@ def save_aux_model(model: AuxModel, path) -> None:
         "loo_error": model.loo_error,
         "input_dim": model.input_dim,
     }
-    _write_json(path, doc)
+    _write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
 def load_aux_model(path) -> AuxModel:

@@ -144,8 +144,16 @@ class TestSpecsAndBox:
             AcquisitionSpec(kind="ei", dim=2, delta=1.0)
 
     def test_box_membership_and_clip(self):
-        assert tpbo.bo._in_unit_box(np.array([1.0, -1.0]))
-        assert not tpbo.bo._in_unit_box(np.array([1.0 + 1e-9, 0.0]))
+        # the box's edge is inside it and a point just past it is not, for a
+        # told point and an initial design point alike
+        spec = AcquisitionSpec(kind="ei", dim=2)
+        edge, past = [1.0, -1.0], [1.0 + 1e-9, 0.0]
+        assert tell(small_session(), edge, 0.0).gp.obs.size == 3
+        assert new_session(SeKernel(1.0), spec, 0, 1e-6, [edge], [0.0]).gp.obs.size == 1
+        with pytest.raises(ValueError, match=r"outside the box \[-1, 1\]\^n"):
+            tell(small_session(), past, 0.0)
+        with pytest.raises(ValueError, match=r"outside the box \[-1, 1\]\^n"):
+            new_session(SeKernel(1.0), spec, 0, 1e-6, [past], [0.0])
         # a point outside the box is rejected by tell, never clipped into it
         s = small_session()
         with pytest.raises(ValueError, match=r"outside the box \[-1, 1\]\^n"):
@@ -776,9 +784,11 @@ class TestPersistence:
             {"observations": {"points": [[0.5, -0.5, -0.25, 0.75]], "values": [0.1, 0.2]}},
             {"observations": {"points": [0.5, -0.5, -0.25, 0.75], "values": [0.1, 0.2]}},
             {"observations": {"points": [[0.5, -0.5], [-0.25, 0.75]], "values": [[0.1], [0.2]]}},
+            {"observations": {"points": [[0.5, -0.5], [3.0, -7.0]], "values": [0.1, 0.2]}},
         ],
         ids=["iteration-not-int", "nan-value", "iteration-fraction", "seed-fraction",
-             "seed-string", "points-wide-row", "points-flat", "values-nested"],
+             "seed-string", "points-wide-row", "points-flat", "values-nested",
+             "points-outside-box"],
     )
     def test_malformed_fields_rejected(self, tmp_path, changes):
         path = self._edited_file(tmp_path, **changes)

@@ -250,6 +250,42 @@ class TestBenchCommand:
         assert "tp-ei" in capsys.readouterr().err
 
 
+class TestOutputFiles:
+    def test_every_output_goes_through_the_one_writer(self, tmp_path, monkeypatch, capsys):
+        # Each command leaves exactly the files it wrote through
+        # `errors._write_text`, and no temporary file: a second write path
+        # would leave a file the wrapper never saw.
+        real = tpbo.errors._write_text
+        written = []
+
+        def recording(path, text):
+            written.append(os.fspath(path))
+            real(path, text)
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("tpbo")]:
+            if getattr(module, "_write_text", None) is real:
+                monkeypatch.setattr(module, "_write_text", recording)
+        monkeypatch.chdir(tmp_path)
+        session = ["--session", "session.json", "--model", "model.json"]
+        commands = [
+            (["pretrain", "--aux-from-function", "himmelblau", "--aux-size", "12",
+              "--out", "model.json"], ["model.json"]),
+            (["bench", "--functions", "himmelblau", "--methods", "ei", "--seeds", "1",
+              "--iters", "1", "--out", "results.csv", "--summary", "summary.csv"],
+             ["results.csv", "summary.csv"]),
+            (["suggest"] + session, ["session.json"]),
+            (["tell"] + session + ["--x=0.5,-0.5", "--y", "0.4"], ["session.json"]),
+        ]
+        files = {}
+        for argv, outputs in commands:
+            written.clear()
+            assert main(argv) == 0, capsys.readouterr().err
+            before, files = files, {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+            changed = [name for name in sorted(files) if files[name] != before.get(name)]
+            assert written == changed == outputs, argv[0]
+        assert not [name for name in files if name.endswith(".tmp")]
+
+
 @pytest.fixture()
 def small_model(tmp_path):
     path = str(tmp_path / "model.json")
@@ -481,8 +517,10 @@ class TestSuggestTell:
     @pytest.mark.parametrize(
         "field, value",
         [("iteration", 0.5), ("seed", 3.9), ("seed", -1),
-         ("observations", {"points": [[-0.5, 0.25, 0.5, 0.0]], "values": [0.3, 0.1]})],
-        ids=["iteration-fraction", "seed-fraction", "seed-negative", "wide-row"],
+         ("observations", {"points": [[-0.5, 0.25, 0.5, 0.0]], "values": [0.3, 0.1]}),
+         # `tell --x 3,-7` exits 2, so a stored [3, -7] must not be picked from
+         ("observations", {"points": [[3.0, -7.0]], "values": [0.3]})],
+        ids=["iteration-fraction", "seed-fraction", "seed-negative", "wide-row", "outside-box"],
     )
     def test_malformed_session_file_exits_2(self, small_model, tmp_path, capsys, field, value):
         session = tmp_path / "session.json"
@@ -740,9 +778,9 @@ class TestParser:
         assert not out.exists()
 
     def test_every_output_flag_is_checked_before_work(self, tmp_path, capsys, monkeypatch):
-        # An output that is a directory, or that names the same file as another
-        # path flag, is rejected before the command runs; the other file keeps
-        # its bytes.  Every command's output flags join this walk.
+        # An output that is empty, is a directory, or names the same file as
+        # another path flag is rejected before the command runs; the other
+        # file keeps its bytes.  Every command's output flags join this walk.
         parser = build_parser()
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         extra = {"tell": ["--x=0.5,0.5", "--y", "0.4"]}
@@ -770,7 +808,7 @@ class TestParser:
 
             assert run(paths) == 0 and len(ran) == 1, (name, capsys.readouterr().err)
             ran.clear()
-            cases = [({**paths, flag: folder}, [flag])]
+            cases = [({**paths, flag: folder}, [flag]), ({**paths, flag: ""}, [flag])]
             cases += [({**paths, flag: paths[other]}, [flag, other])
                       for other in flags if other != flag]
             for given, named in cases:

@@ -12,6 +12,8 @@ import scipy.linalg.lapack
 
 from feature_route import eval_free, eval_tuned, expand_features, tuned_weights_oracle
 from tpbo import FreeKernelSpec, NumericalError, VanishingKernelError
+from tpbo.bench import RegretRecord, write_results, write_summary
+from tpbo.bo import AcquisitionSpec, new_session, save_session
 from tpbo.pretrain import (
     DEFAULT_LAMBDA_GRID,
     DEFAULT_NU_GRID,
@@ -386,19 +388,30 @@ class TestPersistence:
             for xp in probes:
                 assert eval_tuned(t1, x, xp) == pytest.approx(eval_tuned(t0, x, xp), rel=1e-12, abs=1e-15)
 
-    def test_failed_save_keeps_the_old_file(self, tmp_path):
+    @pytest.mark.parametrize("writer", ["model", "session", "results", "summary"])
+    def test_failed_save_keeps_the_old_file(self, tmp_path, writer):
         data = AuxDataset(inputs=np.array([[-1.0], [0.0], [1.0]]),
                           targets=np.array([0.0, 1.0, 0.5]), task="regression")
         model = pretrain(data, FreeKernelSpec(family="se"))
-        path = tmp_path / "model.json"
-        save_aux_model(model, path)
-        before = path.read_text()
-        # the dump raises at `loo_error`, after the fields before it are written
-        with pytest.raises(TypeError):
-            save_aux_model(dataclasses.replace(model, loo_error=object()), path)
-        assert path.read_text() == before
-        assert np.array_equal(load_aux_model(path).alpha, model.alpha)
-        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+        session = new_session(build_tuned(model), AcquisitionSpec(kind="ei", dim=1),
+                              seed=0, noise_var=1e-6, init_points=[[0.5]], init_values=[0.2])
+        records = [RegretRecord("ei", "himmelblau", 0, 1, 0.5)]
+        # `json.dumps` raises at an object it cannot encode before any file is
+        # opened; a lone surrogate raises while the CSV text is being written
+        unwritable = [dataclasses.replace(records[0], method="\ud800")]
+        write, good, bad = {
+            "model": (save_aux_model, model, dataclasses.replace(model, loo_error=object())),
+            "session": (save_session, session, dataclasses.replace(session, rng_seed=object())),
+            "results": (write_results, records, unwritable),
+            "summary": (write_summary, records, unwritable),
+        }[writer]
+        path = tmp_path / "out.file"
+        write(good, path)
+        before = path.read_bytes()
+        with pytest.raises((TypeError, UnicodeEncodeError)):
+            write(bad, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.file"]
 
     def test_malformed_model_file_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
