@@ -38,17 +38,24 @@ def _json_int(value, name: str) -> int:
 def _write_text(path, text: str) -> None:
     """Write `text` to `path` as UTF-8, replacing it atomically.
 
-    The text goes to ``path + ".tmp"`` first and replaces `path` only once it
-    is complete, so a write that fails partway leaves an existing file as it
-    was; the partial temporary file is removed.  Line endings are written as
-    given.
+    A symlinked `path` is resolved first, so the link's target is replaced
+    and the link stays a link.  The text goes to a temporary file beside
+    that target, under a fresh random name opened with ``O_EXCL``, so no
+    existing file, an input among them, is ever opened for writing; it
+    replaces the target only once it is complete, so a write that fails
+    partway leaves an existing file as it was, and the partial temporary
+    file is removed.  The file is created with mode 0o666, which the kernel
+    reduces by the umask as it does for ``open(path, "w")``.  Line endings
+    are written as given.
     """
-    tmp = os.fspath(path) + ".tmp"
+    target = os.path.realpath(path)
+    directory, name = os.path.split(target)
+    tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+        os.remove(tmp)
         raise

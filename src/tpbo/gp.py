@@ -34,7 +34,8 @@ L itself is not re-tested, since ``dpotrf`` made it from a finite matrix.
 `cholesky_factor` and `cholesky_solve` are the one ``dpotrf`` and the one
 ``dpotrs`` call of the package, with those checks, and `indefinite_error`
 its one report of a matrix that is not positive definite; ``pretrain``
-factors its ridge systems through them too, in the upper triangle.
+factors its ridge systems through them too (the final fit, and the LOO rows
+its eigendecomposition cannot resolve), in the upper triangle.
 
 Importing this module loads no scipy.  Each routine is imported where it
 is called (``eigvalsh`` only on the failure path), so a process that never

@@ -7,7 +7,11 @@ The auxiliary fit is a kernel SVM without bias, solved in the dual:
 
 The dual coefficients feed :class:`tpbo.mkernel.TunedKernel`.  Hyperparameters
 (kernel scale nu and ridge lambda) are selected on a grid by leave-one-out
-error: a closed form for regression, explicit refitting for classification.
+error: for regression a closed form that scores each nu's whole lambda row
+from one eigendecomposition of its Gram (per-lambda Cholesky where that
+decomposition cannot resolve the ridge systems; an indefinite one raises
+``NumericalError``), for classification explicit refitting.  The selected
+model is then fit by Cholesky.
 """
 
 from __future__ import annotations
@@ -22,7 +26,13 @@ import numpy as np
 
 from . import _accel
 from .errors import VanishingKernelError, _json_int, _write_text
-from .gp import cholesky_factor, cholesky_solve, indefinite_error, require_finite
+from .gp import (
+    check_lapack_info,
+    cholesky_factor,
+    cholesky_solve,
+    indefinite_error,
+    require_finite,
+)
 from .mkernel import VANISH_TOL, FreeKernelSpec, TunedKernel
 
 logger = logging.getLogger(__name__)
@@ -39,6 +49,11 @@ MAX_SWEEPS = 10_000
 
 # Families whose arity-2 Gram depends on nu; others are scanned on lambda only.
 _NU_FAMILIES = ("hyperbolic-sine", "exponential", "se")
+
+# Condition number of a ridge system past which `_loo_row` leaves the
+# eigendecomposition for per-lambda Cholesky: the two agree to about
+# 30 * kappa * eps relative, so up to 1e10 to better than 1e-4.
+_EIGH_KAPPA_MAX = 1e10
 
 
 @dataclass(frozen=True)
@@ -163,8 +178,9 @@ def _factor_ridge(gram: np.ndarray, lam: float) -> np.ndarray:
     (``ValueError``, scipy's ``check_finite`` message) and ``info``; a
     matrix that is not positive definite is a ``NumericalError`` naming its
     smallest eigenvalue (`gp.indefinite_error`).  The triangle is the upper
-    one, scipy's ``cho_factor`` default, so fits and LOO errors keep that
-    route's bits.  Solve with ``gp.cholesky_solve(c, b, lower=False)``.
+    one, scipy's ``cho_factor`` default, so fits and `_ridge_loo` keep that
+    route's bits.
+    Solve with ``gp.cholesky_solve(c, b, lower=False)``.
     """
     H = gram + lam * np.eye(gram.shape[0])
     c = cholesky_factor(H, lower=False)
@@ -236,39 +252,82 @@ def train_hinge(gram: np.ndarray, y: np.ndarray, lam: float, tol: float = 1e-10)
 def loo_error(gram: np.ndarray, y: np.ndarray, lam: float, task: str) -> float:
     """Leave-one-out error of the auxiliary fit at fixed hyperparameters.
 
-    Regression uses the closed form for ridge residuals,
-    e_i = alpha_i / (H^-1)_ii with H = K + lambda I, and returns the mean
-    squared residual.  H is factored by `_factor_ridge` through
-    `gp.cholesky_factor`, and alpha and H^-1 come from `gp.cholesky_solve`:
-    the package's one ``dpotrf`` and one ``dpotrs`` wrapper, which check
-    every matrix finite and every ``info``.  Classification refits each fold
-    explicitly and returns the misclassification fraction.
+    The one-lambda case of `_loo_row`: regression returns the mean squared
+    closed-form residual, from one eigendecomposition of the Gram or, where
+    that cannot resolve the ridge system, from its Cholesky factor;
+    classification the misclassification fraction of explicit refits.
     """
     gram, y = _check_gram(gram, y)
-    return _loo_error(gram, y, lam, task)
+    return _loo_row(gram, y, (lam,), task)[0]
 
 
-def _loo_error(gram: np.ndarray, y: np.ndarray, lam: float, task: str) -> float:
-    """`loo_error` without the input checks: `gram` and `y` come from `_check_gram`."""
+def _loo_row(gram: np.ndarray, y: np.ndarray, lambda_values, task: str) -> list[float]:
+    """Leave-one-out errors of one Gram at each lambda, in grid order.
+
+    `gram` and `y` come from `_check_gram`.  Regression uses the closed form
+    for ridge residuals, e_i = alpha_i / (H^-1)_ii with H = K + lambda I, and
+    scores the whole lambda row from one eigendecomposition K = V diag(s) V'
+    (Rifkin & Lippert, "Notes on regularized least squares", 2007):
+    H^-1 = V diag(1/(s + lambda)) V', so alpha and diag(H^-1) for every
+    lambda are two matrix products.  y must be finite.  The decomposition
+    (``dsyevd``) and the products run in scipy's LAPACK and BLAS, like the
+    Cholesky calls: alternating with numpy's OpenBLAS, whose idle threads
+    spin on the same cores, slowed a 100-point row from 1.3 ms to 5 ms.
+    The eigenvalues are exact only to about eps * s.max(), so a row where
+    some H is indefinite by them or has a condition number
+    (s.max() + lambda) / (s.min() + lambda) of `_EIGH_KAPPA_MAX` or more is
+    scored one lambda at a time by `_ridge_loo` instead, and so is a row
+    whose bound on that number from the Gram's row sums reaches it, without
+    decomposing: Cholesky stays accurate on Grams whose diagonal spans many
+    decades (exponential or hyperbolic-sine at large nu), and raises the
+    ``NumericalError`` naming H's smallest eigenvalue where H is not
+    positive definite.
+    Classification refits each fold explicitly, one lambda at a time.
+    """
     if task == "regression":
-        c = _factor_ridge(gram, lam)
-        alpha = cholesky_solve(c, y, lower=False)
-        inv_diag = np.diag(cholesky_solve(c, np.eye(gram.shape[0]), lower=False))
-        residuals = alpha / inv_diag
-        return float(np.mean(residuals**2))
+        from scipy.linalg.blas import dgemm, dgemv
+        from scipy.linalg.lapack import dsyevd
+
+        require_finite(y)
+        lams = np.asarray(lambda_values, dtype=np.float64)
+        # s.max() is at most the largest absolute row sum and s.min() of a
+        # Gram is about 0, so a row past this bound skips the decomposition
+        bound = float(np.abs(gram).sum(axis=1).max()) + lams.min()
+        if bound < _EIGH_KAPPA_MAX * lams.min():
+            s, V, info = dsyevd(gram, compute_v=1)  # s ascending
+            check_lapack_info("dsyevd", info)
+            low, high = s[0] + lams, s[-1] + lams
+            if info == 0 and np.all((low > 0.0) & (high < _EIGH_KAPPA_MAX * low)):
+                inv = 1.0 / (s[:, None] + lams)
+                alpha = dgemm(1.0, V, dgemv(1.0, V, y, trans=1)[:, None] * inv)
+                inv_diag = dgemm(1.0, V * V, inv)
+                return np.mean((alpha / inv_diag) ** 2, axis=0).tolist()
+        return [_ridge_loo(gram, y, lam) for lam in lambda_values]
     if task != "classification":
         raise ValueError(f"task must be one of {TASKS}, got {task!r}")
     n = y.shape[0]
     if n < 2:
         raise ValueError("classification leave-one-out needs at least two points")
-    errors = 0
-    for i in range(n):
-        keep = np.arange(n) != i
-        sub_alpha = train_hinge(gram[np.ix_(keep, keep)], y[keep], lam)
-        pred = float(gram[i, keep] @ sub_alpha)
-        if y[i] * pred <= 0.0:
-            errors += 1
-    return errors / n
+    row = []
+    for lam in lambda_values:
+        errors = 0
+        for i in range(n):
+            keep = np.arange(n) != i
+            sub_alpha = train_hinge(gram[np.ix_(keep, keep)], y[keep], lam)
+            pred = float(gram[i, keep] @ sub_alpha)
+            if y[i] * pred <= 0.0:
+                errors += 1
+        row.append(errors / n)
+    return row
+
+
+def _ridge_loo(gram: np.ndarray, y: np.ndarray, lam: float) -> float:
+    """Closed-form regression LOO error at one lambda from `_factor_ridge`'s
+    Cholesky factor, solving against the identity for diag(H^-1)."""
+    c = _factor_ridge(gram, lam)
+    alpha = cholesky_solve(c, y, lower=False)
+    inv_diag = np.diag(cholesky_solve(c, np.eye(gram.shape[0]), lower=False))
+    return float(np.mean((alpha / inv_diag) ** 2))
 
 
 def select_by_loo(
@@ -280,16 +339,17 @@ def select_by_loo(
 ) -> tuple[float, float, float]:
     """Scan a (nu, lambda) grid by leave-one-out error; return (err, nu, lam).
 
-    ``gram_for(nu)`` builds the Gram matrix for one nu, once per grid value,
-    and each one is checked once before its lambda row is scored.
-    Ties break toward the smallest nu, then the smallest lambda, whatever
-    the order of the grids.
+    ``gram_for(nu)`` builds the Gram matrix for one nu, once per grid value;
+    each one is checked once, then `_loo_row` scores its whole lambda row
+    (for regression, from one eigendecomposition).  Ties break toward the
+    smallest nu, then the smallest lambda, whatever the order of the grids.
     """
     lambda_values = [float(lam) for lam in lambda_values]
     scores = []
     for nu in map(float, nu_values):
         gram, y = _check_gram(gram_for(nu), y)
-        scores.extend((_loo_error(gram, y, lam, task), nu, lam) for lam in lambda_values)
+        row = _loo_row(gram, y, lambda_values, task)
+        scores.extend((err, nu, lam) for err, lam in zip(row, lambda_values))
     return min(scores)
 
 

@@ -285,6 +285,40 @@ class TestOutputFiles:
             assert written == changed == outputs, argv[0]
         assert not [name for name in files if name.endswith(".tmp")]
 
+    def test_input_named_like_a_temporary_file_survives(self, tmp_path, capsys):
+        # the writer's temporary file never takes the name <output>.tmp
+        aux = tmp_path / "m.json.tmp"
+        aux.write_text("x1,y\n0.1,0.2\n0.5,0.3\n-0.4,0.9\n0.9,0.1\n")
+        before = aux.read_bytes()
+        model = tmp_path / "m.json"
+        code = main(["pretrain", "--aux", str(aux), "--kernel", "linear", "--out", str(model)])
+        assert code == 0, capsys.readouterr().err
+        assert aux.read_bytes() == before
+        assert load_aux_model(model).kernel.family == "linear"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json", "m.json.tmp"]
+
+    def test_symlinked_session_is_written_through(self, small_model, tmp_path, capsys):
+        real, link = tmp_path / "real.json", tmp_path / "link.json"
+        assert main(["suggest", "--session", str(real), "--model", small_model]) == 0
+        link.symlink_to("real.json")
+        assert main(["tell", "--session", str(link), "--model", small_model,
+                     "--x=0.5,-0.5", "--y", "0.4"]) == 0, capsys.readouterr().err
+        assert link.is_symlink() and os.readlink(link) == "real.json"
+        assert json.loads(real.read_text())["observations"]["values"] == [0.4]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_output_mode_follows_the_umask(self, tmp_path, capsys, umask):
+        # the mode a plain open(path, "w") gives a new file
+        model = tmp_path / "m.json"
+        old = os.umask(umask)
+        try:
+            code = main(["pretrain", "--aux-from-function", "himmelblau", "--aux-size", "6",
+                         "--kernel", "linear", "--out", str(model)])
+        finally:
+            os.umask(old)
+        assert code == 0, capsys.readouterr().err
+        assert model.stat().st_mode & 0o777 == 0o666 & ~umask
+
 
 @pytest.fixture()
 def small_model(tmp_path):
