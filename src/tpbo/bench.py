@@ -12,7 +12,6 @@ transfer between related physical instruments.
 
 from __future__ import annotations
 
-import logging
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -23,7 +22,7 @@ import numpy as np
 
 from . import _accel, _blas
 from .bo import POLISH_STARTS, AcquisitionSpec, BoSession, bo_step, new_session
-from .errors import VanishingKernelError, _write_text
+from .errors import _write_text
 from .gp import ArdSeKernel, GpPosterior, SeKernel
 from .mkernel import FreeKernelSpec
 from .pretrain import (
@@ -34,8 +33,6 @@ from .pretrain import (
     pretrain,
     select_by_loo,
 )
-
-logger = logging.getLogger(__name__)
 
 METHODS = ("tp-ei", "tp-ucb", "ei", "ucb", "ard-ei", "ard-ucb")
 
@@ -56,7 +53,6 @@ AUX_SIZE = 50
 class TestFunction:
     """A standard minimization test surface on a square native domain."""
 
-    name: str
     lo: float
     hi: float
     fn: Callable[[np.ndarray], np.ndarray]
@@ -112,12 +108,12 @@ def _rastrigin(X):
 
 
 FUNCTIONS = {
-    "holder_table": TestFunction("holder_table", -10.0, 10.0, _holder_table),
-    "himmelblau": TestFunction("himmelblau", -5.0, 5.0, _himmelblau),
-    "ackley": TestFunction("ackley", -5.0, 5.0, _ackley),
-    "styblinski_tang": TestFunction("styblinski_tang", -5.0, 5.0, _styblinski_tang),
-    "eggholder": TestFunction("eggholder", -512.0, 512.0, _eggholder),
-    "rastrigin": TestFunction("rastrigin", -5.12, 5.12, _rastrigin),
+    "holder_table": TestFunction(-10.0, 10.0, _holder_table),
+    "himmelblau": TestFunction(-5.0, 5.0, _himmelblau),
+    "ackley": TestFunction(-5.0, 5.0, _ackley),
+    "styblinski_tang": TestFunction(-5.0, 5.0, _styblinski_tang),
+    "eggholder": TestFunction(-512.0, 512.0, _eggholder),
+    "rastrigin": TestFunction(-5.12, 5.12, _rastrigin),
 }
 FUNCTION_ORDER = tuple(FUNCTIONS)
 
@@ -274,37 +270,32 @@ def tune_ard_loo(X, y) -> np.ndarray:
 
 
 def run_cell(function: str, method: str, seed: int, spec: BenchmarkSpec) -> List[RegretRecord]:
-    """One (function, method, seed) run; empty on a vanishing covariance.
+    """One (function, method, seed) run: its best value after each iteration.
 
     Every method runs the same `bo_step` loop and differs only in its
     covariance: the transferred prior (`tp-*`), an ARD SE kernel tuned on
     the auxiliary data (`ard-*`), or a plain SE kernel whose hyperparameters
     are re-fit by LOO on the growing data before every pick (`ei`, `ucb`),
-    with the ridge weight doubling as observation noise.  A cell logs only
-    the skip of a vanishing covariance: every pick has data, so it ranks its
-    probes and polishes even where the expected improvement underflows.
+    with the ridge weight doubling as observation noise.  Every pick has
+    data, so it ranks its probes and polishes even where the expected
+    improvement underflows.  A `VanishingKernelError` from the auxiliary fit
+    propagates; a cell is never dropped.
     """
     fn_idx = FUNCTION_ORDER.index(function)
     problem = normalize_problem(FUNCTIONS[function], spec.grid_resolution)
     kind = method.split("-")[-1]
     retune = method in ("ei", "ucb")
 
-    try:
-        if retune:
-            kernel = SeKernel(1.0)  # replaced before the first pick
-        else:
-            aux = make_flipped_aux(
-                problem, seed=np.random.SeedSequence([fn_idx, seed, _TAG_AUX])
-            )
-            if method.startswith("tp-"):
-                kernel = build_tuned(pretrain(aux, FreeKernelSpec(family="se")))
-            else:
-                kernel = ArdSeKernel(tune_ard_loo(aux.inputs, aux.targets))
-    except VanishingKernelError as exc:
-        logger.warning(
-            "skipping %s on %s (seed %d): %s", method, function, seed, exc
+    if retune:
+        kernel = SeKernel(1.0)  # replaced before the first pick
+    else:
+        aux = make_flipped_aux(
+            problem, seed=np.random.SeedSequence([fn_idx, seed, _TAG_AUX])
         )
-        return []
+        if method.startswith("tp-"):
+            kernel = build_tuned(pretrain(aux, FreeKernelSpec(family="se")))
+        else:
+            kernel = ArdSeKernel(tune_ard_loo(aux.inputs, aux.targets))
     session = seeded_session(
         problem, fn_idx, seed, kernel, kind, _derived_seed(fn_idx, seed, _TAG_SESSION)
     )
@@ -350,7 +341,9 @@ def run_benchmark(spec: BenchmarkSpec) -> List[RegretRecord]:
     CPU this process may use; the TPBO_THREADS environment variable caps
     the worker count.  The whole run, serial or pooled, holds every OpenBLAS
     at one thread (see `_blas`), and the workers are forked inside that
-    block, so they inherit the one-thread counts and never set them.
+    block, so they inherit the one-thread counts and never set them.  An
+    error in any cell, a `VanishingKernelError` among them, propagates out
+    of the pool, so the result is always the whole grid.
     """
     cells = [
         (fn, method, seed, spec)

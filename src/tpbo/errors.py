@@ -44,9 +44,9 @@ def _write_text(path, text: str) -> None:
     existing file, an input among them, is ever opened for writing; it
     replaces the target only once it is complete, so a write that fails
     partway leaves an existing file as it was, and the partial temporary
-    file is removed.  The file is created with mode 0o666, which the kernel
-    reduces by the umask as it does for ``open(path, "w")``.  Line endings
-    are written as given.
+    file is removed.  A replaced file keeps its permission bits; a new one
+    gets mode 0o666, which the kernel reduces by the umask as it does for
+    ``open(path, "w")``.  Line endings are written as given.
     """
     target = os.path.realpath(path)
     directory, name = os.path.split(target)
@@ -54,6 +54,10 @@ def _write_text(path, text: str) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", encoding="utf-8", newline="") as fh:
+            try:
+                os.fchmod(fd, os.stat(target).st_mode & 0o7777)
+            except FileNotFoundError:
+                pass
             fh.write(text)
         os.replace(tmp, target)
     except BaseException:

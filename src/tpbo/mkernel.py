@@ -49,7 +49,7 @@ FAMILIES = (
 )
 
 #: Dual-coefficient magnitude below which a reweighted kernel is considered
-#: identically zero (scaled by max(1, |targets|_inf) where targets are known).
+#: identically zero.
 VANISH_TOL = 1e-12
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
@@ -98,10 +99,6 @@ class AuxDataset:
         object.__setattr__(self, "input_hi", hi)
 
     @property
-    def size(self) -> int:
-        return self.inputs.shape[0]
-
-    @property
     def input_dim(self) -> int:
         return self.inputs.shape[1]
 
@@ -166,7 +163,9 @@ def _check_gram(gram: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
     if gram.shape[0] != y.shape[0]:
         raise ValueError("gram and targets must have matching sizes")
     require_finite(gram)
-    if not np.allclose(gram, gram.T, atol=1e-8 * max(1.0, float(np.abs(gram).max()))):
+    atol = 1e-8 * max(1.0, float(np.abs(gram).max()))
+    # np.allclose's predicate (rtol 1e-5) in one pass: gram is already finite
+    if not np.all(np.abs(gram - gram.T) <= atol + 1e-5 * np.abs(gram.T)):
         raise ValueError("gram must be symmetric")
     return gram, y
 
@@ -394,7 +393,7 @@ def pretrain(
         alpha = train_lssvm(gram, y, lam)
     else:
         alpha = train_hinge(gram, y, lam)
-    if float(np.max(np.abs(alpha))) < VANISH_TOL * max(1.0, float(np.max(np.abs(y)))):
+    if float(np.max(np.abs(alpha))) < VANISH_TOL:
         raise VanishingKernelError(
             "auxiliary fit produced all-zero dual coefficients "
             "(targets carry no signal); refusing to build a zero covariance"
@@ -485,8 +484,9 @@ def load_aux_model(path) -> AuxModel:
             f"malformed model file {path}: normalization x_lo/x_hi need "
             f"{model.input_dim} entries"
         )
-    if not (np.all(np.isfinite(model.alpha)) and np.all(np.isfinite(model.aux_inputs))):
-        raise ValueError(f"malformed model file {path}: alpha and aux_inputs must be finite")
+    arrays = (model.alpha, model.aux_inputs, norm.x_lo, norm.x_hi)
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError(f"malformed model file {path}: non-finite alpha, aux_inputs, x_lo or x_hi")
     return model
 
 
@@ -517,6 +517,8 @@ def load_aux_csv(path, task: str) -> AuxDataset:
                 rows.append([float(v) for v in row])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: non-numeric field ({exc})") from None
+            if not all(map(math.isfinite, rows[-1])):
+                raise ValueError(f"{path}:{lineno}: non-finite field in {','.join(row)!r}")
     if not rows:
         raise ValueError(f"{path}: no data rows")
     arr = np.asarray(rows, dtype=np.float64)

@@ -254,19 +254,16 @@ class TestProtocol:
         assert len(records) == len(METHODS) * 2
         assert {r.method for r in records} == set(METHODS)
 
-    def test_vanishing_kernel_skips_cell(self, monkeypatch, caplog):
-        import logging
-
+    def test_vanishing_kernel_propagates(self, monkeypatch):
+        # a cell is never dropped: the error leaves run_cell as raised
         import tpbo.bench as bench_mod
 
         def boom(*args, **kwargs):
             raise VanishingKernelError("all dual coefficients vanished")
 
         monkeypatch.setattr(bench_mod, "pretrain", boom)
-        with caplog.at_level(logging.WARNING, logger="tpbo.bench"):
-            records = run_cell("himmelblau", "tp-ei", 0, tiny_spec())
-        assert records == []
-        assert any("skipping" in rec.message for rec in caplog.records)
+        with pytest.raises(VanishingKernelError, match="all dual coefficients vanished"):
+            run_cell("himmelblau", "tp-ei", 0, tiny_spec())
 
     def test_parallel_path_matches_serial(self, monkeypatch):
         # The serial side runs in this process with its own BLAS threads, the

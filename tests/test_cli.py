@@ -16,6 +16,7 @@ import tpbo.cli
 from tpbo.bench import FUNCTION_ORDER, FUNCTIONS, normalize_problem, seeded_session
 from tpbo.bo import load_session
 from tpbo.cli import _attach_x_value, build_parser, main
+from tpbo.errors import VanishingKernelError
 from tpbo.gp import SeKernel
 from tpbo.pretrain import build_tuned, load_aux_model
 
@@ -149,6 +150,51 @@ class TestPretrainCommand:
         assert "--nu" in capsys.readouterr().err
         assert not (tmp_path / "model.json").exists()
 
+    @pytest.mark.parametrize(
+        "csv, argv, message",
+        [
+            ("x1,x2,y\n0.1,0.2,0.3\n0.4,nan,0.1\n-0.2,0.5,0.7\n0.9,-0.6,0.2\n", [],
+             ":3: non-finite field"),
+            ("x1,x2,y\n0.1,0.2,0.3\n0.4,inf,0.1\n-0.2,0.5,0.7\n0.9,-0.6,0.2\n", [],
+             ":3: non-finite field"),
+            ("", [], "empty auxiliary file"),
+            ("x1,x2,y\n", [], "no data rows"),
+            (XOR_CSV.replace("-1.0\n", "0.0\n"), ["--task", "classification"],
+             "classification targets must be -1 or +1"),
+            (None, ["--lambda-grid", "0"], "lambda grid values must be finite and > 0"),
+            (None, ["--nu-grid", "-1"], "nu grid values must be finite and >= 0"),
+            (None, ["--nu-grid", "inf"], "nu grid values must be finite and >= 0"),
+            (None, ["--aux-size", "0"], "n must be at least 1"),
+            (None, ["--aux-size", "-3"], "n must be at least 1"),
+        ],
+        ids=["nan-field", "inf-field", "empty", "header-only", "labels-not-pm1",
+             "lambda-zero", "nu-negative", "nu-inf", "aux-size-zero", "aux-size-negative"],
+    )
+    def test_bad_input_exits_2_without_a_file(self, tmp_path, capsys, csv, argv, message):
+        if csv is None:
+            source = ["--aux-from-function", "himmelblau"]
+        else:
+            (tmp_path / "aux.csv").write_text(csv)
+            source = ["--aux", str(tmp_path / "aux.csv")]
+        model_path = tmp_path / "m.json"
+        code = main(["pretrain", *source, *argv, "--out", str(model_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert message in err
+        assert not model_path.exists()
+
+    def test_blank_line_between_rows_is_skipped(self, tmp_path, capsys):
+        rows = "x1,x2,y\n0.1,0.2,0.3\n0.4,-0.8,0.1\n-0.2,0.5,0.7\n0.9,-0.6,0.2\n"
+        gapped = rows.replace("0.3\n", "0.3\n\n")
+        models = []
+        for i, text in enumerate((rows, gapped)):
+            (tmp_path / f"aux{i}.csv").write_text(text)
+            models.append(tmp_path / f"m{i}.json")
+            assert main(["pretrain", "--aux", str(tmp_path / f"aux{i}.csv"),
+                         "--out", str(models[-1])]) == 0, capsys.readouterr().err
+        assert models[0].read_bytes() == models[1].read_bytes()
+
     def test_aux_from_function(self, tmp_path, capsys):
         model_path = str(tmp_path / "m.json")
         code = main([
@@ -249,6 +295,23 @@ class TestBenchCommand:
         assert code == 2
         assert "tp-ei" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_vanishing_prior_exits_3_without_results(self, tmp_path, capsys, monkeypatch, threads):
+        # serial or pooled, a degenerate cell fails the run; no partial grid is written
+        def boom(*args, **kwargs):
+            raise VanishingKernelError("all dual coefficients vanished")
+
+        monkeypatch.setattr(tpbo.bench, "pretrain", boom)
+        monkeypatch.setenv("TPBO_THREADS", threads)
+        out, summary = tmp_path / "r.csv", tmp_path / "s.csv"
+        code = main(["bench", "--functions", "himmelblau", "--methods", "ei,tp-ei",
+                     "--seeds", "1", "--iters", "1", "--out", str(out),
+                     "--summary", str(summary)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "error: degenerate model: all dual coefficients vanished\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestOutputFiles:
     def test_every_output_goes_through_the_one_writer(self, tmp_path, monkeypatch, capsys):
@@ -318,6 +381,27 @@ class TestOutputFiles:
             os.umask(old)
         assert code == 0, capsys.readouterr().err
         assert model.stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def test_replaced_file_keeps_its_mode(self, tmp_path, capsys):
+        model, session = tmp_path / "m.json", tmp_path / "s.json"
+        pretrain = ["pretrain", "--aux-from-function", "himmelblau", "--aux-size", "6",
+                    "--out", str(model)]
+        files = ["--session", str(session), "--model", str(model)]
+        old = os.umask(0o022)
+        try:
+            assert main(pretrain) == 0, capsys.readouterr().err
+            assert model.stat().st_mode & 0o777 == 0o644
+            model.chmod(0o600)
+            assert main(pretrain) == 0, capsys.readouterr().err
+            assert main(["suggest", *files]) == 0, capsys.readouterr().err
+            assert session.stat().st_mode & 0o777 == 0o644
+            session.chmod(0o600)
+            for argv in (["suggest", *files], ["tell", *files, "--x=0.5,-0.5", "--y", "0.4"]):
+                assert main(argv) == 0, capsys.readouterr().err
+                assert session.stat().st_mode & 0o777 == 0o600, argv[0]
+        finally:
+            os.umask(old)
+        assert model.stat().st_mode & 0o777 == 0o600
 
 
 @pytest.fixture()

@@ -71,6 +71,20 @@ class TestLssvm:
         with pytest.raises(ValueError):
             train_lssvm(np.array([[1.0, 5.0], [0.0, 1.0]]), np.array([1.0, 2.0]), 1.0)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    def test_symmetry_tolerance_boundary(self, scale):
+        # np.allclose(gram, gram.T) with atol 1e-8 * max(1, max|gram|) and rtol 1e-5
+        tol = 1e-8 * max(1.0, 2.0 * scale) + 1e-5 * scale
+        for skew, symmetric in ((0.99, True), (1.01, False)):
+            gram = np.array([[2.0, 1.0], [1.0, 2.0]]) * scale
+            gram[0, 1] += skew * tol
+            assert np.allclose(gram, gram.T, atol=1e-8 * max(1.0, 2.0 * scale)) == symmetric
+            if symmetric:
+                train_lssvm(gram, np.array([1.0, 2.0]), 1.0)
+            else:
+                with pytest.raises(ValueError, match="gram must be symmetric"):
+                    train_lssvm(gram, np.array([1.0, 2.0]), 1.0)
+
 
 class TestHinge:
     def test_xor_dual_coefficients(self):
@@ -544,13 +558,16 @@ class TestPersistence:
             lambda text: text.replace('"x_hi": [', '"x_hi": [], "was": [', 1),
             lambda text: re.sub(r'("alpha": \[\s*)[^,\s]+', r"\1NaN", text, count=1),
             lambda text: re.sub(r'("aux_inputs": \[\s*\[\s*)[^,\s]+', r"\1Infinity", text, count=1),
+            # a CSV with a nan field used to write NaN bounds
+            lambda text: re.sub(r'("x_lo": \[\s*)[^,\s]+', r"\1NaN", text, count=1),
+            lambda text: re.sub(r'("x_hi": \[\s*)[^,\s]+', r"\1-Infinity", text, count=1),
             # int() would truncate both to the stored values, 2 and 1
             lambda text: text.replace('"degree": ', '"degree": 2.9, "was": ', 1),
             lambda text: text.replace('"input_dim": ', '"input_dim": 1.5, "was": ', 1),
         ],
         ids=["not-json", "lambda-not-float", "input-dim-not-int", "x-lo-too-long",
-             "x-hi-empty", "alpha-nan", "aux-inputs-inf", "degree-fraction",
-             "input-dim-fraction"],
+             "x-hi-empty", "alpha-nan", "aux-inputs-inf", "x-lo-nan", "x-hi-inf",
+             "degree-fraction", "input-dim-fraction"],
     )
     def test_malformed_values_name_the_file(self, tmp_path, edit):
         data = AuxDataset(inputs=np.array([[-1.0], [0.0], [1.0]]),
