@@ -267,7 +267,10 @@ def _monomial_tables(base: FreeKernelSpec, aux, alpha, order: int):
         g = (r == 1).astype(np.longdouble)
     elif base.family == "polynomial":
         d = base.degree
-        g = np.array([math.perm(d, j) * base.offset ** (d - j) for j in r], dtype=np.longdouble)
+        try:
+            g = np.array([math.perm(d, j) * base.offset ** (d - j) for j in r], dtype=np.longdouble)
+        except OverflowError:  # a term past the float range, as d! is from d = 171
+            return None
     else:
         g = np.longdouble(base.nu) ** r
         if base.family == "hyperbolic-sine":

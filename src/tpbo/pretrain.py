@@ -6,12 +6,12 @@ The auxiliary fit is a kernel SVM without bias, solved in the dual:
     classification  min 1/2 a'Ka - sum|a|  subject to 0 <= y*a <= 1/lambda
 
 The dual coefficients feed :class:`tpbo.mkernel.TunedKernel`.  Hyperparameters
-(kernel scale nu and ridge lambda) are selected on a grid by leave-one-out
-error: for regression a closed form that scores each nu's whole lambda row
-from one eigendecomposition of its Gram (per-lambda Cholesky where that
-decomposition cannot resolve the ridge systems; an indefinite one raises
-``NumericalError``), for classification explicit refitting.  The selected
-model is then fit by Cholesky.
+(kernel scale nu and ridge lambda) are selected on a grid by `select_by_loo`,
+which has `loo_error` score each nu's whole lambda row: for regression by a
+closed form from one eigendecomposition of the Gram (per-lambda Cholesky
+where that decomposition cannot resolve the ridge systems; an indefinite one
+raises ``NumericalError``), for classification by explicit refitting.  The
+selected model is then fit by Cholesky.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ MAX_SWEEPS = 10_000
 # Families whose arity-2 Gram depends on nu; others are scanned on lambda only.
 _NU_FAMILIES = ("hyperbolic-sine", "exponential", "se")
 
-# Condition number of a ridge system past which `_loo_row` leaves the
+# Condition number of a ridge system past which `loo_error` leaves the
 # eigendecomposition for per-lambda Cholesky: the two agree to about
 # 30 * kappa * eps relative, so up to 1e10 to better than 1e-4.
 _EIGH_KAPPA_MAX = 1e10
@@ -248,23 +248,11 @@ def train_hinge(gram: np.ndarray, y: np.ndarray, lam: float, tol: float = 1e-10)
     return alpha
 
 
-def loo_error(gram: np.ndarray, y: np.ndarray, lam: float, task: str) -> float:
-    """Leave-one-out error of the auxiliary fit at fixed hyperparameters.
-
-    The one-lambda case of `_loo_row`: regression returns the mean squared
-    closed-form residual, from one eigendecomposition of the Gram or, where
-    that cannot resolve the ridge system, from its Cholesky factor;
-    classification the misclassification fraction of explicit refits.
-    """
-    gram, y = _check_gram(gram, y)
-    return _loo_row(gram, y, (lam,), task)[0]
-
-
-def _loo_row(gram: np.ndarray, y: np.ndarray, lambda_values, task: str) -> list[float]:
+def loo_error(gram: np.ndarray, y: np.ndarray, lambda_values, task: str) -> list[float]:
     """Leave-one-out errors of one Gram at each lambda, in grid order.
 
-    `gram` and `y` come from `_check_gram`.  Regression uses the closed form
-    for ridge residuals, e_i = alpha_i / (H^-1)_ii with H = K + lambda I, and
+    Regression uses the closed form for ridge residuals, e_i = alpha_i /
+    (H^-1)_ii with H = K + lambda I, and returns their mean square; it
     scores the whole lambda row from one eigendecomposition K = V diag(s) V'
     (Rifkin & Lippert, "Notes on regularized least squares", 2007):
     H^-1 = V diag(1/(s + lambda)) V', so alpha and diag(H^-1) for every
@@ -281,8 +269,10 @@ def _loo_row(gram: np.ndarray, y: np.ndarray, lambda_values, task: str) -> list[
     decades (exponential or hyperbolic-sine at large nu), and raises the
     ``NumericalError`` naming H's smallest eigenvalue where H is not
     positive definite.
-    Classification refits each fold explicitly, one lambda at a time.
+    Classification returns the misclassification fraction of explicit
+    refits of each fold, one lambda at a time.
     """
+    gram, y = _check_gram(gram, y)
     if task == "regression":
         from scipy.linalg.blas import dgemm, dgemv
         from scipy.linalg.lapack import dsyevd
@@ -338,16 +328,15 @@ def select_by_loo(
 ) -> tuple[float, float, float]:
     """Scan a (nu, lambda) grid by leave-one-out error; return (err, nu, lam).
 
-    ``gram_for(nu)`` builds the Gram matrix for one nu, once per grid value;
-    each one is checked once, then `_loo_row` scores its whole lambda row
-    (for regression, from one eigendecomposition).  Ties break toward the
-    smallest nu, then the smallest lambda, whatever the order of the grids.
+    ``gram_for(nu)`` builds the Gram matrix for one nu, once per grid value,
+    and `loo_error` scores its whole lambda row (for regression, from one
+    eigendecomposition).  Ties break toward the smallest nu, then the
+    smallest lambda, whatever the order of the grids.
     """
     lambda_values = [float(lam) for lam in lambda_values]
     scores = []
     for nu in map(float, nu_values):
-        gram, y = _check_gram(gram_for(nu), y)
-        row = _loo_row(gram, y, lambda_values, task)
+        row = loo_error(gram_for(nu), y, lambda_values, task)
         scores.extend((err, nu, lam) for err, lam in zip(row, lambda_values))
     return min(scores)
 
@@ -525,6 +514,13 @@ def load_aux_csv(path, task: str) -> AuxDataset:
     X, y = arr[:, :n], arr[:, n]
     lo = X.min(axis=0)
     hi = X.max(axis=0)
+    for k in range(n):
+        # the rescale doubles X - lo, which is at most the span
+        if not math.isfinite(2.0 * (float(hi[k]) - float(lo[k]))):
+            raise ValueError(
+                f"{path}: column x{k + 1} spans {lo[k]:g} to {hi[k]:g}, "
+                "too wide to rescale to [-1, 1]"
+            )
     span = hi - lo
     scaled = np.zeros_like(X)
     wide = span > 1e-300

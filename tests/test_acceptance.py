@@ -192,7 +192,7 @@ def test_criterion_6_loo_closed_form():
             gram = _accel.se_cross(X, X, float(rng.uniform(0.5, 4.0)))
             y = rng.normal(size=n)
             lam = float(rng.choice([1e-3, 1e-2, 1e-1, 1.0]))
-            closed = loo_error(gram, y, lam, "regression")
+            closed = loo_error(gram, y, (lam,), "regression")[0]
             errs = []
             for i in range(n):
                 keep = np.arange(n) != i

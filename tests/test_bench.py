@@ -42,7 +42,7 @@ def brute_force_pick(kernel_for, X, y):
     for nu in sorted(DEFAULT_NU_GRID):
         gram = kernel_for(nu)(X, X)
         for lam in sorted(DEFAULT_LAMBDA_GRID):
-            err = loo_error(gram, y, lam, "regression")
+            err = loo_error(gram, y, (lam,), "regression")[0]
             if best is None or err < best[0]:
                 best = (err, nu, lam)
     return best[1], best[2]

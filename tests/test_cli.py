@@ -159,6 +159,9 @@ class TestPretrainCommand:
              ":3: non-finite field"),
             ("", [], "empty auxiliary file"),
             ("x1,x2,y\n", [], "no data rows"),
+            # a span past the float range, and a finite span the rescale doubles past it
+            ("x1,y\n1e308,1\n-1e308,2\n0,3\n", [], "aux.csv: column x1 "),
+            ("x1,y\n0,1\n1.7e308,2\n5,3\n", [], "aux.csv: column x1 "),
             (XOR_CSV.replace("-1.0\n", "0.0\n"), ["--task", "classification"],
              "classification targets must be -1 or +1"),
             (None, ["--lambda-grid", "0"], "lambda grid values must be finite and > 0"),
@@ -167,7 +170,8 @@ class TestPretrainCommand:
             (None, ["--aux-size", "0"], "n must be at least 1"),
             (None, ["--aux-size", "-3"], "n must be at least 1"),
         ],
-        ids=["nan-field", "inf-field", "empty", "header-only", "labels-not-pm1",
+        ids=["nan-field", "inf-field", "empty", "header-only", "span-overflow",
+             "doubled-span-overflow", "labels-not-pm1",
              "lambda-zero", "nu-negative", "nu-inf", "aux-size-zero", "aux-size-negative"],
     )
     def test_bad_input_exits_2_without_a_file(self, tmp_path, capsys, csv, argv, message):
@@ -589,6 +593,25 @@ class TestSuggestTell:
         assert main(["suggest"] + base) == 0
         third = capsys.readouterr().out
         assert third.startswith("suggestion: ")
+
+    def test_high_degree_polynomial_model_round_trip(self, tmp_path, capsys):
+        # degree 180 in 1-D tries the weight route from 19 auxiliary points,
+        # and its coefficient table, which holds 180!, overflows a float
+        rng = np.random.default_rng(8)
+        rows = "".join(f"{a!r},{float(np.sin(3 * a))!r}\n" for a in rng.uniform(-1, 1, 40).tolist())
+        csv = tmp_path / "one.csv"
+        csv.write_text("x1,y\n" + rows)
+        model = str(tmp_path / "m.json")
+        assert main(["pretrain", "--aux", str(csv), "--kernel", "poly", "--degree", "180",
+                     "--out", model]) == 0, capsys.readouterr().err
+        base = ["--session", str(tmp_path / "s.json"), "--model", model]
+        assert main(["suggest"] + base) == 0
+        first = capsys.readouterr().out.split("suggestion: ")[1].strip()
+        assert main(["tell"] + base + ["--x", first, "--y", "0.5"]) == 0
+        capsys.readouterr()
+        assert main(["suggest"] + base) == 0
+        second = capsys.readouterr().out.split("suggestion: ")[1].strip()
+        assert all(-1.0 <= float(x) <= 1.0 for x in (first, second))
 
     def test_suggest_polishes_eight_starts(self, small_model, tmp_path, capsys, monkeypatch):
         import scipy.optimize

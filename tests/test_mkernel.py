@@ -660,3 +660,17 @@ class TestRouteChoice:
         four = TunedKernel(spec, rng.uniform(-1, 1, (4, 2)), rng.normal(size=4))
         assert (five.route, five.order) == ("weights", 3)
         assert (four.route, four.order) == ("pairs", None)
+
+    def test_high_degree_polynomial_takes_the_pairs(self):
+        # Degree 180 in 1-D has 181 monomials, fewer than the 210 pairs of
+        # twenty points, but its coefficient table holds 180!, past the float
+        # range.
+        rng = np.random.default_rng(23)
+        aux, alpha = rng.uniform(-1, 1, (20, 1)), rng.normal(size=20)
+        t = TunedKernel(FreeKernelSpec(family="polynomial", degree=180), aux, alpha)
+        assert (t.route, t.order) == ("pairs", None)
+        # probes away from 0, where z^180 would leave the float range
+        X1, X2 = np.array([[-1.0], [-0.7], [0.6], [1.0]]), np.array([[-0.9], [0.8], [1.0]])
+        pairs = np.outer(aux[:, 0], aux[:, 0])
+        want = [[alpha @ (pairs * x * y) ** 180 @ alpha for y in X2[:, 0]] for x in X1[:, 0]]
+        assert t(X1, X2) == pytest.approx(np.array(want), rel=1e-12, abs=0)

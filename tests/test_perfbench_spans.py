@@ -14,6 +14,7 @@ import tpbo.bench  # noqa: F401  (loaded before the snapshot, as install() loads
 import tpbo.cli  # noqa: F401
 from tpbo import FreeKernelSpec, TunedKernel
 from tpbo.gp import GpPosterior
+from tpbo.pretrain import DEFAULT_NU_GRID, AuxDataset, pretrain
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -80,6 +81,16 @@ def test_weight_route_records_tuned_se_cross_spans(spans):
     assert tracer.aggregate(rounds=1)["accel.tuned_se_cross.s"] > 0.0
 
 
+def test_traced_pretrain_spans_one_loo_scan_per_nu(spans):
+    rng = np.random.default_rng(2)
+    data = AuxDataset(rng.uniform(-1, 1, (12, 2)), rng.uniform(size=12), "regression")
+    tracer = spans.Tracer()
+    with tracer:
+        pretrain(data, FreeKernelSpec(family="se"))
+    names = [span[0] for span in tracer.spans]
+    assert names.count("pretrain.loo_error") == len(DEFAULT_NU_GRID) == 5
+
+
 def test_traced_ei_cell_spans_per_iteration(spans):
     spec = tpbo.bench.BenchmarkSpec(
         functions=("himmelblau",), methods=("ei",), seeds=1, iterations=3, refine_top=2
@@ -90,5 +101,7 @@ def test_traced_ei_cell_spans_per_iteration(spans):
     assert len(records) == spec.iterations
     metrics = tracer.aggregate(rounds=1)
     assert metrics["bench.tune_se_loo.calls"] == spec.iterations
+    # each re-tune scores one lambda row per nu of the default grid
+    assert metrics["pretrain.loo_error.calls"] == spec.iterations * len(DEFAULT_NU_GRID)
     assert metrics["bo.maximize_acquisition.calls"] == spec.iterations
     assert metrics["bench.run_cell.ei.s"] > 0.0

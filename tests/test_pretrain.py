@@ -23,7 +23,6 @@ from tpbo.pretrain import (
     _EIGH_KAPPA_MAX,
     AuxDataset,
     HyperGrid,
-    _loo_row,
     base_gram,
     build_tuned,
     load_aux_csv,
@@ -134,6 +133,23 @@ class TestHinge:
             cand = y * rng.uniform(0.0, 1.0 / lam, size=n)
             assert best <= hinge_objective(gram, cand) + 1e-9
 
+    @pytest.mark.parametrize("lam", [0.01, 1.0])
+    @pytest.mark.parametrize("family", ["linear", "hyperbolic-sine"])
+    def test_point_at_origin_sits_at_the_box_edge(self, family, lam):
+        # A point at the origin has a zero Gram row: its step has no
+        # curvature, so its dual goes to the edge of the box and moves no
+        # other coordinate's residual.
+        rng = np.random.default_rng(24)
+        X = rng.uniform(-1, 1, (9, 2))
+        X[3] = 0.0
+        y = np.where(rng.uniform(size=9) < 0.5, -1.0, 1.0)
+        gram = base_gram(FreeKernelSpec(family=family), X)
+        assert not gram[3].any()
+        alpha = train_hinge(gram, y, lam)
+        assert alpha[3] == y[3] / lam
+        keep = np.arange(9) != 3
+        assert np.array_equal(alpha[keep], train_hinge(gram[np.ix_(keep, keep)], y[keep], lam))
+
     @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
     def test_nonfinite_gram_rejected(self, bad):
         with pytest.raises(ValueError, match="must not contain infs or NaNs"):
@@ -164,7 +180,7 @@ class TestHinge:
 class TestLoo:
     def test_identity_gram_regression(self):
         y = np.array([2.0, -1.0, 0.5])
-        assert loo_error(np.eye(3), y, 1.0, "regression") == pytest.approx(np.mean(y**2))
+        assert loo_error(np.eye(3), y, (1.0,), "regression") == [pytest.approx(np.mean(y**2))]
 
     def test_regression_closed_form_matches_refitting(self):
         rng = np.random.default_rng(3)
@@ -174,7 +190,7 @@ class TestLoo:
             gram = base_gram(FreeKernelSpec(family="se", nu=1.5), X)
             y = rng.normal(size=n)
             lam = float(rng.choice([1e-3, 1e-2, 1e-1]))
-            closed = loo_error(gram, y, lam, "regression")
+            closed = loo_error(gram, y, (lam,), "regression")[0]
             sq = []
             for i in range(n):
                 keep = np.arange(n) != i
@@ -187,16 +203,16 @@ class TestLoo:
         # Leaving out any corner flips its predicted sign: the three remaining
         # points fit alpha = (1/8)[10/11, 10/11, -12/11] and the held-out
         # response is 1/11 with the wrong sign, for every fold by symmetry.
-        assert loo_error(XOR_GRAM, XOR_LABELS, 1.0, "classification") == pytest.approx(1.0)
+        assert loo_error(XOR_GRAM, XOR_LABELS, (1.0,), "classification") == [1.0]
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
     def test_nonfinite_classification_gram_rejected(self, bad):
         with pytest.raises(ValueError, match="must not contain infs or NaNs"):
-            loo_error(nonfinite_gram(bad), np.array([1.0, -1.0]), 1.0, "classification")
+            loo_error(nonfinite_gram(bad), np.array([1.0, -1.0]), (1.0,), "classification")
 
     def test_unknown_task_rejected(self):
         with pytest.raises(ValueError):
-            loo_error(np.eye(2), np.array([1.0, -1.0]), 1.0, "ranking")
+            loo_error(np.eye(2), np.array([1.0, -1.0]), (1.0,), "ranking")
 
     def test_grid_scan_checks_every_gram(self):
         # each nu's Gram is checked once before its lambda row is scored
@@ -264,7 +280,7 @@ class TestLapackRoute:
         for nu in DEFAULT_NU_GRID:
             gram = base_gram(FreeKernelSpec(family="se", nu=nu), X)
             for lam in DEFAULT_LAMBDA_GRID:
-                assert loo_error(gram, y, lam, "regression") == pytest.approx(
+                assert loo_error(gram, y, (lam,), "regression")[0] == pytest.approx(
                     scipy_loo(gram, y, lam), rel=1e-10, abs=0
                 )
 
@@ -290,7 +306,7 @@ class TestLapackRoute:
     def test_nonfinite_ridge_system_rejected(self, lapack_calls):
         gram = np.eye(2)
         gram[0, 1] = gram[1, 0] = np.inf
-        for solve in (train_lssvm, lambda g, t, lam: loo_error(g, t, lam, "regression")):
+        for solve in (train_lssvm, lambda g, t, lam: loo_error(g, t, (lam,), "regression")):
             with pytest.raises(ValueError, match="must not contain infs or NaNs"):
                 solve(gram, np.array([1.0, -1.0]), 0.1)
             # a NaN target would pass through dpotrs, or the LOO products, silently
@@ -322,11 +338,11 @@ class TestLapackRoute:
         with pytest.raises(NumericalError, match=msg):
             train_lssvm(gram, np.array([1.0, -1.0]), 0.1)
         with pytest.raises(NumericalError, match=msg):
-            loo_error(gram, np.array([1.0, -1.0]), 0.1, "regression")
+            loo_error(gram, np.array([1.0, -1.0]), (0.1,), "regression")
 
 
 class TestRowScorer:
-    """`_loo_row` against a per-lambda Cholesky reference (`scipy_loo`).
+    """`loo_error` against a per-lambda Cholesky reference (`scipy_loo`).
 
     Both routes are backward stable, so where a row is scored from the
     eigendecomposition they differ by up to a small multiple of kappa * eps,
@@ -358,10 +374,10 @@ class TestRowScorer:
                 want = [scipy_loo(gram, y, lam) for lam in DEFAULT_LAMBDA_GRID]
             except np.linalg.LinAlgError:
                 with pytest.raises(NumericalError, match="ridge system factorization failed"):
-                    _loo_row(gram, y, DEFAULT_LAMBDA_GRID, "regression")
+                    loo_error(gram, y, DEFAULT_LAMBDA_GRID, "regression")
                 return
-            row = _loo_row(gram, y, DEFAULT_LAMBDA_GRID, "regression")
-            s = scipy.linalg.lapack.dsyevd(gram, compute_v=1)[0]  # as _loo_row decomposes
+            row = loo_error(gram, y, DEFAULT_LAMBDA_GRID, "regression")
+            s = scipy.linalg.lapack.dsyevd(gram, compute_v=1)[0]  # as loo_error decomposes
             kappas = (s[-1] + lams) / (s[0] + lams)
             if np.all((kappas > 0) & (kappas < _EIGH_KAPPA_MAX)):
                 for got, w, kappa in zip(row, want, kappas):
@@ -380,7 +396,7 @@ class TestRowScorer:
         rng = np.random.default_rng(1615081027)
         X, y = rng.uniform(-1, 1, (38, 5)), rng.uniform(size=38)
         gram = base_gram(FreeKernelSpec("exponential", nu=10.0), X)
-        assert loo_error(gram, y, 1e-4, "regression") == pytest.approx(0.515745873, rel=1e-9)
+        assert loo_error(gram, y, (1e-4,), "regression")[0] == pytest.approx(0.515745873, rel=1e-9)
 
     def test_badly_scaled_gram_does_not_abort_the_scan(self):
         # a 5-D draw with corner points: the eigendecomposition puts the
@@ -428,7 +444,7 @@ class TestPretrain:
         for nu in grid.nu_values:
             gram = base_gram(FreeKernelSpec(family="se", nu=nu), X)
             for lam in grid.lambda_values:
-                cells.append((loo_error(gram, y01, lam, "regression"), nu, lam))
+                cells.append((loo_error(gram, y01, (lam,), "regression")[0], nu, lam))
         best = min(cells)
         assert (model.kernel.nu, model.lambda_) == (best[1], best[2])
         assert model.loo_error == pytest.approx(best[0], rel=1e-12)
