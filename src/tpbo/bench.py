@@ -31,6 +31,7 @@ from .pretrain import (
     AuxDataset,
     build_tuned,
     pretrain,
+    rescale_column,
     select_by_loo,
 )
 
@@ -448,9 +449,7 @@ def synthetic_two_device(seed: int = 0) -> TwoDeviceProblem:
     neg = -device_b.squared_deviation(rng.uniform(-1.0, 1.0, size=(4096, 5)))
 
     aux_x = rng.uniform(-1.0, 1.0, size=(162, 5))
-    aux_raw = device_a.squared_deviation(aux_x)
-    span = aux_raw.max() - aux_raw.min()
-    aux_y = (aux_raw - aux_raw.min()) / span if span > 0 else np.zeros_like(aux_raw)
+    aux_y = rescale_column(device_a.squared_deviation(aux_x), "device A's target column")[0]
 
     return TwoDeviceProblem(
         cost=device_b.squared_deviation,

@@ -296,9 +296,9 @@ def tell(session: BoSession, x, y: float) -> BoSession:
     """Record an observation and advance the iteration counter.
 
     `x` must pass `_point_rows` and `y` must be finite.  Points that were
-    never suggested (or differ from the pending suggestion) are accepted as external data but logged, since the
-    surrogate they were chosen under is unknown.  Any pending suggestion
-    is cleared: new data invalidates it.
+    never suggested (or differ from the pending suggestion) are accepted as
+    external data but logged, since the surrogate they were chosen under is
+    unknown.  Any pending suggestion is cleared: new data invalidates it.
     """
     x = _point_rows([x], session.acquisition.dim, "point")[0]
     y = float(y)

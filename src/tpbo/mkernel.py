@@ -59,7 +59,8 @@ class FreeKernelSpec:
 
     ``nu`` scales the hyperbolic-sine/exponential/se families, ``degree`` and
     ``offset`` parametrize the polynomial family ``(<...>_m + offset)^degree``.
-    Families ignore hyperparameters they do not read.
+    Families ignore hyperparameters they do not read, but every member
+    checks all three, since every model file stores them.
     """
 
     family: str
@@ -72,11 +73,10 @@ class FreeKernelSpec:
             raise ValueError(f"unknown kernel family {self.family!r}; expected one of {FAMILIES}")
         if not (np.isfinite(self.nu) and self.nu >= 0.0):
             raise ValueError(f"nu must be finite and >= 0, got {self.nu}")
-        if self.family == "polynomial":
-            if not (isinstance(self.degree, (int, np.integer)) and self.degree >= 1):
-                raise ValueError(f"polynomial degree must be an integer >= 1, got {self.degree}")
-            if not (np.isfinite(self.offset) and self.offset >= 0.0):
-                raise ValueError(f"polynomial offset must be finite and >= 0, got {self.offset}")
+        if not (isinstance(self.degree, (int, np.integer)) and self.degree >= 1):
+            raise ValueError(f"degree must be an integer >= 1, got {self.degree}")
+        if not (np.isfinite(self.offset) and self.offset >= 0.0):
+            raise ValueError(f"offset must be finite and >= 0, got {self.offset}")
 
 
 # ---------------------------------------------------------------------------

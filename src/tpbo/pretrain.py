@@ -121,9 +121,9 @@ class HyperGrid:
 
 @dataclass(frozen=True)
 class Normalization:
-    """Affine maps of the auxiliary data: `load_aux_csv` maps inputs from
-    [x_lo, x_hi] to [-1, 1] at ingestion, and `_normalize_targets` maps
-    regression targets from [y_min, y_max] to [0, 1] inside `pretrain`."""
+    """Affine maps of the auxiliary data, each made by `rescale_column`:
+    `load_aux_csv` maps inputs from [x_lo, x_hi] to [-1, 1] at ingestion, and
+    `pretrain` maps regression targets from [y_min, y_max] to [0, 1]."""
 
     y_min: float
     y_max: float
@@ -146,13 +146,23 @@ class AuxModel:
 
 
 def base_gram(spec: FreeKernelSpec, X: np.ndarray) -> np.ndarray:
-    """Arity-2 Gram matrix of a free-kernel member over one batch of points."""
+    """Arity-2 Gram matrix of a free-kernel member over one batch of points.
+
+    A Gram past the float range raises ``ValueError`` naming the member.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if spec.family == "se":
-        return _accel.se_cross(X, X, spec.nu)
-    if spec.family == "log-ratio":
-        return _accel.log_ratio(X[:, None, :] * X[None, :, :])
-    return _accel.dot_series(spec.family, spec.nu, spec.degree, spec.offset, X @ X.T)
+    with np.errstate(over="ignore"):
+        if spec.family == "se":
+            gram = _accel.se_cross(X, X, spec.nu)
+        elif spec.family == "log-ratio":
+            gram = _accel.log_ratio(X[:, None, :] * X[None, :, :])
+        else:
+            gram = _accel.dot_series(spec.family, spec.nu, spec.degree, spec.offset, X @ X.T)
+    if not np.isfinite(gram).all():
+        at = (f"degree {spec.degree} and offset {spec.offset:g}"
+              if spec.family == "polynomial" else f"nu {spec.nu:g}")
+        raise ValueError(f"the {spec.family} Gram at {at} overflows the float range")
+    return gram
 
 
 def _check_gram(gram: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -341,17 +351,24 @@ def select_by_loo(
     return min(scores)
 
 
-def _normalize_targets(data: AuxDataset) -> tuple[np.ndarray, float, float]:
-    y = data.targets
-    y_min, y_max = float(y.min()), float(y.max())
-    if data.task == "classification":
-        return y.copy(), y_min, y_max
-    span = y_max - y_min
-    if span <= 1e-12 * max(1.0, abs(y_max), abs(y_min)):
-        # Constant targets carry no signal; the zero vector propagates to the
-        # vanishing-kernel check after training.
-        return np.zeros_like(y), y_min, y_max
-    return (y - y_min) / span, y_min, y_max
+def rescale_column(values, name: str, lower: float = 0.0) -> tuple[np.ndarray, float, float]:
+    """Map one column of finite values onto [lower, 1]; return (u, lo, hi).
+
+    u = lower + (1 - lower) (v - lo) / (hi - lo), so the extremes land on
+    exactly ``lower`` and 1.  A column whose span is at most 1e-12 of its
+    largest magnitude carries no signal and maps to 0 (a zero target, or the
+    centre of the input box); the rule has no absolute floor, so it decides
+    alike at every power-of-two scale.  A span past the float range raises
+    ``ValueError`` naming the column.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    lo, hi = float(v.min()), float(v.max())
+    span = hi - lo
+    if not math.isfinite(span):
+        raise ValueError(f"{name} spans {lo:g} to {hi:g}, too wide to rescale")
+    if span <= 1e-12 * max(abs(lo), abs(hi)):
+        return np.zeros_like(v), lo, hi
+    return lower + (1.0 - lower) * ((v - lo) / span), lo, hi
 
 
 def pretrain(
@@ -367,7 +384,8 @@ def pretrain(
     dual coefficients at zero (e.g. constant regression targets).
     """
     grid = grid or HyperGrid()
-    y, y_min, y_max = _normalize_targets(data)
+    u, y_min, y_max = rescale_column(data.targets, "the target column")
+    y = u if data.task == "regression" else data.targets
     nu_values = grid.nu_values if kernel.family in _NU_FAMILIES else (kernel.nu,)
     err, nu, lam = select_by_loo(
         lambda nu: base_gram(replace(kernel, nu=nu), data.inputs),
@@ -512,17 +530,8 @@ def load_aux_csv(path, task: str) -> AuxDataset:
         raise ValueError(f"{path}: no data rows")
     arr = np.asarray(rows, dtype=np.float64)
     X, y = arr[:, :n], arr[:, n]
-    lo = X.min(axis=0)
-    hi = X.max(axis=0)
+    scaled = np.empty_like(X)
+    lo, hi = np.empty(n), np.empty(n)
     for k in range(n):
-        # the rescale doubles X - lo, which is at most the span
-        if not math.isfinite(2.0 * (float(hi[k]) - float(lo[k]))):
-            raise ValueError(
-                f"{path}: column x{k + 1} spans {lo[k]:g} to {hi[k]:g}, "
-                "too wide to rescale to [-1, 1]"
-            )
-    span = hi - lo
-    scaled = np.zeros_like(X)
-    wide = span > 1e-300
-    scaled[:, wide] = 2.0 * (X[:, wide] - lo[wide]) / span[wide] - 1.0
+        scaled[:, k], lo[k], hi[k] = rescale_column(X[:, k], f"{path}: column x{k + 1}", -1.0)
     return AuxDataset(inputs=scaled, targets=y, task=task, input_lo=lo, input_hi=hi)

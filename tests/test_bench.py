@@ -408,8 +408,11 @@ class TestProtocol:
         [(("himmelblau", "himmelblau"), ("ei",), "function 'himmelblau' is given twice"),
          (("ackley",), ("ei", "tp-ei", "ei"), "method 'ei' is given twice"),
          (("easom",), ("ei",), "unknown function 'easom'; valid: " + ", ".join(FUNCTION_ORDER)),
-         (("ackley",), ("sgd",), "unknown method 'sgd'; valid: " + ", ".join(METHODS))],
-        ids=["repeated-function", "repeated-method", "unknown-function", "unknown-method"],
+         (("ackley",), ("sgd",), "unknown method 'sgd'; valid: " + ", ".join(METHODS)),
+         # what `bench --functions ,` asks for
+         ((), ("ei",), "functions and methods must be nonempty")],
+        ids=["repeated-function", "repeated-method", "unknown-function", "unknown-method",
+             "no-functions"],
     )
     def test_spec_owns_the_name_rules(self, functions, methods, message):
         # a repeated name would run its cells twice and count each seed twice in the summary

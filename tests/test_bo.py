@@ -496,6 +496,13 @@ class TestAskTell:
         tell(s, [1.0, -1.0], 0.0)  # the boundary is inside
         assert s.gp.obs.size == 3
 
+    def test_session_without_data_has_no_best(self):
+        s = new_session(SeKernel(1.0), AcquisitionSpec(kind="ei", dim=2), seed=0,
+                        noise_var=1e-6, init_points=(), init_values=())
+        assert s.best_so_far is None
+        with pytest.raises(ValueError, match="iteration must be nonnegative"):
+            BoSession(s.gp, s.acquisition, s.rng_seed, iteration=-1)
+
     def test_tell_dimension_mismatch_rejected(self):
         s = small_session()
         with pytest.raises(ValueError):

@@ -35,6 +35,16 @@ CONSTANT_CSV = """x1,x2,y
 """
 
 
+LABELS_CSV = """x1,x2,y
+-1.0,-0.5,-1
+-0.3,0.8,1
+0.6,-0.9,-1
+0.9,0.4,1
+-0.7,0.1,-1
+0.2,0.5,1
+"""
+
+
 @pytest.fixture()
 def xor_csv(tmp_path):
     path = tmp_path / "xor.csv"
@@ -70,24 +80,6 @@ class TestPretrainCommand:
                          "--kernel", "poly", "--lambda-grid", "1",
                          "--out", str(models[-1])]) == 0, capsys.readouterr().err
         assert models[0].read_bytes() == models[1].read_bytes()
-
-    def test_overflowing_gram_exits_2_without_a_file(self, tmp_path, capsys):
-        csv = tmp_path / "labels.csv"
-        csv.write_text(
-            "x1,x2,y\n-1.0,-0.5,-1\n-0.3,0.8,1\n0.6,-0.9,-1\n"
-            "0.9,0.4,1\n-0.7,0.1,-1\n0.2,0.5,1\n"
-        )
-        model_path = tmp_path / "m.json"
-        # nu = 1000 overflows the exponential family's Gram to inf
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            code = main([
-                "pretrain", "--aux", str(csv), "--task", "classification",
-                "--kernel", "exp", "--nu-grid", "1000", "--lambda-grid", "1",
-                "--out", str(model_path),
-            ])
-        assert code == 2
-        assert "must not contain infs or NaNs" in capsys.readouterr().err
-        assert not model_path.exists()
 
     def test_rank_deficient_ridge_exits_4_naming_the_eigenvalue(self, tmp_path, capsys):
         # four points on a line give a rank-1 linear Gram, and a ridge of
@@ -159,20 +151,36 @@ class TestPretrainCommand:
              ":3: non-finite field"),
             ("", [], "empty auxiliary file"),
             ("x1,x2,y\n", [], "no data rows"),
-            # a span past the float range, and a finite span the rescale doubles past it
+            # input and target spans past the float range
             ("x1,y\n1e308,1\n-1e308,2\n0,3\n", [], "aux.csv: column x1 "),
-            ("x1,y\n0,1\n1.7e308,2\n5,3\n", [], "aux.csv: column x1 "),
+            ("x1,y\n0,1e308\n1,-1e308\n2,0\n", [],
+             "the target column spans -1e+308 to 1e+308"),
             (XOR_CSV.replace("-1.0\n", "0.0\n"), ["--task", "classification"],
              "classification targets must be -1 or +1"),
+            (None, ["--task", "classification"], "generates regression targets"),
             (None, ["--lambda-grid", "0"], "lambda grid values must be finite and > 0"),
             (None, ["--nu-grid", "-1"], "nu grid values must be finite and >= 0"),
             (None, ["--nu-grid", "inf"], "nu grid values must be finite and >= 0"),
+            (None, ["--nu-grid", ","], "--nu-grid must contain at least one number"),
             (None, ["--aux-size", "0"], "n must be at least 1"),
             (None, ["--aux-size", "-3"], "n must be at least 1"),
+            # every model file stores degree and offset, whatever the family
+            (None, ["--offset", "nan"], "offset must be finite and >= 0, got nan"),
+            (None, ["--offset", "-1"], "offset must be finite and >= 0, got -1.0"),
+            (None, ["--degree", "0"], "degree must be an integer >= 1, got 0"),
+            # Grams past the float range
+            (LABELS_CSV, ["--task", "classification", "--kernel", "exp", "--nu-grid", "1000"],
+             "the exponential Gram at nu 1000 overflows the float range"),
+            (None, ["--kernel", "sinh", "--nu-grid", "800"],
+             "the hyperbolic-sine Gram at nu 800 overflows the float range"),
+            (None, ["--kernel", "poly", "--degree", "400", "--offset", "10"],
+             "the polynomial Gram at degree 400 and offset 10 overflows the float range"),
         ],
         ids=["nan-field", "inf-field", "empty", "header-only", "span-overflow",
-             "doubled-span-overflow", "labels-not-pm1",
-             "lambda-zero", "nu-negative", "nu-inf", "aux-size-zero", "aux-size-negative"],
+             "target-span-overflow", "labels-not-pm1", "generated-labels",
+             "lambda-zero", "nu-negative", "nu-inf", "nu-grid-empty", "aux-size-zero",
+             "aux-size-negative", "offset-nan", "offset-negative", "degree-zero",
+             "exp-gram-overflow", "sinh-gram-overflow", "poly-gram-overflow"],
     )
     def test_bad_input_exits_2_without_a_file(self, tmp_path, capsys, csv, argv, message):
         if csv is None:
@@ -187,6 +195,14 @@ class TestPretrainCommand:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert message in err
         assert not model_path.exists()
+
+    def test_span_near_the_float_range_trains(self, tmp_path, capsys):
+        # the span 1.7e308 is finite, and the extremes land on exactly -1 and 1
+        (tmp_path / "aux.csv").write_text("x1,y\n0,1\n1.7e308,2\n5,3\n")
+        model_path = tmp_path / "m.json"
+        code = main(["pretrain", "--aux", str(tmp_path / "aux.csv"), "--out", str(model_path)])
+        assert code == 0, capsys.readouterr().err
+        assert json.loads(model_path.read_text())["aux_inputs"] == [[-1.0], [1.0], [-1.0]]
 
     def test_blank_line_between_rows_is_skipped(self, tmp_path, capsys):
         rows = "x1,x2,y\n0.1,0.2,0.3\n0.4,-0.8,0.1\n-0.2,0.5,0.7\n0.9,-0.6,0.2\n"

@@ -34,6 +34,32 @@ def dense_posterior(kernel, X, y, noise_var, x):
     return mean, var
 
 
+class TestArguments:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: SeKernel(0.0), "nu must be finite and > 0"),
+            (lambda: ArdSeKernel([]), "per-axis scales must be finite and > 0"),
+            (lambda: Observations(np.zeros((2, 2)), np.zeros(3), 1e-6),
+             "points and values must have matching lengths"),
+            (lambda: Observations(np.zeros((2, 2)), np.zeros(2), -1.0),
+             "noise variance must be finite and >= 0"),
+            (lambda: Observations(np.zeros((2, 2)), np.zeros(2), 1e-6).appended([0.0] * 3, 1.0),
+             "new point dimension does not match the observation set"),
+            (lambda: tpbo.gp.check_lapack_info("dpotrf", -3),
+             "illegal value in argument 3 of dpotrf"),
+            # LinAlgError is a ValueError
+            (lambda: tpbo.gp._solve_lower(np.diag([1.0, 0.0]), np.ones(2)),
+             "singular matrix: resolution failed at diagonal 1"),
+        ],
+        ids=["se-nu-zero", "ard-no-scales", "lengths-differ", "noise-negative",
+             "appended-dimension", "lapack-illegal-argument", "triangle-singular"],
+    )
+    def test_bad_arguments_raise(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 class TestPosterior:
     def test_empty_posterior_is_prior(self):
         gp = GpPosterior(SeKernel(1.0), Observations(np.empty((0, 2)), np.empty(0), 1e-6))

@@ -140,6 +140,30 @@ class TestEvalFree:
         with pytest.raises(ValueError):
             FreeKernelSpec(family="cubic")
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            # every model file stores degree and offset, so every family checks them
+            (lambda: FreeKernelSpec(family="se", degree=0), "degree must be an integer >= 1"),
+            (lambda: FreeKernelSpec(family="exponential", offset=float("nan")),
+             "offset must be finite and >= 0"),
+            (lambda: TunedKernel(QUADRATIC, XOR_POINTS, XOR_ALPHA[:3]),
+             "one dual coefficient per auxiliary point is required"),
+            (lambda: TunedKernel(QUADRATIC, np.empty((0, 2)), np.empty(0)),
+             "at least one auxiliary point is required"),
+            (lambda: TunedKernel(QUADRATIC, XOR_POINTS, [np.nan, 0.1, 0.1, 0.1]),
+             "auxiliary data must be finite"),
+            (lambda: TunedKernel(QUADRATIC, XOR_POINTS, XOR_ALPHA)(np.zeros((1, 3)), XOR_POINTS),
+             "point dimension does not match the auxiliary set"),
+            (lambda: _accel.dot_series("se", 1.0, 2, 0.0, 0.5), "unsupported dot-product family"),
+        ],
+        ids=["se-degree-zero", "exponential-offset-nan", "alpha-short", "no-aux-points",
+             "alpha-nan", "point-dimension", "series-of-se"],
+    )
+    def test_bad_arguments_raise(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
     @settings(max_examples=40)
     @given(st.integers(0, 2**32 - 1), st.sampled_from(["linear", "polynomial", "exponential", "se"]))
     def test_argument_permutation_symmetry(self, seed, family):
@@ -660,6 +684,13 @@ class TestRouteChoice:
         four = TunedKernel(spec, rng.uniform(-1, 1, (4, 2)), rng.normal(size=4))
         assert (five.route, five.order) == ("weights", 3)
         assert (four.route, four.order) == ("pairs", None)
+
+    def test_coefficient_table_past_the_float_range_takes_the_pairs(self):
+        # Degree 2 in 1-D has 3 monomials, fewer than the 6 pairs of three
+        # points, but offset^2 (alpha_1 + alpha_2 + alpha_3)^2 is 1e320.
+        aux, alpha = np.array([[-0.5], [0.25], [0.75]]), np.array([3e9, 4e9, 3e9])
+        t = TunedKernel(FreeKernelSpec(family="polynomial", degree=2, offset=1e150), aux, alpha)
+        assert (t.route, t.order) == ("pairs", None)
 
     def test_high_degree_polynomial_takes_the_pairs(self):
         # Degree 180 in 1-D has 181 monomials, fewer than the 210 pairs of

@@ -47,6 +47,40 @@ def hinge_objective(gram, alpha):
     return 0.5 * alpha @ gram @ alpha - np.sum(np.abs(alpha))
 
 
+class TestArguments:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: AuxDataset(XOR_POINTS, XOR_LABELS, "ranking"), "task must be one of"),
+            (lambda: AuxDataset(XOR_POINTS, XOR_LABELS[:3], "classification"),
+             "inputs and targets must have matching lengths"),
+            (lambda: AuxDataset(np.empty((0, 2)), np.empty(0), "regression"),
+             "auxiliary dataset must be non-empty"),
+            (lambda: AuxDataset(XOR_POINTS, [0.0, np.nan, 1.0, 0.5], "regression"),
+             "auxiliary data must be finite"),
+            (lambda: AuxDataset(2.0 * XOR_POINTS, XOR_LABELS, "classification"),
+             "auxiliary inputs must be normalized to [-1, 1]"),
+            (lambda: AuxDataset(XOR_POINTS, 0.5 * XOR_LABELS, "classification"),
+             "classification targets must be -1 or +1"),
+            (lambda: AuxDataset(XOR_POINTS, XOR_LABELS, "classification", input_lo=[0.0]),
+             "input bounds must match the input dimension"),
+            (lambda: HyperGrid(nu_values=()), "hyperparameter grid must be non-empty"),
+            (lambda: train_lssvm(np.ones((2, 3)), np.ones(2), 1.0), "gram must be a square matrix"),
+            (lambda: train_lssvm(np.eye(3), np.ones(2), 1.0),
+             "gram and targets must have matching sizes"),
+            (lambda: train_hinge(XOR_GRAM, XOR_LABELS, 0.0), "lambda must be > 0"),
+            (lambda: loo_error(np.eye(1), [1.0], (1.0,), "classification"),
+             "classification leave-one-out needs at least two points"),
+        ],
+        ids=["task-unknown", "lengths-differ", "empty", "targets-nan", "inputs-outside-box",
+             "labels-not-pm1", "bounds-short", "grid-empty", "gram-not-square",
+             "gram-size-differs", "hinge-lambda-zero", "loo-one-label"],
+    )
+    def test_bad_arguments_raise(self, call, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
+
 class TestLssvm:
     def test_identity_gram_two_points(self):
         alpha = train_lssvm(np.eye(2), np.array([1.0, -1.0]), 1.0)
@@ -475,6 +509,26 @@ class TestPretrain:
             paths.append(p.read_bytes())
         assert paths[0] == paths[1]
 
+    def test_target_units_do_not_change_the_fit(self, tmp_path):
+        # the constant-column rule is relative, so targets in any power-of-two
+        # unit give the same fit bit for bit
+        rng = np.random.default_rng(10)
+        X = rng.uniform(-3.0, 7.0, (30, 2))
+        y = np.sin(X[:, 0]) + 0.1 * X[:, 1] ** 2
+        models = []
+        for scale in (1.0, 2.0**-50):
+            path = tmp_path / f"aux{len(models)}.csv"
+            rows = "".join(f"{a!r},{b!r},{v!r}\n" for (a, b), v in zip(X.tolist(), (y * scale).tolist()))
+            path.write_text("x1,x2,y\n" + rows)
+            models.append(pretrain(load_aux_csv(path, "regression"), FreeKernelSpec(family="se")))
+        plain, small = models
+        assert (small.kernel, small.lambda_, small.loo_error) == (
+            plain.kernel, plain.lambda_, plain.loo_error)
+        assert np.array_equal(small.alpha, plain.alpha)
+        norm = small.normalization
+        assert (norm.y_min, norm.y_max) == (
+            plain.normalization.y_min * 2.0**-50, plain.normalization.y_max * 2.0**-50)
+
     def test_constant_targets_raise_vanishing(self):
         rng = np.random.default_rng(7)
         X = rng.uniform(-1, 1, (12, 2))
@@ -580,10 +634,15 @@ class TestPersistence:
             # int() would truncate both to the stored values, 2 and 1
             lambda text: text.replace('"degree": ', '"degree": 2.9, "was": ', 1),
             lambda text: text.replace('"input_dim": ', '"input_dim": 1.5, "was": ', 1),
+            # every family stores an offset, so an se model's is checked too
+            lambda text: text.replace('"offset": ', '"offset": -1.0, "was": ', 1),
+            lambda text: text.replace('"task": ', '"task": "ranking", "was": ', 1),
+            lambda text: text.replace('"input_dim": ', '"input_dim": 2, "was": ', 1),
         ],
         ids=["not-json", "lambda-not-float", "input-dim-not-int", "x-lo-too-long",
              "x-hi-empty", "alpha-nan", "aux-inputs-inf", "x-lo-nan", "x-hi-inf",
-             "degree-fraction", "input-dim-fraction"],
+             "degree-fraction", "input-dim-fraction", "se-offset-negative", "task-unknown",
+             "shapes-inconsistent"],
     )
     def test_malformed_values_name_the_file(self, tmp_path, edit):
         data = AuxDataset(inputs=np.array([[-1.0], [0.0], [1.0]]),
@@ -626,7 +685,9 @@ class TestCsv:
             load_aux_csv(path, "regression")
 
     def test_constant_column_maps_to_zero(self, tmp_path):
+        # x3 agrees to 12 significant digits, which the one rule calls constant
         path = tmp_path / "aux.csv"
-        path.write_text("x1,x2,y\n5.0,1.0,0.0\n5.0,2.0,1.0\n")
+        path.write_text("x1,x2,x3,y\n5.0,1.0,1000.0,0.0\n5.0,2.0,1000.0000000001,1.0\n")
         data = load_aux_csv(path, "regression")
-        assert np.allclose(data.inputs[:, 0], 0.0)
+        assert np.array_equal(data.inputs, [[0.0, -1.0, 0.0], [0.0, 1.0, 0.0]])
+        assert np.array_equal(data.input_hi, [5.0, 2.0, 1000.0000000001])
