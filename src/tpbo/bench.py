@@ -355,7 +355,7 @@ def run_benchmark(spec: BenchmarkSpec) -> List[RegretRecord]:
     workers = _worker_count(len(cells))
     records: List[RegretRecord] = []
     # loaded before the fork, or every worker would import it again
-    import scipy.optimize  # noqa: F401
+    import scipy.special  # noqa: F401
 
     with _blas.single_thread():
         if workers == 1:

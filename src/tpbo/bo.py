@@ -4,21 +4,19 @@ The loop proposes points by maximizing an acquisition surface over the
 box [-1, 1]^n, the scale the auxiliary model's inputs were rescaled to,
 evaluates the objective, and folds the result back into the posterior.
 The maximizer scores a Latin-hypercube probe set in one batch, then
-polishes the best `POLISH_STARTS` probes together in one bounded L-BFGS-B
-run over their summed acquisition, with analytic gradients taken through
-the covariance, the posterior and the acquisition.  Every entry point
-polishes that many unless its caller asks for another count.  Probe scores
-and polish evaluations are one body, ``_acquisition``, which asks the
-posterior for gradients only with ``grad``.  An ask/tell split exposes the
-same cycle to callers that run experiments out of process, with JSON
-session files for persistence.
+polishes the best `POLISH_STARTS` probes, each by its own projected
+trust-region Newton steps with all starts in lock-step, on analytic
+gradients taken through the covariance, the posterior and the acquisition.
+Every entry point polishes that many unless its caller asks for another
+count.  Probe scores and polish steps are one body, ``_acquisition``, which
+asks the posterior for gradients only with ``grad``.  An ask/tell split
+exposes the same cycle to callers that run experiments out of process,
+with JSON session files for persistence.
 
 scipy is loaded on first use: ``scipy.special`` (for ``ndtr``) by the first
-expected-improvement value, and ``scipy.optimize`` (for L-BFGS-B) by the
-first pick that polishes, before the pick enters its one-BLAS-thread block.
-``bench.run_benchmark`` imports ``scipy.optimize`` before it forks its
-pool, so that its workers inherit the loaded modules instead of each
-importing them again.
+expected-improvement value.  ``bench.run_benchmark`` imports it before it
+forks its pool, so that its workers inherit the loaded module instead of
+each importing it again.
 """
 
 from __future__ import annotations
@@ -41,8 +39,20 @@ ACQUISITION_KINDS = ("ei", "ucb")
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-#: How many of a pick's best probes start the L-BFGS-B polish.
+#: How many of a pick's best probes start the polish.
 POLISH_STARTS = 8
+
+# `_polish`'s forward-difference step for its Hessians, each start's first
+# trust radius, and the most ``_acquisition`` calls one polish makes
+_FD_STEP = 1e-6
+_RADIUS = 0.5
+_POLISH_CALLS = 40
+# a step that gains less than this share of its predicted gain shrinks the
+# trust radius and has the next call re-derive the Hessian
+_POOR_RATIO = 0.25
+# L-BFGS-B's default stopping tests: pgtol, and factr times the machine epsilon
+_PG_TOL = 1e-5
+_GAIN_TOL = 1e7 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -218,6 +228,141 @@ def _acquisition(session: BoSession, X: np.ndarray, y_plus, grad: bool = False):
     return values, d_mean[:, None] * dmean + d_var[:, None] * dvar
 
 
+def _polish(session: BoSession, starts: np.ndarray, y_plus) -> np.ndarray:
+    """Each start's local maximizer of the acquisition in the box [-1, 1]^n.
+
+    Every start takes its own projected trust-region Newton steps (Conn,
+    Gould & Toint, 2000), all in lock-step: each step is one ``_acquisition``
+    call, with gradients, on the trial points of the starts still running.
+    A start whose model needs a fresh Hessian adds n copies of its trial
+    point to that call, each moved `_FD_STEP` along one coordinate (inward
+    on an upper face), and takes the symmetrized forward difference of the
+    gradients.  That covers every start on the first call, and later each
+    start whose last gain fell below `_POOR_RATIO` of the model's
+    prediction; the other starts update their Hessian by SR1 from the trial
+    gradient.  `_box_step` proposes each trial, and a trial is accepted only
+    when it scores higher, so no start's value decreases.
+
+    A start stops on L-BFGS-B's default tests applied to it alone: its
+    projected gradient's largest entry is at most `_PG_TOL`, or an accepted
+    step gained at most `_GAIN_TOL` times the larger of 1 and the two values.
+    It also stops when its model predicts no gain above that tolerance or
+    its step rounds away, and every start stops after `_POLISH_CALLS` calls.
+    Returns the final points, in the order of `starts`.
+    """
+    k, n = starts.shape
+    out = starts.copy()
+    live = np.arange(k)
+    x = trial = starts
+    radius = np.full(k, _RADIUS)
+    fresh = np.ones(k, dtype=bool)
+    eye = np.eye(n)
+    for call in range(_POLISH_CALLS):
+        base = trial[fresh]
+        h = np.where(base + _FD_STEP > 1.0, -_FD_STEP, _FD_STEP)
+        shifted = (base[:, None, :] + h[:, :, None] * eye).reshape(-1, n)
+        vals, grads = _acquisition(session, np.concatenate([trial, shifted]), y_plus, grad=True)
+        m = len(trial)
+        # the steps minimize the negated acquisition
+        ft, gt = -vals[:m], -grads[:m]
+        if call:
+            step = trial - x
+            gain = f - ft
+            ratio = gain / pred
+            # SR1, skipped where its denominator is tiny (Nocedal & Wright, 6.26)
+            r = gt - g - (B @ step[:, :, None])[:, :, 0]
+            rs = (r * step).sum(1)
+            ss = (step * step).sum(1)
+            sr1 = np.abs(rs) > 1e-8 * np.sqrt((r * r).sum(1) * ss)
+            scale = np.divide(1.0, rs, out=np.zeros(m), where=sr1)
+            B += scale[:, None, None] * r[:, :, None] * r[:, None, :]
+            size = np.sqrt(ss)
+            radius = np.where(
+                ratio < _POOR_RATIO, 0.25 * size,
+                np.where(ratio > 0.75, np.maximum(radius, 2.0 * size), radius),
+            )
+            accept = gain > 0.0
+            stop = accept & (gain <= _GAIN_TOL * np.maximum(np.maximum(abs(f), abs(ft)), 1.0))
+            x = np.where(accept[:, None], trial, x)
+            f = np.where(accept, ft, f)
+            g = np.where(accept[:, None], gt, g)
+        else:
+            f, g, B = ft, gt, np.empty((m, n, n))
+            stop = np.zeros(m, dtype=bool)
+        if fresh.any():
+            diff = (-grads[m:].reshape(-1, n, n) - gt[fresh][:, None, :]) / h[:, :, None]
+            B[fresh] = 0.5 * (diff + diff.transpose(0, 2, 1))
+        fresh = ratio < _POOR_RATIO if call else np.zeros(m, dtype=bool)
+
+        stop |= np.abs((x - g).clip(-1.0, 1.0) - x).max(1) <= _PG_TOL
+        p, pred = _box_step(x, g, B, radius)
+        trial = x + p
+        stop |= (pred <= _GAIN_TOL * np.maximum(abs(f), 1.0)) | (trial == x).all(1)
+        if stop.any():
+            out[live[stop]] = x[stop]
+            keep = ~stop
+            live, x, f, g, B = live[keep], x[keep], f[keep], g[keep], B[keep]
+            radius, pred, fresh, trial = radius[keep], pred[keep], fresh[keep], trial[keep]
+            if not live.size:
+                return out
+    out[live] = x
+    return out
+
+
+def _box_step(x, g, B, radius):
+    """Steps that minimize the models g·p + p·Bp/2 of the rows of x within
+    their trust radius and the box, and the decrease each model predicts.
+
+    A coordinate on a face whose gradient points out of the box is held.
+    On the rest, the step solves the trust-region problem ||p|| <= radius
+    through the eigendecomposition of B, by Newton's method on the secular
+    equation (Moré & Sorensen, 1983) to 1% of the radius.  A step that
+    leaves the box is projected onto it, or truncated at its first face
+    where the model predicts that truncation gains more.
+    """
+    free = (np.abs(x) < 1.0) | (g * x >= 0.0)
+    # a held coordinate's row and column become the identity's
+    model = B * (free[:, :, None] & free[:, None, :]) + ~free[:, :, None] * np.eye(x.shape[1])
+    w, Q = np.linalg.eigh(model)
+    gh = ((g * free)[:, None, :] @ Q)[:, 0, :]
+    # the root lies right of every |gh_i| / radius - w_i and of -w_min; the
+    # shift keeps every w_i + lam positive, and is all a Newton step changes
+    lo = np.maximum(-w[:, 0], 0.0)
+    lam = np.maximum(
+        (np.abs(gh) / radius[:, None] - w).max(1),
+        lo + 1e-12 * np.maximum(lo, abs(w[:, -1])) + 1e-300,
+    )
+    for _ in range(50):
+        d = w + lam[:, None]
+        q = np.sqrt(((gh / d) ** 2).sum(1))
+        todo = q > 1.01 * radius
+        if not todo.any():
+            break
+        curv = (gh[todo] ** 2 / d[todo] ** 3).sum(1)
+        lam[todo] += q[todo] ** 2 * (q[todo] / radius[todo] - 1.0) / curv
+    s = -(Q @ (gh / d)[:, :, None])[:, :, 0] * free
+
+    p = (x + s).clip(-1.0, 1.0) - x
+    gained = _decrease(g, B, p)
+    bent = (np.abs(x + s) > 1.0).any(1)
+    if bent.any():
+        # the largest fraction of each bent step that stays in the box
+        sb, xb = s[bent], x[bent]
+        reach = np.where(sb > 0.0, 1.0 - xb, -1.0 - xb)
+        frac = np.divide(reach, sb, out=np.ones_like(sb), where=sb != 0.0).min(1)
+        cut = np.minimum(frac, 1.0)[:, None] * sb
+        cut_gain = _decrease(g[bent], B[bent], cut)
+        better = cut_gain > gained[bent]
+        rows = np.flatnonzero(bent)[better]
+        p[rows], gained[rows] = cut[better], cut_gain[better]
+    return p, gained
+
+
+def _decrease(g, B, p):
+    """The decrease -(g·p + p·Bp/2) of each row's quadratic model."""
+    return -(p * (g + 0.5 * (B @ p[:, :, None])[:, :, 0])).sum(1)
+
+
 def maximize_acquisition(
     session: BoSession, refine_top: int = POLISH_STARTS
 ) -> np.ndarray:
@@ -225,18 +370,20 @@ def maximize_acquisition(
 
     Seeds 32 n Latin-hypercube probes from the session stream and scores
     them in one batch.  The best `refine_top` probes (`POLISH_STARTS` by
-    default) then start one bounded L-BFGS-B run over their summed negated
-    acquisition, with analytic gradients: the sum separates across starts,
-    so each start follows its own gradient, at the cost of one batched
-    posterior call per evaluation.  The polished points are re-scored in
-    one batch, and the best of them is returned when it beats the best
-    probe, which is returned otherwise, so the pick always scores at least
-    as high as every probe.  On a flat surface, or one where the expected
-    improvement underflows to 0 everywhere, the pick is therefore one of the
-    seeded probes.  Scoring and polish run with every OpenBLAS in the process
-    at one thread, and the counts are restored on return.  Expected
-    improvement before any data exists is undefined: that pick is a seeded
-    uniform point, and a warning is logged.
+    default) then start `_polish`, which moves each start by its own
+    projected trust-region Newton steps, all starts in lock-step, at one
+    batched posterior call with analytic gradients per step.  The polished
+    points are re-scored in one batch, and the best of them is returned
+    when it beats the best probe, which is returned otherwise, so the pick
+    always scores at least as high as every probe.  On a flat surface, or
+    one where the expected improvement underflows to 0 everywhere, the pick
+    is therefore one of the seeded probes.  Scoring and polish run with
+    every OpenBLAS in the process at one thread, and the counts are restored
+    on return.  A pick equal to an observed point logs a warning that names
+    it, since evaluating it again only repeats a known value (the posterior
+    mean of a low-rank covariance can peak on a box corner it has already
+    observed).  Expected improvement before any data exists is undefined:
+    that pick is a seeded uniform point, and a warning is logged.
     """
     if refine_top < 1:
         raise ValueError("refine_top must be at least 1")
@@ -252,8 +399,6 @@ def maximize_acquisition(
         return rng.uniform(-1.0, 1.0, spec.dim)
     y_plus = float(np.max(obs.values)) if obs.size else None
 
-    from scipy.optimize import Bounds, minimize
-
     # the pick's matrices are small: `_blas` says why one thread is faster
     with _blas.single_thread():
         n_probes = 32 * spec.dim
@@ -261,26 +406,13 @@ def maximize_acquisition(
         values = _acquisition(session, probes, y_plus)
         order = np.argsort(-values)[:refine_top]
         starts = probes[order]
-
-        def negated_sum(flat: np.ndarray):
-            vals, grads = _acquisition(session, flat.reshape(starts.shape), y_plus, grad=True)
-            return -float(np.sum(vals)), -grads.ravel()
-
-        res = minimize(
-            negated_sum,
-            starts.ravel(),
-            jac=True,
-            method="L-BFGS-B",
-            bounds=Bounds(-np.ones(starts.size), np.ones(starts.size)),
-        )
-        # L-BFGS-B keeps its iterates in the box up to rounding; the clip
-        # settles that before the one re-scoring batch
-        polished = np.clip(res.x.reshape(starts.shape), -1.0, 1.0)
+        polished = _polish(session, starts, y_plus)
         scores = _acquisition(session, polished, y_plus)
         best = int(np.argmax(scores))
-        if scores[best] > values[order[0]]:
-            return polished[best]
-        return starts[0]
+        pick = polished[best] if scores[best] > values[order[0]] else starts[0]
+    if np.any(np.all(obs.points == pick, axis=1)):
+        logger.warning("pick %s repeats an observed point", pick.tolist())
+    return pick
 
 
 def ask(session: BoSession, refine_top: int = POLISH_STARTS) -> np.ndarray:

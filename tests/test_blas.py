@@ -6,7 +6,6 @@ import sys
 import threading
 
 import pytest
-import scipy.optimize
 
 import tpbo._blas as blas
 import tpbo.bo
@@ -54,13 +53,13 @@ def test_no_libraries_found_changes_nothing(controls, monkeypatch):
 def test_polish_runs_on_one_blas_thread(controls, monkeypatch):
     before = counts(controls)
     seen = []
-    real = scipy.optimize.minimize
+    polish = tpbo.bo._polish
 
-    def recording(fun, x0, **kwargs):
+    def recording(session, starts, y_plus):
         seen.append(counts(controls))
-        return real(fun, x0, **kwargs)
+        return polish(session, starts, y_plus)
 
-    monkeypatch.setattr(scipy.optimize, "minimize", recording)
+    monkeypatch.setattr(tpbo.bo, "_polish", recording)
     session = new_session(
         SeKernel(3.0), AcquisitionSpec(kind="ei", dim=2), seed=5, noise_var=1e-6,
         init_points=[[0.5, -0.5], [-0.25, 0.75]], init_values=[-0.3, -0.1],

@@ -6,7 +6,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
@@ -255,46 +254,52 @@ class TestMaximizer:
     @pytest.mark.parametrize("refine_top", [1, 2, None])
     @pytest.mark.parametrize("kind", ["ei", "ucb"])
     def test_one_lbfgsb_run_per_pick(self, monkeypatch, kind, refine_top):
-        calls = []
-        real = scipy.optimize.minimize
+        polish, score = tpbo.bo._polish, tpbo.bo._acquisition
+        runs, steps = [], []
 
-        def recording(fun, x0, **kwargs):
-            res = real(fun, x0, **kwargs)
-            calls.append((fun, x0.copy(), kwargs, res.x.copy()))
-            return res
+        def recording_polish(session, starts, y_plus):
+            out = polish(session, starts, y_plus)
+            runs.append((starts.copy(), y_plus, out.copy()))
+            return out
 
-        monkeypatch.setattr(scipy.optimize, "minimize", recording)
+        def recording_score(session, X, y_plus, grad=False):
+            if grad:
+                steps.append(X.copy())
+            return score(session, X, y_plus, grad)
+
+        monkeypatch.setattr(tpbo.bo, "_polish", recording_polish)
+        monkeypatch.setattr(tpbo.bo, "_acquisition", recording_score)
         session = small_session(seed=6, kind=kind)
         for step in range(3):
             y_plus = float(np.max(session.gp.obs.values))
+            steps.clear()
             x = maximize_acquisition(session, **polish_size(refine_top))
-            assert len(calls) == step + 1
-            fun, x0, kwargs, x_end = calls[-1]
-            assert kwargs["method"] == "L-BFGS-B" and kwargs["jac"] is True
-            assert x0.shape == (2 * (refine_top or 8),)  # 8 starts by default
-            # the optimizer minimizes the negated summed acquisition
-            for flat in (x0, x_end):
-                value, grad = fun(flat)
-                want = -np.sum(tpbo.bo._acquisition(session, flat.reshape(-1, 2), y_plus))
-                assert value == pytest.approx(want, rel=1e-12)
-                assert grad.shape == flat.shape
+            assert len(runs) == step + 1
+            starts, seen_y_plus, out = runs[-1]
+            assert starts.shape == out.shape == (refine_top or 8, 2)  # 8 starts by default
+            assert seen_y_plus == y_plus
+            # every polish step asks for gradients at points in the box, and
+            # the first one at every start
+            assert steps and np.array_equal(steps[0][: len(starts)], starts)
+            assert all(np.all(np.abs(X) <= 1.0) for X in steps)
+            assert np.all(score(session, out, y_plus) >= score(session, starts, y_plus))
             tell(session, x, scaled_himmelblau(x))
 
     def test_bo_step_polishes_eight_starts_by_default(self, monkeypatch):
         starts = []
-        real = scipy.optimize.minimize
+        polish = tpbo.bo._polish
 
-        def recording(fun, x0, **kwargs):
-            starts.append(x0.shape)
-            return real(fun, x0, **kwargs)
+        def recording(session, X, y_plus):
+            starts.append(X.shape)
+            return polish(session, X, y_plus)
 
-        monkeypatch.setattr(scipy.optimize, "minimize", recording)
+        monkeypatch.setattr(tpbo.bo, "_polish", recording)
         session = bo_step(small_session(seed=6), scaled_himmelblau)
-        assert starts == [(16,)]  # 2 coordinates of each of 8 starts
+        assert starts == [(8, 2)]
         assert session.iteration == 1
 
     def test_fallback_pick_runs_no_polish(self, monkeypatch):
-        monkeypatch.setattr(scipy.optimize, "minimize", None)  # any call would fail
+        monkeypatch.setattr(tpbo.bo, "_polish", None)  # any call would fail
         spec = AcquisitionSpec(kind="ei", dim=2)
         session = new_session(SeKernel(1.0), spec, seed=9, noise_var=1e-6,
                               init_points=np.zeros((0, 2)), init_values=[])
@@ -550,6 +555,106 @@ class TestBoStep:
             assert s.best_so_far[1] == 0.7
 
 
+def quadratic_acquisition(center, hessian, calls):
+    """An `_acquisition` stand-in: the concave quadratic
+    1 - (x - center)·H(x - center)/2, recording the size of each gradient
+    call in `calls`."""
+
+    def score(session, X, y_plus, grad=False):
+        d = X - center
+        values = 1.0 - 0.5 * np.einsum("ki,ij,kj->k", d, hessian, d)
+        if not grad:
+            return values
+        calls.append(len(X))
+        return values, -d @ hessian
+
+    return score
+
+
+class TestPolish:
+    @staticmethod
+    def polish_quadratic(monkeypatch, center, hessian, starts):
+        calls = []
+        center = np.asarray(center, dtype=float)
+        monkeypatch.setattr(tpbo.bo, "_acquisition", quadratic_acquisition(center, hessian, calls))
+        return tpbo.bo._polish(None, np.asarray(starts, dtype=float), None), calls
+
+    def test_interior_maximizer_in_three_calls(self, monkeypatch):
+        center = np.array([0.3, -0.2])
+        starts = center + np.array([[0.4, 0.1], [-0.2, 0.3], [0.05, -0.45]])
+        hessian = np.array([[2.0, 0.6], [0.6, 1.0]])
+        out, calls = self.polish_quadratic(monkeypatch, center, hessian, starts)
+        assert np.max(np.abs(out - center)) <= 1e-8
+        assert len(calls) <= 3
+        # the first call also carries each start's two difference points
+        assert calls[0] == 3 * len(starts)
+
+    @pytest.mark.parametrize("center, want", [
+        ((1.6, 0.2), (1.0, 0.2)),
+        ((0.4, -1.3), (0.4, -1.0)),
+        ((-2.0, 3.0), (-1.0, 1.0)),
+    ])
+    def test_maximizer_outside_the_box_lands_on_the_nearest_face(self, monkeypatch, center, want):
+        # with a diagonal Hessian the box's maximizer is the center clipped
+        # into the box
+        starts = [[0.0, 0.0], [0.5, -0.5], [-0.7, 0.6], [0.9, 0.9]]
+        hessian = np.diag([2.0, 1.0])
+        out, _ = self.polish_quadratic(monkeypatch, center, hessian, starts)
+        want = np.array(want)
+        face = np.abs(want) == 1.0
+        top = tpbo.bo._acquisition(None, want[None, :], None)[0]
+        for x in out:
+            assert np.array_equal(x[face], want[face])
+            assert x[~face] == pytest.approx(want[~face], abs=1e-4)
+            assert tpbo.bo._acquisition(None, x[None, :], None)[0] == pytest.approx(top, abs=1e-8)
+
+    def test_start_on_flat_ei_stops_after_one_call(self, monkeypatch):
+        session = quadratic_surrogate_session("ei", incumbent=1.0)
+        score = tpbo.bo._acquisition
+        calls = []
+
+        def recording(session, X, y_plus, grad=False):
+            calls.append(grad)
+            return score(session, X, y_plus, grad)
+
+        monkeypatch.setattr(tpbo.bo, "_acquisition", recording)
+        starts = np.array([[0.1, 0.2], [-0.6, 0.4], [0.9, -0.9]])
+        out = tpbo.bo._polish(session, starts, 1.0)
+        assert calls == [True]
+        assert np.array_equal(out, starts)
+
+    def test_no_start_value_decreases(self, monkeypatch):
+        # a wavy stand-in whose quadratic models often overshoot, so that
+        # trials are rejected; the polish capped at c calls returns the
+        # points after its c-th call, so no value may fall as the cap grows
+        def wavy(session, X, y_plus, grad=False):
+            a, b = X[:, 0], X[:, 1]
+            values = np.sin(5.0 * a) * np.cos(4.0 * b) + 0.3 * a
+            if not grad:
+                return values
+            return values, np.stack([
+                5.0 * np.cos(5.0 * a) * np.cos(4.0 * b) + 0.3,
+                -4.0 * np.sin(5.0 * a) * np.sin(4.0 * b),
+            ], axis=1)
+
+        monkeypatch.setattr(tpbo.bo, "_acquisition", wavy)
+        starts = -1.0 + tpbo.bo._latin_hypercube(rng_for(0, 0), 16, 2) * 2.0
+        values = [wavy(None, starts, None)]
+        for cap in range(1, 16):
+            monkeypatch.setattr(tpbo.bo, "_POLISH_CALLS", cap)
+            values.append(wavy(None, tpbo.bo._polish(None, starts, None), None))
+        assert np.all(np.diff(np.array(values), axis=0) >= 0.0)
+        assert np.all(values[-1] > values[0])
+
+    def test_deterministic(self):
+        session = small_session(seed=2)
+        y_plus = float(np.max(session.gp.obs.values))
+        starts = -1.0 + tpbo.bo._latin_hypercube(rng_for(2, 0), 8, 2) * 2.0
+        first = tpbo.bo._polish(session, starts, y_plus)
+        assert np.array_equal(first, tpbo.bo._polish(session, starts.copy(), y_plus))
+        assert np.all(np.abs(first) <= 1.0)
+
+
 GOLDEN_BEST = [
     -0.55625,
     -0.55625,
@@ -557,12 +662,12 @@ GOLDEN_BEST = [
     -0.55625,
     -0.55625,
     -0.55625,
-    -0.04469108032812183,
-    -0.04469108032812183,
-    -0.0316111306150004,
-    -0.0316111306150004,
+    -0.04469202586221042,
+    -0.04469202586221042,
+    -0.0316237273582124,
+    -0.0316237273582124,
 ]
-GOLDEN_X = [0.7384520450324855, -0.2835354504606167]
+GOLDEN_X = [0.7384645396706591, -0.283529312748445]
 
 
 class TestGoldenTrace:
@@ -601,88 +706,88 @@ GOLDEN_PICKS = {
         [-1.0, -1.0],
     ],
     ("polynomial", "ei"): [
-        [-0.42649863630744117, -1.0],
+        [-0.42649943448426636, -1.0],
         [1.0, 1.0],
         [1.0, -1.0],
-        [0.12966288019242836, -0.4765796264170426],
+        [0.12966241868991563, -0.4765805081617389],
         [-1.0, 1.0],
     ],
     ("polynomial", "ucb"): [
         [-1.0, -1.0],
         [1.0, 1.0],
-        [0.08434352039910938, -1.0],
+        [0.08434148442328515, -1.0],
         [1.0, -1.0],
-        [-0.022002967270633684, 1.0],
+        [-0.022002007191575787, 1.0],
     ],
     ("hyperbolic-sine", "ei"): [
         [-1.0, -1.0],
         [-1.0, 1.0],
         [1.0, -1.0],
-        [1.0, 0.8799142206755703],
-        [-1.0, -0.3865725774457164],
+        [1.0, 0.8799124401922862],
+        [-1.0, -0.3865701683448381],
     ],
     ("hyperbolic-sine", "ucb"): [
         [-1.0, -1.0],
         [-1.0, 1.0],
         [1.0, -1.0],
-        [1.0, 0.8172639109711195],
-        [-1.0, -0.3518244360296004],
+        [1.0, 0.817257853025685],
+        [-1.0, -0.3518203223874118],
     ],
     ("exponential", "ei"): [
         [-1.0, -1.0],
         [1.0, 1.0],
-        [0.17762167124271072, -1.0],
-        [1.0, -0.982658418254673],
-        [-0.019626158690094705, 1.0],
+        [0.1776263283307529, -1.0],
+        [1.0, -0.9826513355241586],
+        [-0.019631230097575107, 1.0],
     ],
     ("exponential", "ucb"): [
         [-1.0, -1.0],
         [1.0, 1.0],
-        [0.05695224688783171, -1.0],
+        [0.05695184731378947, -1.0],
         [1.0, -1.0],
-        [0.009310034360933936, 1.0],
+        [0.009310113069450909, 1.0],
     ],
     ("log-ratio", "ei"): [
         [-1.0, -1.0],
         [-1.0, 1.0],
-        [0.716966127690212, 1.0],
-        [-1.0, -0.7955379638153963],
-        [0.723619906132839, -1.0],
+        [0.7169654122443858, 1.0],
+        [1.0, 0.7955380338504747],
+        [-0.8685466206682187, 0.8516722521869995],
     ],
     ("log-ratio", "ucb"): [
         [-1.0, -1.0],
         [-1.0, 1.0],
-        [0.7143141700049234, 1.0],
-        [1.0, 0.7955659514287862],
-        [0.8688733694860032, -0.8513833102928127],
+        [0.714313754023655, 1.0],
+        [1.0, 0.7955657958867582],
+        [-0.8688737229344652, 0.8513864063810214],
     ],
     ("se", "ei"): [
         [-1.0, -1.0],
-        [0.849459877008955, 0.8026832669946706],
-        [0.062206862820647114, -0.5659665998147616],
+        [0.849460037754016, 0.8026831575065433],
+        [0.062205071266513784, -0.5659664820957658],
         [1.0, -1.0],
-        [0.3315847066552294, -0.00983042473781587],
+        [0.33158446387649454, -0.009830189166816498],
     ],
     ("se", "ucb"): [
         [-1.0, -1.0],
-        [0.941569605438893, 0.7063190562757589],
-        [0.05227048949489579, -0.5753336047717438],
+        [0.941568986300602, 0.7063197761385068],
+        [0.052270246927240076, -0.575332486137172],
         [1.0, -1.0],
-        [0.32589378199519353, 0.02410708795801086],
+        [0.3258970242446361, 0.02409540644815847],
     ],
     ("ard", "ei"): [
         [-1.0, -1.0],
         [1.0, 1.0],
-        [-0.9053094839225407, 0.6419967290554379],
-        [-0.050819417546738375, 0.10835952883714453],
+        [-0.9053080404346302, 0.6420004826226207],
+        [-0.050824727270911634, 0.10836221692082489],
         [1.0, -1.0],
     ],
     ("ard", "ucb"): [
         [-1.0, -1.0],
-        [1.0, 1.0],
-        [-1.0, 0.2730325120035337],
+        [1.0, 0.4198286612831993],
+        [-1.0, 0.11433753543736529],
         [1.0, -1.0],
-        [0.4185161177953703, -0.01097779939440283],
+        [0.15054994853462123, -0.14976205903313194],
     ],
 }
 
@@ -714,6 +819,20 @@ class TestGoldenPicks:
             s = bo_step(s, scaled_himmelblau, refine_top=3)
             picks.append(s.gp.obs.points[-1].tolist())
         assert picks == GOLDEN_PICKS[name, kind]
+
+
+    def test_repeated_pick_is_logged(self, caplog):
+        # the linear family's posterior mean is linear in x, so its picks
+        # return to the corner [-1, -1] once it is observed
+        s = golden_pick_session("linear", "ei")
+        logged = []
+        for _ in range(len(GOLDEN_PICKS["linear", "ei"])):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="tpbo.bo"):
+                s = bo_step(s, scaled_himmelblau, refine_top=3)
+            logged.append([rec.getMessage() for rec in caplog.records])
+        repeats = "pick [-1.0, -1.0] repeats an observed point"
+        assert logged == [[], [], [repeats], [repeats], [repeats]]
 
 
 class TestPersistence:

@@ -532,8 +532,8 @@ def readme_model(tmp_path):
 
 GOLDEN_SUGGESTIONS = [
     "suggestion: 0.25019093320933394,0.794427601939151",
-    "suggestion: -0.01568305189807602,0.012564529906745238",
-    "suggestion: 0.0043687044866279326,-1.0",
+    "suggestion: -0.01568294094524872,0.012564457470722271",
+    "suggestion: 0.004368996712384285,-1.0",
 ]
 
 GOLDEN_SESSION = """{
@@ -555,8 +555,8 @@ GOLDEN_SESSION = """{
         0.25
       ],
       [
-        -0.01568305189807602,
-        0.012564529906745238
+        -0.01568294094524872,
+        0.012564457470722271
       ]
     ],
     "values": [
@@ -565,7 +565,7 @@ GOLDEN_SESSION = """{
     ]
   },
   "pending": [
-    0.0043687044866279326,
+    0.004368996712384285,
     -1.0
   ],
   "seed": 7,
@@ -630,21 +630,21 @@ class TestSuggestTell:
         assert all(-1.0 <= float(x) <= 1.0 for x in (first, second))
 
     def test_suggest_polishes_eight_starts(self, small_model, tmp_path, capsys, monkeypatch):
-        import scipy.optimize
+        import tpbo.bo
 
         starts = []
-        real = scipy.optimize.minimize
+        polish = tpbo.bo._polish
 
-        def recording(fun, x0, **kwargs):
-            starts.append(x0.shape)
-            return real(fun, x0, **kwargs)
+        def recording(session, X, y_plus):
+            starts.append(X.shape)
+            return polish(session, X, y_plus)
 
-        monkeypatch.setattr(scipy.optimize, "minimize", recording)
+        monkeypatch.setattr(tpbo.bo, "_polish", recording)
         base = ["--session", str(tmp_path / "session.json"), "--model", small_model]
         assert main(["tell"] + base + ["--x=-0.5,0.25", "--y", "0.3"]) == 0
         assert main(["suggest"] + base) == 0
         assert capsys.readouterr().out.count("suggestion: ") == 1
-        assert starts == [(16,)]  # 2 coordinates of each of 8 starts
+        assert starts == [(8, 2)]
 
     def test_tell_outside_box_exits_2(self, small_model, tmp_path, capsys):
         session = str(tmp_path / "session.json")
@@ -1020,9 +1020,9 @@ class TestParser:
 
     def test_commands_do_not_load_scipy_stats(self, small_model, tmp_path, capsys):
         # Every command starts a fresh process and pays for what it imports:
-        # scipy.stats would add about a quarter second, and scipy.linalg,
-        # .special and .optimize together about 0.3 s.  Only the commands
-        # that factor a matrix or pick a point load them.
+        # scipy.stats would add about a quarter second, and scipy.optimize
+        # about 0.17 s.  No command loads either; only the commands that
+        # factor a matrix or pick a point load scipy.linalg and .special.
         session = str(tmp_path / "session.json")
         assert main(["suggest", "--session", session, "--model", small_model,
                      "--seed", "5"]) == 0
@@ -1040,8 +1040,16 @@ class TestParser:
         assert not loaded & {"scipy.optimize", "scipy.special"}
         # the session now holds the told observation, so the pick polishes
         loaded = scipy_subpackages(["suggest", "--session", session, "--model", small_model])
-        assert "scipy.optimize" in loaded
-        assert "scipy.stats" not in loaded
+        assert "scipy.special" in loaded
+        assert not loaded & {"scipy.optimize", "scipy.stats"}
+        for argv in (
+            ["optimize", "--model", small_model, "--function", "himmelblau", "--iters", "2"],
+            ["bench", "--functions", "himmelblau", "--methods", "tp-ei,ei", "--seeds", "1",
+             "--iters", "1", "--out", str(tmp_path / "results.csv")],
+        ):
+            loaded = scipy_subpackages(argv)
+            assert "scipy.special" in loaded
+            assert not loaded & {"scipy.optimize", "scipy.stats"}
 
 
 def scipy_subpackages(argv):
