@@ -7,7 +7,10 @@ The maximizer scores a Latin-hypercube probe set in one batch, then
 polishes the best `POLISH_STARTS` probes, each by its own projected
 trust-region Newton steps with all starts in lock-step, on analytic
 gradients taken through the covariance, the posterior and the acquisition.
-Every entry point polishes that many unless its caller asks for another
+Each step tries one candidate per start, and the pick is the polished
+point with the best value the polish scored, so a pick makes two kinds of
+``_acquisition`` call: the probe batch and the polish steps.  Every entry
+point polishes `POLISH_STARTS` probes unless its caller asks for another
 count.  Probe scores and polish steps are one body, ``_acquisition``, which
 asks the posterior for gradients only with ``grad``.  An ask/tell split
 exposes the same cycle to callers that run experiments out of process,
@@ -228,8 +231,9 @@ def _acquisition(session: BoSession, X: np.ndarray, y_plus, grad: bool = False):
     return values, d_mean[:, None] * dmean + d_var[:, None] * dvar
 
 
-def _polish(session: BoSession, starts: np.ndarray, y_plus) -> np.ndarray:
-    """Each start's local maximizer of the acquisition in the box [-1, 1]^n.
+def _polish(session: BoSession, starts: np.ndarray, y_plus):
+    """Each start's local maximizer of the acquisition in the box [-1, 1]^n,
+    and its acquisition value.
 
     Every start takes its own projected trust-region Newton steps (Conn,
     Gould & Toint, 2000), all in lock-step: each step is one ``_acquisition``
@@ -248,10 +252,11 @@ def _polish(session: BoSession, starts: np.ndarray, y_plus) -> np.ndarray:
     step gained at most `_GAIN_TOL` times the larger of 1 and the two values.
     It also stops when its model predicts no gain above that tolerance or
     its step rounds away, and every start stops after `_POLISH_CALLS` calls.
-    Returns the final points, in the order of `starts`.
+    Returns the final points, in the order of `starts`, and their values
+    from the call that scored them.
     """
     k, n = starts.shape
-    out = starts.copy()
+    out, top = starts.copy(), np.empty(k)
     live = np.arange(k)
     x = trial = starts
     radius = np.full(k, _RADIUS)
@@ -299,14 +304,14 @@ def _polish(session: BoSession, starts: np.ndarray, y_plus) -> np.ndarray:
         trial = x + p
         stop |= (pred <= _GAIN_TOL * np.maximum(abs(f), 1.0)) | (trial == x).all(1)
         if stop.any():
-            out[live[stop]] = x[stop]
+            out[live[stop]], top[live[stop]] = x[stop], -f[stop]
             keep = ~stop
             live, x, f, g, B = live[keep], x[keep], f[keep], g[keep], B[keep]
             radius, pred, fresh, trial = radius[keep], pred[keep], fresh[keep], trial[keep]
             if not live.size:
-                return out
-    out[live] = x
-    return out
+                return out, top
+    out[live], top[live] = x, -f
+    return out, top
 
 
 def _box_step(x, g, B, radius):
@@ -317,8 +322,7 @@ def _box_step(x, g, B, radius):
     On the rest, the step solves the trust-region problem ||p|| <= radius
     through the eigendecomposition of B, by Newton's method on the secular
     equation (Moré & Sorensen, 1983) to 1% of the radius.  A step that
-    leaves the box is projected onto it, or truncated at its first face
-    where the model predicts that truncation gains more.
+    leaves the box is projected onto it.
     """
     free = (np.abs(x) < 1.0) | (g * x >= 0.0)
     # a held coordinate's row and column become the identity's
@@ -341,26 +345,8 @@ def _box_step(x, g, B, radius):
         curv = (gh[todo] ** 2 / d[todo] ** 3).sum(1)
         lam[todo] += q[todo] ** 2 * (q[todo] / radius[todo] - 1.0) / curv
     s = -(Q @ (gh / d)[:, :, None])[:, :, 0] * free
-
     p = (x + s).clip(-1.0, 1.0) - x
-    gained = _decrease(g, B, p)
-    bent = (np.abs(x + s) > 1.0).any(1)
-    if bent.any():
-        # the largest fraction of each bent step that stays in the box
-        sb, xb = s[bent], x[bent]
-        reach = np.where(sb > 0.0, 1.0 - xb, -1.0 - xb)
-        frac = np.divide(reach, sb, out=np.ones_like(sb), where=sb != 0.0).min(1)
-        cut = np.minimum(frac, 1.0)[:, None] * sb
-        cut_gain = _decrease(g[bent], B[bent], cut)
-        better = cut_gain > gained[bent]
-        rows = np.flatnonzero(bent)[better]
-        p[rows], gained[rows] = cut[better], cut_gain[better]
-    return p, gained
-
-
-def _decrease(g, B, p):
-    """The decrease -(g·p + p·Bp/2) of each row's quadratic model."""
-    return -(p * (g + 0.5 * (B @ p[:, :, None])[:, :, 0])).sum(1)
+    return p, -(p * (g + 0.5 * (B @ p[:, :, None])[:, :, 0])).sum(1)
 
 
 def maximize_acquisition(
@@ -372,18 +358,19 @@ def maximize_acquisition(
     them in one batch.  The best `refine_top` probes (`POLISH_STARTS` by
     default) then start `_polish`, which moves each start by its own
     projected trust-region Newton steps, all starts in lock-step, at one
-    batched posterior call with analytic gradients per step.  The polished
-    points are re-scored in one batch, and the best of them is returned
-    when it beats the best probe, which is returned otherwise, so the pick
-    always scores at least as high as every probe.  On a flat surface, or
-    one where the expected improvement underflows to 0 everywhere, the pick
-    is therefore one of the seeded probes.  Scoring and polish run with
-    every OpenBLAS in the process at one thread, and the counts are restored
-    on return.  A pick equal to an observed point logs a warning that names
-    it, since evaluating it again only repeats a known value (the posterior
-    mean of a low-rank covariance can peak on a box corner it has already
-    observed).  Expected improvement before any data exists is undefined:
-    that pick is a seeded uniform point, and a warning is logged.
+    batched posterior call with analytic gradients per step.  The pick is
+    the polished point with the largest value the polish scored; nothing is
+    scored again.  A start's value never falls, so the pick scores at least
+    as high as every probe, up to the rounding between two batches.  On a
+    flat surface, or one where the expected improvement underflows to 0
+    everywhere, the pick is therefore one of the seeded probes.  Scoring and
+    polish run with every OpenBLAS in the process at one thread, and the
+    counts are restored on return.  A pick equal to an observed point logs a
+    warning that names it and the session's seed and iteration, since
+    evaluating it again only repeats a known value (the posterior mean of a
+    low-rank covariance can peak on a box corner it has already observed).
+    Expected improvement before any data exists is undefined: that pick is
+    a seeded uniform point, and a warning is logged.
     """
     if refine_top < 1:
         raise ValueError("refine_top must be at least 1")
@@ -404,14 +391,14 @@ def maximize_acquisition(
         n_probes = 32 * spec.dim
         probes = -1.0 + _latin_hypercube(rng, n_probes, spec.dim) * 2.0
         values = _acquisition(session, probes, y_plus)
-        order = np.argsort(-values)[:refine_top]
-        starts = probes[order]
-        polished = _polish(session, starts, y_plus)
-        scores = _acquisition(session, polished, y_plus)
-        best = int(np.argmax(scores))
-        pick = polished[best] if scores[best] > values[order[0]] else starts[0]
+        starts = probes[np.argsort(-values)[:refine_top]]
+        polished, scores = _polish(session, starts, y_plus)
+        pick = polished[int(np.argmax(scores))]
     if np.any(np.all(obs.points == pick, axis=1)):
-        logger.warning("pick %s repeats an observed point", pick.tolist())
+        logger.warning(
+            "pick %s repeats an observed point (session seed %d, iteration %d)",
+            pick.tolist(), session.rng_seed, session.iteration,
+        )
     return pick
 
 

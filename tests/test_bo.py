@@ -253,18 +253,17 @@ class TestMaximizer:
 
     @pytest.mark.parametrize("refine_top", [1, 2, None])
     @pytest.mark.parametrize("kind", ["ei", "ucb"])
-    def test_one_lbfgsb_run_per_pick(self, monkeypatch, kind, refine_top):
+    def test_one_polish_per_pick(self, monkeypatch, kind, refine_top):
         polish, score = tpbo.bo._polish, tpbo.bo._acquisition
         runs, steps = [], []
 
         def recording_polish(session, starts, y_plus):
-            out = polish(session, starts, y_plus)
-            runs.append((starts.copy(), y_plus, out.copy()))
-            return out
+            out, values = polish(session, starts, y_plus)
+            runs.append((starts.copy(), y_plus, out.copy(), values.copy()))
+            return out, values
 
         def recording_score(session, X, y_plus, grad=False):
-            if grad:
-                steps.append(X.copy())
+            steps.append((grad, X.copy()))
             return score(session, X, y_plus, grad)
 
         monkeypatch.setattr(tpbo.bo, "_polish", recording_polish)
@@ -275,14 +274,17 @@ class TestMaximizer:
             steps.clear()
             x = maximize_acquisition(session, **polish_size(refine_top))
             assert len(runs) == step + 1
-            starts, seen_y_plus, out = runs[-1]
+            starts, seen_y_plus, out, values = runs[-1]
             assert starts.shape == out.shape == (refine_top or 8, 2)  # 8 starts by default
             assert seen_y_plus == y_plus
-            # every polish step asks for gradients at points in the box, and
-            # the first one at every start
-            assert steps and np.array_equal(steps[0][: len(starts)], starts)
-            assert all(np.all(np.abs(X) <= 1.0) for X in steps)
+            # the probe batch is the one pass without gradients; every polish
+            # step asks for them at points in the box, the first at every start
+            assert [grad for grad, _ in steps] == [False] + [True] * (len(steps) - 1)
+            assert len(steps) > 1 and np.array_equal(steps[1][1][: len(starts)], starts)
+            assert all(np.all(np.abs(X) <= 1.0) for _, X in steps)
             assert np.all(score(session, out, y_plus) >= score(session, starts, y_plus))
+            # the pick is the polished point with the largest polish value
+            assert np.array_equal(x, out[np.argmax(values)])
             tell(session, x, scaled_himmelblau(x))
 
     def test_bo_step_polishes_eight_starts_by_default(self, monkeypatch):
@@ -577,7 +579,8 @@ class TestPolish:
         calls = []
         center = np.asarray(center, dtype=float)
         monkeypatch.setattr(tpbo.bo, "_acquisition", quadratic_acquisition(center, hessian, calls))
-        return tpbo.bo._polish(None, np.asarray(starts, dtype=float), None), calls
+        out, _ = tpbo.bo._polish(None, np.asarray(starts, dtype=float), None)
+        return out, calls
 
     def test_interior_maximizer_in_three_calls(self, monkeypatch):
         center = np.array([0.3, -0.2])
@@ -619,9 +622,10 @@ class TestPolish:
 
         monkeypatch.setattr(tpbo.bo, "_acquisition", recording)
         starts = np.array([[0.1, 0.2], [-0.6, 0.4], [0.9, -0.9]])
-        out = tpbo.bo._polish(session, starts, 1.0)
+        out, values = tpbo.bo._polish(session, starts, 1.0)
         assert calls == [True]
         assert np.array_equal(out, starts)
+        assert np.array_equal(values, np.zeros(len(starts)))
 
     def test_no_start_value_decreases(self, monkeypatch):
         # a wavy stand-in whose quadratic models often overshoot, so that
@@ -642,7 +646,7 @@ class TestPolish:
         values = [wavy(None, starts, None)]
         for cap in range(1, 16):
             monkeypatch.setattr(tpbo.bo, "_POLISH_CALLS", cap)
-            values.append(wavy(None, tpbo.bo._polish(None, starts, None), None))
+            values.append(wavy(None, tpbo.bo._polish(None, starts, None)[0], None))
         assert np.all(np.diff(np.array(values), axis=0) >= 0.0)
         assert np.all(values[-1] > values[0])
 
@@ -650,9 +654,46 @@ class TestPolish:
         session = small_session(seed=2)
         y_plus = float(np.max(session.gp.obs.values))
         starts = -1.0 + tpbo.bo._latin_hypercube(rng_for(2, 0), 8, 2) * 2.0
-        first = tpbo.bo._polish(session, starts, y_plus)
-        assert np.array_equal(first, tpbo.bo._polish(session, starts.copy(), y_plus))
+        first, values = tpbo.bo._polish(session, starts, y_plus)
+        again, again_values = tpbo.bo._polish(session, starts.copy(), y_plus)
+        assert np.array_equal(first, again) and np.array_equal(values, again_values)
         assert np.all(np.abs(first) <= 1.0)
+
+    @pytest.mark.parametrize("kind", ["ei", "ucb"])
+    def test_values_are_the_acquisition_at_the_points(self, kind):
+        # the polish scores its last accepted points in batches of other
+        # sizes, so a fresh batch may differ in the last bits only
+        session = small_session(seed=3, kind=kind)
+        for step in range(4):
+            y_plus = float(np.max(session.gp.obs.values))
+            starts = -1.0 + tpbo.bo._latin_hypercube(rng_for(3, step), 8, 2) * 2.0
+            out, values = tpbo.bo._polish(session, starts, y_plus)
+            fresh = tpbo.bo._acquisition(session, out, y_plus)
+            assert np.all(fresh > 0.0)
+            np.testing.assert_allclose(values, fresh, rtol=1e-9, atol=0.0)
+            x = out[np.argmax(values)]
+            session = tell(session, x, scaled_himmelblau(x))
+
+    @given(
+        x=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+        g=st.lists(st.floats(-50.0, 50.0), min_size=3, max_size=3),
+        b=st.lists(st.floats(-50.0, 50.0), min_size=9, max_size=9),
+        radius=st.floats(1e-4, 2.0),
+        n=st.integers(1, 3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_box_step_contract(self, x, g, b, radius, n):
+        x, g = np.array(x[:n]), np.array(g[:n])
+        B = np.array(b).reshape(3, 3)[:n, :n]
+        B = 0.5 * (B + B.T)
+        p, gained = tpbo.bo._box_step(x[None], g[None], B[None], np.array([radius]))
+        p, gained = p[0], gained[0]
+        assert np.all(np.abs(x + p) <= 1.0)
+        # a coordinate on a face whose gradient points out of the box
+        held = (np.abs(x) == 1.0) & (g * x < 0.0)
+        assert np.all(p[held] == 0.0)
+        assert np.linalg.norm(p[~held]) <= 1.01 * radius
+        assert gained == pytest.approx(-(g @ p + 0.5 * p @ B @ p), rel=1e-12, abs=1e-12)
 
 
 GOLDEN_BEST = [
@@ -706,10 +747,10 @@ GOLDEN_PICKS = {
         [-1.0, -1.0],
     ],
     ("polynomial", "ei"): [
-        [-0.42649943448426636, -1.0],
+        [-0.42649921170449884, -1.0],
         [1.0, 1.0],
         [1.0, -1.0],
-        [0.12966241868991563, -0.4765805081617389],
+        [0.12966250940116178, -0.47658035247433],
         [-1.0, 1.0],
     ],
     ("polynomial", "ucb"): [
@@ -736,9 +777,9 @@ GOLDEN_PICKS = {
     ("exponential", "ei"): [
         [-1.0, -1.0],
         [1.0, 1.0],
-        [0.1776263283307529, -1.0],
-        [1.0, -0.9826513355241586],
-        [-0.019631230097575107, 1.0],
+        [0.17762734927737162, -1.0],
+        [1.0, -0.982649803179438],
+        [-0.01963104270247674, 1.0],
     ],
     ("exponential", "ucb"): [
         [-1.0, -1.0],
@@ -785,9 +826,9 @@ GOLDEN_PICKS = {
     ("ard", "ucb"): [
         [-1.0, -1.0],
         [1.0, 0.4198286612831993],
-        [-1.0, 0.11433753543736529],
+        [-1.0, 0.11433791688199581],
         [1.0, -1.0],
-        [0.15054994853462123, -0.14976205903313194],
+        [0.1505496955430215, -0.14976216539742004],
     ],
 }
 
@@ -831,8 +872,8 @@ class TestGoldenPicks:
             with caplog.at_level(logging.WARNING, logger="tpbo.bo"):
                 s = bo_step(s, scaled_himmelblau, refine_top=3)
             logged.append([rec.getMessage() for rec in caplog.records])
-        repeats = "pick [-1.0, -1.0] repeats an observed point"
-        assert logged == [[], [], [repeats], [repeats], [repeats]]
+        repeats = "pick [-1.0, -1.0] repeats an observed point (session seed 11, iteration {})"
+        assert logged == [[], [], [repeats.format(2)], [repeats.format(3)], [repeats.format(4)]]
 
 
 class TestPersistence:
