@@ -7,6 +7,9 @@ The maximizer scores a Latin-hypercube probe set in one batch, then
 polishes the best `POLISH_STARTS` probes, each by its own projected
 trust-region Newton steps with all starts in lock-step, on analytic
 gradients taken through the covariance, the posterior and the acquisition.
+A start's Hessian comes from forward differences in the polish's first
+call and from SR1 updates after every later one, and a start stops when
+its model predicts no gain, when its step rounds away, or at the call cap.
 Each step tries one candidate per start, and the pick is the polished
 point with the best value the polish scored, so a pick makes two kinds of
 ``_acquisition`` call: the probe batch and the polish steps.  Every entry
@@ -51,10 +54,9 @@ _FD_STEP = 1e-6
 _RADIUS = 0.5
 _POLISH_CALLS = 40
 # a step that gains less than this share of its predicted gain shrinks the
-# trust radius and has the next call re-derive the Hessian
+# trust radius
 _POOR_RATIO = 0.25
-# L-BFGS-B's default stopping tests: pgtol, and factr times the machine epsilon
-_PG_TOL = 1e-5
+# a start stops once its model predicts no gain above this share of its value
 _GAIN_TOL = 1e7 * np.finfo(float).eps
 
 
@@ -236,80 +238,63 @@ def _polish(session: BoSession, starts: np.ndarray, y_plus):
     and its acquisition value.
 
     Every start takes its own projected trust-region Newton steps (Conn,
-    Gould & Toint, 2000), all in lock-step: each step is one ``_acquisition``
-    call, with gradients, on the trial points of the starts still running.
-    A start whose model needs a fresh Hessian adds n copies of its trial
-    point to that call, each moved `_FD_STEP` along one coordinate (inward
-    on an upper face), and takes the symmetrized forward difference of the
-    gradients.  That covers every start on the first call, and later each
-    start whose last gain fell below `_POOR_RATIO` of the model's
-    prediction; the other starts update their Hessian by SR1 from the trial
-    gradient.  `_box_step` proposes each trial, and a trial is accepted only
-    when it scores higher, so no start's value decreases.
+    Gould & Toint, 2000), all in lock-step at one ``_acquisition`` call with
+    gradients per step.  The first call scores the k starts and, for each, n copies
+    moved `_FD_STEP` along one coordinate (inward on an upper face): k (1 + n)
+    rows, from which each start's Hessian is the symmetrized forward
+    difference of the gradients.  Every later call scores only the trial
+    points of the starts still running, and SR1 updates each Hessian from
+    its trial gradient.  `_box_step` proposes each trial, and a trial is
+    accepted only when it scores higher, so no start's value decreases.
 
-    A start stops on L-BFGS-B's default tests applied to it alone: its
-    projected gradient's largest entry is at most `_PG_TOL`, or an accepted
-    step gained at most `_GAIN_TOL` times the larger of 1 and the two values.
-    It also stops when its model predicts no gain above that tolerance or
-    its step rounds away, and every start stops after `_POLISH_CALLS` calls.
-    Returns the final points, in the order of `starts`, and their values
-    from the call that scored them.
+    A start stops when its model predicts a gain of at most `_GAIN_TOL`
+    times the larger of 1 and its value, when its step rounds away, or
+    after `_POLISH_CALLS` calls.  Returns the final points, in the order of
+    `starts`, and their values from the call that scored them.
     """
     k, n = starts.shape
     out, top = starts.copy(), np.empty(k)
-    live = np.arange(k)
-    x = trial = starts
-    radius = np.full(k, _RADIUS)
-    fresh = np.ones(k, dtype=bool)
-    eye = np.eye(n)
-    for call in range(_POLISH_CALLS):
-        base = trial[fresh]
-        h = np.where(base + _FD_STEP > 1.0, -_FD_STEP, _FD_STEP)
-        shifted = (base[:, None, :] + h[:, :, None] * eye).reshape(-1, n)
-        vals, grads = _acquisition(session, np.concatenate([trial, shifted]), y_plus, grad=True)
-        m = len(trial)
-        # the steps minimize the negated acquisition
-        ft, gt = -vals[:m], -grads[:m]
-        if call:
-            step = trial - x
-            gain = f - ft
-            ratio = gain / pred
-            # SR1, skipped where its denominator is tiny (Nocedal & Wright, 6.26)
-            r = gt - g - (B @ step[:, :, None])[:, :, 0]
-            rs = (r * step).sum(1)
-            ss = (step * step).sum(1)
-            sr1 = np.abs(rs) > 1e-8 * np.sqrt((r * r).sum(1) * ss)
-            scale = np.divide(1.0, rs, out=np.zeros(m), where=sr1)
-            B += scale[:, None, None] * r[:, :, None] * r[:, None, :]
-            size = np.sqrt(ss)
-            radius = np.where(
-                ratio < _POOR_RATIO, 0.25 * size,
-                np.where(ratio > 0.75, np.maximum(radius, 2.0 * size), radius),
-            )
-            accept = gain > 0.0
-            stop = accept & (gain <= _GAIN_TOL * np.maximum(np.maximum(abs(f), abs(ft)), 1.0))
-            x = np.where(accept[:, None], trial, x)
-            f = np.where(accept, ft, f)
-            g = np.where(accept[:, None], gt, g)
-        else:
-            f, g, B = ft, gt, np.empty((m, n, n))
-            stop = np.zeros(m, dtype=bool)
-        if fresh.any():
-            diff = (-grads[m:].reshape(-1, n, n) - gt[fresh][:, None, :]) / h[:, :, None]
-            B[fresh] = 0.5 * (diff + diff.transpose(0, 2, 1))
-        fresh = ratio < _POOR_RATIO if call else np.zeros(m, dtype=bool)
-
-        stop |= np.abs((x - g).clip(-1.0, 1.0) - x).max(1) <= _PG_TOL
+    h = np.where(starts + _FD_STEP > 1.0, -_FD_STEP, _FD_STEP)
+    shifted = (starts[:, None, :] + h[:, :, None] * np.eye(n)).reshape(-1, n)
+    vals, grads = _acquisition(session, np.concatenate([starts, shifted]), y_plus, grad=True)
+    # the steps minimize the negated acquisition
+    f, g = -vals[:k], -grads[:k]
+    diff = (-grads[k:].reshape(k, n, n) - g[:, None, :]) / h[:, :, None]
+    B = 0.5 * (diff + diff.transpose(0, 2, 1))
+    x, live, radius = starts, np.arange(k), np.full(k, _RADIUS)
+    for _ in range(_POLISH_CALLS - 1):
         p, pred = _box_step(x, g, B, radius)
         trial = x + p
-        stop |= (pred <= _GAIN_TOL * np.maximum(abs(f), 1.0)) | (trial == x).all(1)
+        stop = (pred <= _GAIN_TOL * np.maximum(abs(f), 1.0)) | (trial == x).all(1)
         if stop.any():
             out[live[stop]], top[live[stop]] = x[stop], -f[stop]
             keep = ~stop
-            live, x, f, g, B = live[keep], x[keep], f[keep], g[keep], B[keep]
-            radius, pred, fresh, trial = radius[keep], pred[keep], fresh[keep], trial[keep]
+            live, x, f, g, B, radius, pred, trial = (
+                a[keep] for a in (live, x, f, g, B, radius, pred, trial)
+            )
             if not live.size:
                 return out, top
+        vals, grads = _acquisition(session, trial, y_plus, grad=True)
+        ft, gt = -vals, -grads
+        step = trial - x
+        gain = f - ft
+        ratio = gain / pred
+        # SR1, skipped where its denominator is tiny (Nocedal & Wright, 6.26)
+        r = gt - g - (B @ step[:, :, None])[:, :, 0]
+        rs = (r * step).sum(1)
+        ss = (step * step).sum(1)
+        sr1 = np.abs(rs) > 1e-8 * np.sqrt((r * r).sum(1) * ss)
+        scale = np.divide(1.0, rs, out=np.zeros(len(rs)), where=sr1)
+        B += scale[:, None, None] * r[:, :, None] * r[:, None, :]
+        size = np.sqrt(ss)
+        radius = np.where(
+            ratio < _POOR_RATIO, 0.25 * size,
+            np.where(ratio > 0.75, np.maximum(radius, 2.0 * size), radius),
+        )
+        accept = gain > 0.0
+        x = np.where(accept[:, None], trial, x)
+        f = np.where(accept, ft, f)
+        g = np.where(accept[:, None], gt, g)
     out[live], top[live] = x, -f
     return out, top
 

@@ -312,17 +312,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _attach_x_value(argv: List[str]) -> List[str]:
-    """Rewrite ``--x VALUE`` as ``--x=VALUE``.
+def _attach_values(argv: List[str]) -> List[str]:
+    """Rewrite ``--x VALUE`` and ``--y VALUE`` as ``--x=VALUE`` and ``--y=VALUE``.
 
-    argparse takes a separate value that starts with a minus sign, such as
-    ``-0.5,0.25``, for an option and rejects it; the attached form is read
-    as a value whatever its first character.
+    argparse takes a separate value that starts with a minus sign for an
+    option and rejects it, unless the value matches its negative-number
+    pattern, which has no exponent: ``-0.5,0.25`` and ``-1e-05``, the form
+    ``repr`` writes, are both rejected.  The attached form is read as a
+    value whatever its first character.
     """
     out: List[str] = []
     for tok in argv:
-        if out and out[-1] == "--x":
-            out[-1] = "--x=" + tok
+        if out and out[-1] in ("--x", "--y"):
+            out[-1] += "=" + tok
         else:
             out.append(tok)
     return out
@@ -332,7 +334,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(_attach_x_value(argv))
+        args = parser.parse_args(_attach_values(argv))
     except SystemExit as exc:  # argparse reports its own message
         return int(exc.code) if exc.code else 0
     try:

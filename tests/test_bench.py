@@ -490,7 +490,7 @@ GOLDEN_CELLS = {
     "tp-ei": [0.7997072829807649] * 5,
     "ei": [0.7997072829807649] * 4 + [0.9293277924031049],
     "ucb": [0.7997072829807649] * 5,
-    "ard-ei": [0.7997072829807649] * 4 + [0.9898449118906623],
+    "ard-ei": [0.7997072829807649] * 4 + [0.9898444950047536],
 }
 
 

@@ -15,7 +15,7 @@ import pytest
 import tpbo.cli
 from tpbo.bench import FUNCTION_ORDER, FUNCTIONS, normalize_problem, seeded_session
 from tpbo.bo import load_session
-from tpbo.cli import _attach_x_value, build_parser, main
+from tpbo.cli import _attach_values, build_parser, main
 from tpbo.errors import VanishingKernelError
 from tpbo.gp import SeKernel
 from tpbo.pretrain import build_tuned, load_aux_model
@@ -533,7 +533,7 @@ def readme_model(tmp_path):
 GOLDEN_SUGGESTIONS = [
     "suggestion: 0.25019093320933394,0.794427601939151",
     "suggestion: -0.01568294094524872,0.012564457470722271",
-    "suggestion: 0.004368996712384285,-1.0",
+    "suggestion: 0.004371618634386416,-1.0",
 ]
 
 GOLDEN_SESSION = """{
@@ -565,7 +565,7 @@ GOLDEN_SESSION = """{
     ]
   },
   "pending": [
-    0.004368996712384285,
+    0.004371618634386416,
     -1.0
   ],
   "seed": 7,
@@ -669,6 +669,15 @@ class TestSuggestTell:
         payload = json.loads(Path(session).read_text())
         assert payload["observations"]["points"] == [[-0.5, 0.25]]
         assert payload["observations"]["values"] == [0.3]
+
+    def test_tell_negative_value_in_exponent_form(self, small_model, tmp_path, capsys):
+        # `tell` prints `best_value: -1e-05` itself, so the form must read back
+        session = str(tmp_path / "session.json")
+        assert main(["tell", "--session", session, "--model", small_model,
+                     "--x", "-0.5,0.25", "--y", "-1e-05"]) == 0, capsys.readouterr().err
+        assert "best_value: -1e-05" in capsys.readouterr().out
+        payload = json.loads(Path(session).read_text())
+        assert payload["observations"]["values"] == [-1e-05]
 
 
     @pytest.mark.parametrize(
@@ -1004,7 +1013,7 @@ class TestParser:
         for line in lines:
             argv = shlex.split(line)[1:]
             try:
-                parser.parse_args(_attach_x_value(argv))
+                parser.parse_args(_attach_values(argv))
             except SystemExit:
                 pytest.fail(f"README command does not parse: {line}")
 
