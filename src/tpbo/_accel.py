@@ -3,15 +3,18 @@
 Every family map and every covariance in the package goes through this
 module.  ``dot_series`` and ``log_ratio`` say what a family computes from a
 dot product or from coordinate products; ``pretrain.base_gram`` and the
-tests' ``tests/feature_route.py`` call them directly.  ``TunedKernel``
-evaluates its tuned sum on rows z = x*y by one of two routes: the chunked
-pair sum ``tuned_rows`` over every auxiliary pair, or, for a dot-series
-base in one or two dimensions, ``weight_rows`` over the monomial
-coefficients of its feature weights; ``tuned_cross`` and ``tuned_se_cross``
-take either.  The plain and ARD squared-exponential crosses live here too,
-with their input gradient ``se_grad``.  Each tuned evaluator takes ``grad``
-and does gradient work (for the acquisition polish) only when it is set;
-its values are one computation either way.
+tests' ``tests/feature_route.py`` call them directly.  Every cross is
+prepared against a fixed point set D once and then evaluated against it:
+``se_against`` for the plain and ARD squared-exponential crosses, and for
+``TunedKernel``'s tuned sum on rows z = x*d either the chunked pair sum
+``tuned_rows`` over every auxiliary pair (through ``tuned_cross``) or, for
+a dot-series base in one or two dimensions, ``weight_against``'s table of
+monomial coefficients times the powers of D, which ``weight_cross``
+contracts with the powers of x.  ``weight_rows`` evaluates the same
+coefficients on the diagonal rows z = x*x, and ``tuned_se_cross`` scales
+either route's exponential-base sum by the SE norm factors.  Each
+evaluator takes ``grad`` and does gradient work (for the acquisition
+polish) only when it is set; its values are one computation either way.
 """
 
 from __future__ import annotations
@@ -97,32 +100,43 @@ def _log_ratio_slopes(Z: np.ndarray, F: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Squared-exponential cross-covariance: k(x, y) = exp(-nu/2 * |x - y|^2)
+# Squared-exponential cross-covariance: k(x, y) = exp(-1/2 sum_k nu_k (x_k - y_k)^2)
 
 
-def se_cross(X1: np.ndarray, X2: np.ndarray, nu: float) -> np.ndarray:
-    X1, X2 = _as2d(X1), _as2d(X2)
-    r1 = np.sum(X1 * X1, axis=1)
-    r2 = np.sum(X2 * X2, axis=1)
-    d2 = r1[:, None] + r2[None, :] - 2.0 * (X1 @ X2.T)
-    np.maximum(d2, 0.0, out=d2)
-    return np.exp(-0.5 * float(nu) * d2)
+def se_against(D: np.ndarray, nus):
+    """The (ARD) squared-exponential cross against the fixed points D, as a
+    function ``cross(X, grad=False)``.
 
-
-def ard_se_cross(X1: np.ndarray, X2: np.ndarray, nus: np.ndarray) -> np.ndarray:
-    """exp(-1/2 sum_k nu_k (x_k - y_k)^2) via per-axis rescaling."""
-    scale = np.sqrt(np.asarray(nus, dtype=np.float64))
-    return se_cross(_as2d(X1) * scale, _as2d(X2) * scale, 1.0)
-
-
-def se_grad(X1: np.ndarray, X2: np.ndarray, K: np.ndarray, nus) -> np.ndarray:
-    """dK[i, j, k] = -nu_k (x_ik - y_jk) K[i, j] for the (ARD) SE cross K.
-
-    ``nus`` is one scale or one per axis.
+    ``nus`` is one inverse squared length-scale, kept in the exponent, or one
+    per axis, which scale the coordinates by sqrt(nu_k) instead.  The scaled
+    rows of D and their squared norms are made here, once.  ``cross(X)`` is
+    the (m, |D|) matrix K from the expansion |x|^2 + |d|^2 - 2 x.d; with
+    ``grad`` it returns K and its input gradient dK[i, j, k] = -nu_k
+    (x_ik - d_jk) K[i, j] too, the same K either way.
     """
-    X1, X2 = _as2d(X1), _as2d(X2)
+    D = _as2d(D)
     nus = np.asarray(nus, dtype=np.float64)
-    return -(X1[:, None, :] - X2[None, :, :]) * nus * K[:, :, None]
+    nu, scale = (float(nus), None) if nus.ndim == 0 else (1.0, np.sqrt(nus))
+    Ds = D if scale is None else D * scale
+    r2 = np.sum(Ds * Ds, axis=1)
+
+    def cross(X, grad: bool = False):
+        X = _as2d(X)
+        Xs = X if scale is None else X * scale
+        K = np.sum(Xs * Xs, axis=1)[:, None] + r2[None, :] - 2.0 * (Xs @ Ds.T)
+        np.maximum(K, 0.0, out=K)
+        K *= -0.5 * nu
+        np.exp(K, out=K)
+        if not grad:
+            return K
+        return K, (D[None, :, :] - X[:, None, :]) * nus * K[:, :, None]
+
+    return cross
+
+
+def se_cross(X1: np.ndarray, X2: np.ndarray, nus) -> np.ndarray:
+    """The (ARD) SE cross-covariance matrix of ``se_against(X2, nus)`` at X1."""
+    return se_against(X2, nus)(X1)
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +217,15 @@ def tuned_rows(
     return (out, dout) if grad else out
 
 
+def _powers(Z: np.ndarray, R1: int, out=None) -> np.ndarray:
+    """z_k^0 .. z_k^(R1-1) of every coordinate of the rows of Z, (m, n, R1),
+    in one cumprod (into ``out`` when given)."""
+    p = np.empty(Z.shape + (R1,)) if out is None else out
+    p[:, :, 0] = 1.0
+    p[:, :, 1:] = Z[:, :, None]
+    return np.cumprod(p, axis=2, out=p)
+
+
 def weight_rows(C: np.ndarray, dC: np.ndarray, Z: np.ndarray, grad: bool = False):
     """sum_beta C[beta] z^beta for every row z of Z; with ``grad``, also its gradient.
 
@@ -220,19 +243,66 @@ def weight_rows(C: np.ndarray, dC: np.ndarray, Z: np.ndarray, grad: bool = False
     out = np.empty(m)
     dout = np.empty((m, n)) if grad else None
     powers = np.empty((min(m, rows), n, R1))
-    powers[:, :, 0] = 1.0
     ones = np.ones((min(m, rows), 1))
     for r0 in range(0, m, rows):
         r1 = min(m, r0 + rows)
-        pw = powers[: r1 - r0]
-        pw[:, :, 1:] = Z[r0:r1, :, None]
-        np.cumprod(pw, axis=2, out=pw)
+        pw = _powers(Z[r0:r1], R1, powers[: r1 - r0])
         first = pw[:, 0]
         last = pw[:, 1] if n == 2 else ones[: r1 - r0]
         out[r0:r1] = np.einsum("rb,rb->r", first @ C, last)
         if grad:
             slopes = (first @ dC).reshape(-1, n, w)
             dout[r0:r1] = np.einsum("rkb,rb->rk", slopes, last)
+    return (out, dout) if grad else out
+
+
+def weight_against(C: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """The weight route's table against the fixed points D: the (R+1, |D| w)
+    matrix G with G[a, j w + b] = C[a, b] d_j1^a d_j2^b (no d_j2 in 1-D).
+
+    Then sum_beta C[beta] (x*d_j)^beta = sum_ab x_1^a G[a, j w + b] x_2^b,
+    which ``weight_cross`` evaluates from the powers of x alone.
+    """
+    R1, w = C.shape
+    p = _powers(D, R1)
+    G = C[None] * p[:, 0, :, None]
+    if D.shape[1] == 2:
+        G *= p[:, 1, None, :]
+    return np.ascontiguousarray(G.transpose(1, 0, 2)).reshape(R1, -1)
+
+
+def weight_cross(G: np.ndarray, X: np.ndarray, grad: bool = False):
+    """sum_beta C[beta] (x*d_j)^beta for every x in X and every d_j of
+    ``weight_against``'s table G; with ``grad``, also its input gradient.
+
+    Returns the (m, |D|) matrix K, and with ``grad`` dK[i, j, k], its slope
+    in x_ik.  Each chunk of rows takes the powers P_k of its points in one
+    cumprod and their slopes dP_k[a] = a x_k^(a-1); T = P_1 G contracted with
+    P_2 gives K, dP_1 G with P_2 the first slope, and T with dP_2 the second.
+    K is the same computation with or without ``grad``.
+    """
+    m, n = X.shape
+    R1 = G.shape[0]
+    w = R1 if n == 2 else 1
+    cols = G.shape[1]
+    rows = max(1, _CHUNK_ELEMS // (2 * cols + n * R1))
+    out = np.empty((m, cols // w))
+    dout = np.empty(out.shape + (n,)) if grad else None
+    if grad:
+        ramp = np.arange(1.0, R1)
+    for r0 in range(0, m, rows):
+        r1 = min(m, r0 + rows)
+        p = _powers(X[r0:r1], R1)
+        last = (p[:, 1] if n == 2 else np.ones((r1 - r0, 1)))[:, :, None]
+        T = (p[:, 0] @ G).reshape(r1 - r0, -1, w)
+        out[r0:r1] = (T @ last)[:, :, 0]
+        if grad:
+            dp = np.zeros_like(p)
+            dp[:, :, 1:] = p[:, :, :-1] * ramp
+            dT = (dp[:, 0] @ G).reshape(T.shape)
+            dout[r0:r1, :, 0] = (dT @ last)[:, :, 0]
+            if n == 2:
+                dout[r0:r1, :, 1] = (T @ dp[:, 1, :, None])[:, :, 0]
     return (out, dout) if grad else out
 
 
@@ -267,16 +337,9 @@ def se_norm_scale(S, c1, c2, nu, X, grad: bool = False):
     return (K, dS * (c1 * c2)[..., None] - nu * X * K[..., None]) if grad else K
 
 
-def tuned_se_cross(
-    rows,
-    nu: float,
-    X1: np.ndarray,
-    X2: np.ndarray,
-    c1: np.ndarray,
-    c2: np.ndarray,
-    grad: bool = False,
-):
-    """Tuned SE cross c1(x) c2(y) S(x*y), with S the exponential-base cross
-    of ``rows``; ``grad`` as in ``tuned_cross``."""
-    S = tuned_cross(rows, X1, X2, grad)
-    return se_norm_scale(S, c1[:, None], c2[None, :], nu, X1[:, None, :], grad)
+def tuned_se_cross(cross, nu: float, X: np.ndarray, c1: np.ndarray, c2: np.ndarray,
+                   grad: bool = False):
+    """Tuned SE cross c1(x) c2(d) S(x*d) against fixed points d, with
+    S = ``cross(X, grad)`` the exponential-base sums against them and c1, c2
+    the norm factors of X and of the points; ``grad`` as in ``tuned_cross``."""
+    return se_norm_scale(cross(X, grad), c1[:, None], c2[None, :], nu, X[:, None, :], grad)

@@ -12,9 +12,12 @@ transfer between related physical instruments.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+import pickle
+import selectors
+import signal
+import sys
+import traceback
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Tuple
 
@@ -259,7 +262,7 @@ def tune_ard_loo(X, y) -> np.ndarray:
     def ard_gram(d: int, nu: float) -> np.ndarray:
         trial = nus.copy()
         trial[d] = nu
-        return _accel.ard_se_cross(X, X, trial)
+        return _accel.se_cross(X, X, trial)
 
     for _ in range(2):
         for d in range(dims):
@@ -340,11 +343,11 @@ def run_benchmark(spec: BenchmarkSpec) -> List[RegretRecord]:
 
     Cells are independent, so they may run in separate processes, one per
     CPU this process may use; the TPBO_THREADS environment variable caps
-    the worker count.  The whole run, serial or pooled, holds every OpenBLAS
-    at one thread (see `_blas`), and the workers are forked inside that
-    block, so they inherit the one-thread counts and never set them.  An
-    error in any cell, a `VanishingKernelError` among them, propagates out
-    of the pool, so the result is always the whole grid.
+    the worker count.  The whole run, serial or forked, holds every OpenBLAS
+    at one thread (see `_blas`), and the workers are forked directly inside
+    that block, so they inherit the one-thread counts and never set them.
+    An error in any cell, a `VanishingKernelError` among them, propagates
+    with its own type and message, so the result is always the whole grid.
     """
     cells = [
         (fn, method, seed, spec)
@@ -353,21 +356,118 @@ def run_benchmark(spec: BenchmarkSpec) -> List[RegretRecord]:
         for seed in range(spec.seeds)
     ]
     workers = _worker_count(len(cells))
-    records: List[RegretRecord] = []
     # loaded before the fork, or every worker would import it again
     import scipy.special  # noqa: F401
 
     with _blas.single_thread():
         if workers == 1:
-            for cell in cells:
-                records.extend(_cell_entry(cell))
+            chunks = [_cell_entry(cell) for cell in cells]
         else:
-            fork = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(max_workers=workers, mp_context=fork) as pool:
-                for chunk in pool.map(_cell_entry, cells):
-                    records.extend(chunk)
+            chunks = _forked_cells(cells, workers)
+    records = [r for chunk in chunks for r in chunk]
     records.sort(key=lambda r: (r.method, r.function, r.seed, r.iteration))
     return records
+
+
+def _forked_cells(cells, workers: int) -> list:
+    """The records of every cell, each cell run in one of `workers` children
+    forked here; the parent runs none.
+
+    The parent writes each cell's index to one task pipe, four bytes per
+    write, so every write lands whole and every four-byte read takes one
+    index.  A child takes indices until the pipe ends, then sends its
+    pickled records, or the exception a cell raised and its traceback,
+    through a result pipe of its own, once, and leaves by ``os._exit``.
+    The parent re-raises the first exception a child sends, with the
+    child's traceback as its cause, and raises a ``RuntimeError`` naming
+    the exit status of a child that ends without sending anything.  However
+    it leaves, the parent kills every child it has not reaped, and reaps it.
+    """
+    for stream in (sys.stdout, sys.stderr):
+        stream.flush()  # or each child would inherit, and could repeat, unwritten output
+    tasks, task_writer = os.pipe()
+    children = {}  # result pipe -> pid, for every child not yet reaped
+    try:
+        for _ in range(workers):
+            results, result_writer = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    os.close(task_writer)
+                    _worker(cells, tasks, result_writer)
+                finally:
+                    os._exit(1)
+            os.close(result_writer)
+            children[results] = pid
+        os.close(tasks)  # so a write fails, rather than blocks, once every child has ended
+        tasks = None
+        try:
+            for index in range(len(cells)):
+                os.write(task_writer, index.to_bytes(4, "little"))
+        except BrokenPipeError:
+            pass  # the result pipes say why the children ended
+        os.close(task_writer)
+        task_writer = None
+        return _collect(children)
+    finally:
+        for fd in (tasks, task_writer):
+            if fd is not None:
+                os.close(fd)
+        for results, pid in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(results)
+
+
+def _worker(cells, tasks: int, out: int) -> None:
+    """A forked child's whole life: run cells by index, send once, exit."""
+    code = 0
+    try:
+        chunks = []
+        while index := os.read(tasks, 4):
+            chunks.append(_cell_entry(cells[int.from_bytes(index, "little")]))
+        payload = pickle.dumps(chunks)
+    except BaseException as exc:
+        code, payload = 1, pickle.dumps((exc, traceback.format_exc()))
+    with open(out, "wb") as fh:
+        fh.write(payload)
+    for stream in (sys.stdout, sys.stderr):
+        stream.flush()
+    os._exit(code)
+
+
+class _WorkerTraceback(Exception):
+    """The traceback, as text, of an exception raised in a benchmark worker."""
+
+
+def _collect(children: dict) -> list:
+    """Every child's records, read as they arrive; each child is reaped (and
+    dropped from `children`) once its result pipe ends."""
+    chunks, parts = [], {fd: [] for fd in children}
+    with selectors.DefaultSelector() as sel:
+        for fd in children:
+            sel.register(fd, selectors.EVENT_READ)
+        while sel.get_map():
+            for key, _ in sel.select():
+                data = os.read(key.fd, 1 << 16)
+                if data:
+                    parts[key.fd].append(data)
+                    continue
+                sel.unregister(key.fd)
+                pid = children.pop(key.fd)
+                os.close(key.fd)
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                payload = b"".join(parts[key.fd])
+                if not payload:
+                    raise RuntimeError(
+                        f"benchmark worker {pid} exited with status {status} and sent no result"
+                    )
+                result = pickle.loads(payload)
+                if isinstance(result, tuple):
+                    exc, text = result
+                    raise exc from _WorkerTraceback(text)
+                chunks.extend(result)
+    return chunks
 
 
 def write_results(records: Iterable[RegretRecord], path: str) -> None:

@@ -21,7 +21,7 @@ with JSON session files for persistence.
 
 scipy is loaded on first use: ``scipy.special`` (for ``ndtr``) by the first
 expected-improvement value.  ``bench.run_benchmark`` imports it before it
-forks its pool, so that its workers inherit the loaded module instead of
+forks its workers, so that they inherit the loaded module instead of
 each importing it again.
 """
 
@@ -86,39 +86,28 @@ def beta_t(t: int, dim: int, delta: float) -> float:
     return 2.0 * math.log(dim * (t + 1) ** 2 * math.pi**2 / (6.0 * delta))
 
 
-def _phi(z: np.ndarray) -> np.ndarray:
-    # huge |z| overflows z*z before exp flushes to 0; the limit is exact
-    with np.errstate(over="ignore"):
-        return np.exp(-0.5 * z * z) / _SQRT_2PI
-
-
 def _ei_terms(mean: np.ndarray, sd: np.ndarray, y_plus: float):
     """Expected improvement and its slopes in the mean and in the sd.
 
-    Elementwise on arrays of one shape, with sd >= 0.  Where sd > 0, with
-    z = (mean - y_plus) / sd, the value is (mean - y_plus) Phi(z) + sd phi(z)
-    and the slopes are Phi(z) and phi(z); z, Phi(z) and phi(z) are computed
-    once for all three.  Where sd = 0 the value is the pointwise limit
-    max(mean - y_plus, 0): its mean slope is 1 above the incumbent and 0
-    elsewhere, and the sd slope is taken as 0.  Returns (values, d_mean,
-    d_sd); values are never negative.
+    Elementwise on arrays of one shape, with sd >= 0.  With z = (mean -
+    y_plus) / sd, the value is (mean - y_plus) Phi(z) + sd phi(z) and the
+    slopes are Phi(z) and phi(z); z, Phi(z) and phi(z) are computed once for
+    all three, in one pass.  Where sd = 0, z is taken as +inf above the
+    incumbent and -inf elsewhere, which gives the pointwise limits exactly:
+    the value max(mean - y_plus, 0), a mean slope of 1 above the incumbent
+    and 0 elsewhere, and an sd slope of 0.  Returns (values, d_mean, d_sd);
+    values are never negative.
     """
     from scipy.special import ndtr
 
     diff = mean - float(y_plus)
-    values = np.maximum(diff, 0.0)
-    d_mean = (diff > 0).astype(float)
-    d_sd = np.zeros_like(d_mean)
-    pos = sd > 0
-    if np.any(pos):
-        with np.errstate(over="ignore"):
-            z = diff[pos] / sd[pos]
-        cdf = ndtr(z)
-        pdf = _phi(z)
-        values[pos] = diff[pos] * cdf + sd[pos] * pdf
-        d_mean[pos] = cdf
-        d_sd[pos] = pdf
-    return np.maximum(values, 0.0), d_mean, d_sd
+    # a huge |z| overflows the divide, or z*z before exp flushes it to 0;
+    # the limits are exact
+    with np.errstate(over="ignore"):
+        z = np.divide(diff, sd, out=np.where(diff > 0, np.inf, -np.inf), where=sd > 0)
+        pdf = np.exp(-0.5 * z * z) / _SQRT_2PI
+    cdf = ndtr(z)
+    return np.maximum(diff * cdf + sd * pdf, 0.0), cdf, pdf
 
 
 @dataclass
@@ -216,7 +205,7 @@ def _acquisition(session: BoSession, X: np.ndarray, y_plus, grad: bool = False):
     """
     gp, spec = session.gp, session.acquisition
     mean, var, *dpost = gp.posterior_grad(X) if grad else gp.posterior_batch(X)
-    sd = np.sqrt(np.clip(var, 0.0, None))
+    sd = np.sqrt(var)  # the posterior's variances are never negative
     if spec.kind == "ei":
         values, d_mean, d_sd = _ei_terms(mean, sd, y_plus)
     else:
@@ -227,9 +216,7 @@ def _acquisition(session: BoSession, X: np.ndarray, y_plus, grad: bool = False):
     if not grad:
         return values
     dmean, dvar = dpost
-    pos = sd > 0
-    d_var = np.zeros_like(values)
-    d_var[pos] = d_sd[pos] / (2.0 * sd[pos])
+    d_var = np.divide(d_sd, 2.0 * sd, out=np.zeros_like(values), where=sd > 0)
     return values, d_mean[:, None] * dmean + d_var[:, None] * dvar
 
 
@@ -327,7 +314,8 @@ def _box_step(x, g, B, radius):
         todo = q > 1.01 * radius
         if not todo.any():
             break
-        curv = (gh[todo] ** 2 / d[todo] ** 3).sum(1)
+        # (gh / d)^2 / d, not gh^2 / d^3, which underflows to 0 for a tiny gradient
+        curv = ((gh[todo] / d[todo]) ** 2 / d[todo]).sum(1)
         lam[todo] += q[todo] ** 2 * (q[todo] / radius[todo] - 1.0) / curv
     s = -(Q @ (gh / d)[:, :, None])[:, :, 0] * free
     p = (x + s).clip(-1.0, 1.0) - x

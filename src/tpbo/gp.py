@@ -1,26 +1,37 @@
 """Gaussian-process posterior inference over an arbitrary covariance.
 
-A covariance is any object with four methods:
+A covariance is any object with three methods:
 
-- ``kernel(X1, X2)``: the (m1, m2) cross-covariance matrix;
+- ``kernel.against(D)``: the covariance prepared against the fixed (|D|, n)
+  point set D, as a function ``cross(X, grad=False)`` that returns the
+  (m, |D|) cross-covariance matrix K(X, D), and with ``grad`` also its input
+  gradient dK[i, j, k] = dK(x_i, d_j)/dx_ik, shape (m, |D|, n), with the
+  same K either way;
 - ``kernel.diag(X)``: the (m,) prior variances K(x, x);
-- ``kernel.cross_grad(X1, X2)``: that matrix K and its input gradient
-  dK[i, j, k] = dK(x_i, y_j)/dx_ik, shape (m1, m2, n);
 - ``kernel.diag_grad(X)``: those variances and their gradient
   dd[i, k] = dK(x_i, x_i)/dx_ik, shape (m, n).
 
-:class:`~tpbo.mkernel.TunedKernel` and the stationary evaluators below all
-qualify.  Posteriors use the function-space form with zero prior mean,
+A posterior prepares its covariance against its observations once, next to
+its Cholesky factor, and its Gram, its means and variances and their
+gradients all come from that one prepared cross.  What ``against`` prepares
+is the work that depends on D alone: the scaled points and their squared
+norms of the SE evaluators below, or the table of the tuned covariance's
+weight route.  :class:`~tpbo.mkernel.TunedKernel` and the SE evaluators
+below all qualify, and each also offers ``kernel(X1, X2)`` and
+``kernel.cross_grad(X1, X2)``, which prepare against X2 and evaluate at X1.
+
+Posteriors use the function-space form with zero prior mean,
 
     mean(x) = k_D(x)' (K_D + sigma^2 I)^-1 y
     var(x)  = K(x, x) - k_D(x)' (K_D + sigma^2 I)^-1 k_D(x),
 
-behind one Cholesky factorization per posterior object, made on first use
-and kept.  Instances are otherwise immutable; adding an observation returns
-a new posterior, so one that is replaced before use costs no factorization.
+behind one prepared cross and one Cholesky factorization per posterior
+object, made on first use and kept.  Instances are otherwise immutable;
+adding an observation returns a new posterior, so one that is replaced
+before use costs no preparation and no factorization.
 ``posterior_batch`` and ``posterior_grad`` are thin entries to one body that
-reaches the covariance's gradient methods only for the latter, so both
-return the same means and variances when those methods return its values.
+asks the covariance for gradients only for the latter, so both return the
+same means and variances when its gradient paths return its values.
 
 The factorization and solves call LAPACK directly: ``dpotrf`` for the lower
 Cholesky factor L, ``dpotrs`` for the weights and ``dtrtrs`` for the
@@ -65,18 +76,23 @@ JITTER_FIRST = _JITTER_RUNGS[0]
 
 
 class _SquaredExponential:
-    """The diagonal and input gradients ``SeKernel`` and ``ArdSeKernel`` share.
+    """The covariance methods ``SeKernel`` and ``ArdSeKernel`` share.
 
     A subclass sets ``_scales``, its one or per-axis inverse squared
-    length-scale.  The cross gradient takes its values from ``self(X1, X2)``.
+    length-scale, which ``_accel.se_against`` prepares its cross from.
     """
+
+    def against(self, D):
+        return _accel.se_against(D, self._scales)
+
+    def __call__(self, X1, X2) -> np.ndarray:
+        return self.against(X2)(X1)
+
+    def cross_grad(self, X1, X2):
+        return self.against(X2)(X1, grad=True)
 
     def diag(self, X) -> np.ndarray:
         return np.ones(np.atleast_2d(X).shape[0])
-
-    def cross_grad(self, X1, X2):
-        K = self(X1, X2)
-        return K, _accel.se_grad(X1, X2, K, self._scales)
 
     def diag_grad(self, X):
         return self.diag(X), np.zeros(np.atleast_2d(X).shape)
@@ -90,9 +106,6 @@ class SeKernel(_SquaredExponential):
             raise ValueError("nu must be finite and > 0")
         self.nu = self._scales = float(nu)
 
-    def __call__(self, X1, X2) -> np.ndarray:
-        return _accel.se_cross(X1, X2, self.nu)
-
 
 class ArdSeKernel(_SquaredExponential):
     """Squared-exponential covariance with one inverse length-scale per axis."""
@@ -102,9 +115,6 @@ class ArdSeKernel(_SquaredExponential):
         if nus.size < 1 or not np.all(np.isfinite(nus)) or np.any(nus <= 0):
             raise ValueError("per-axis scales must be finite and > 0")
         self.nus = self._scales = nus
-
-    def __call__(self, X1, X2) -> np.ndarray:
-        return _accel.ard_se_cross(X1, X2, self.nus)
 
 
 class Observations:
@@ -221,7 +231,7 @@ class GpPosterior:
     def __init__(self, kernel, obs: Observations) -> None:
         self.kernel = kernel
         self.obs = obs
-        self._solved = None  # (lower Cholesky factor, weights), made on first use
+        self._solved = None  # (prepared cross, Cholesky factor, weights), made on first use
 
     @classmethod
     def from_data(cls, kernel, points, values, noise_var: float) -> "GpPosterior":
@@ -232,11 +242,14 @@ class GpPosterior:
         return GpPosterior(self.kernel, self.obs.appended(x, y))
 
     def _solve(self):
-        """The Cholesky factor of the shifted Gram and the weights alpha; cached."""
+        """The covariance prepared against the observations, the lower
+        Cholesky factor of the shifted Gram it gives, and the weights alpha;
+        made once, on first use."""
         if self._solved is None:
             obs = self.obs
-            L = _factor_shifted(self.kernel(obs.points, obs.points), obs.noise_var)
-            self._solved = L, cholesky_solve(L, obs.values, lower=True)
+            cross = self.kernel.against(obs.points)
+            L = _factor_shifted(cross(obs.points), obs.noise_var)
+            self._solved = cross, L, cholesky_solve(L, obs.values, lower=True)
         return self._solved
 
     def posterior_batch(self, X) -> tuple[np.ndarray, np.ndarray]:
@@ -262,8 +275,8 @@ class GpPosterior:
         if not obs.size:
             out = np.zeros(X.shape[0]), np.maximum(prior, 0.0)
             return out + (np.zeros(X.shape), dprior) if grad else out
-        L, alpha = self._solve()
-        k, dk = kernel.cross_grad(X, obs.points) if grad else (kernel(X, obs.points), None)
+        cross, L, alpha = self._solve()
+        k, dk = cross(X, grad=True) if grad else (cross(X), None)
         v = _solve_lower(L, k.T)
         var = prior - np.sum(v * v, axis=0)
         out = k @ alpha, np.clip(var, 0.0, np.maximum(prior, 0.0))

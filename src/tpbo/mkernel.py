@@ -23,10 +23,11 @@ dimensions a dot-series base is evaluated from those weights, as a sum over
 monomials of x*x'; otherwise, and wherever that sum is no cheaper, from the
 closed forms summed over auxiliary pairs.  The test-support module
 ``tests/feature_route.py`` builds the explicit feature expansion the tests
-compare both routes with.  ``TunedKernel``'s value methods (``__call__``,
-``diag``) and gradient methods (``cross_grad``, ``diag_grad``) are thin
-entries to one body per layer that takes ``grad``: they return the same
-values, and only the latter do gradient work.
+compare both routes with.  ``TunedKernel.against`` prepares the cross
+against a fixed point set once, and ``__call__`` and ``cross_grad`` go
+through it; the prepared cross and the diagonal each have one body that
+takes ``grad``, so value and gradient methods return the same values and
+only the latter do gradient work.
 """
 
 from __future__ import annotations
@@ -93,12 +94,14 @@ class TunedKernel:
     probe norms.  S has two routes, chosen once at construction:
 
     - ``"weights"``: S(z) = sum_beta C_beta z^beta, a table of monomial
-      coefficients from the reweighted feature weights (``_accel.weight_rows``).
-      It needs a dot-series base in one or two dimensions, and fewer
-      monomials (``order`` R: C(R+n, n)) than auxiliary pairs.  Exp-series
-      bases truncate at the order where the tail, on every |z_k| <= 1, is
-      below the rounding of the pair sum; a call with some |z_k| > 1 takes
-      the pair route.
+      coefficients from the reweighted feature weights, evaluated on the
+      diagonal by ``_accel.weight_rows`` and against fixed points by
+      ``_accel.weight_cross`` from a table ``against`` makes.  It needs a
+      dot-series base in one or two dimensions, and fewer monomials
+      (``order`` R: C(R+n, n)) than auxiliary pairs.  Exp-series bases
+      truncate at the order where the tail, on every |z_k| <= 1, is below
+      the rounding of the pair sum; a call with some |z_k| > 1 takes the
+      pair route.
     - ``"pairs"``: one pass over the |A|(|A|+1)/2 auxiliary pairs per row
       (``_accel.tuned_rows``), the pair data folded to the upper triangle
       (off-diagonal weights doubled).
@@ -161,26 +164,59 @@ class TunedKernel:
     def _norms(self, X: np.ndarray) -> np.ndarray:
         return np.exp(-0.5 * self.base.nu * np.sum(X * X, axis=1))
 
-    def _rows(self, Z, grad: bool = False):
-        """The tuned sum S on rows z of Z (``grad`` as in ``_accel.tuned_rows``)."""
-        if self._tables is not None and np.all(np.abs(Z) <= 1.0):
-            return _accel.weight_rows(*self._tables, Z, grad)
+    def _pair_rows(self, Z, grad: bool = False):
+        """The tuned sum S on rows z of Z over every auxiliary pair
+        (``grad`` as in ``_accel.tuned_rows``)."""
         base = self.base
         return _accel.tuned_rows(
             self._pair_prod, self._pair_weight, self._series,
             base.nu, base.degree, base.offset, Z, grad=grad,
         )
 
-    def _cross(self, X1, X2, grad: bool = False):
-        X1, X2 = self._points(X1), self._points(X2)
-        if self.base.family == "se":
-            c1, c2 = self._norms(X1), self._norms(X2)
-            return _accel.tuned_se_cross(self._rows, self.base.nu, X1, X2, c1, c2, grad)
-        return _accel.tuned_cross(self._rows, X1, X2, grad)
+    def against(self, D):
+        """The covariance prepared against the fixed points D, as a function
+        ``cross(X, grad=False)``: the (m, |D|) matrix K(X, D), and with
+        ``grad`` also dK[i, j, k] = dK(x_i, d_j)/dx_ik, the same K either way.
+
+        What depends on D alone is made here, once: the weight route's table
+        (``_accel.weight_against``) and the se base's norm factors of D.  A
+        call where some |x_k d_jk| > 1 sums over the auxiliary pairs
+        instead, as the pair route always does, on the rows x*d.
+        """
+        D = self._points(D)
+
+        def pairs(X, grad):
+            return _accel.tuned_cross(self._pair_rows, X, D, grad)
+
+        sums = pairs
+        if self._tables is not None:
+            G = _accel.weight_against(self._tables[0], D)
+            reach = np.max(np.abs(D), axis=0, initial=0.0)
+
+            def sums(X, grad):
+                # |x_k| max_j |d_jk| rounds to the largest |x_k d_jk|, so
+                # this tests every row x*d
+                if np.max(np.abs(X) * reach, initial=0.0) <= 1.0:
+                    return _accel.weight_cross(G, X, grad)
+                return pairs(X, grad)
+
+        if self.base.family != "se":
+            return lambda X, grad=False: sums(self._points(X), grad)
+        nu, cD = self.base.nu, self._norms(D)
+
+        def se_cross(X, grad=False):
+            X = self._points(X)
+            return _accel.tuned_se_cross(sums, nu, X, self._norms(X), cD, grad)
+
+        return se_cross
 
     def _diag(self, X, grad: bool = False):
         X = self._points(X)
-        d = self._rows(X * X, grad)
+        Z = X * X
+        if self._tables is not None and np.max(Z, initial=0.0) <= 1.0:
+            d = _accel.weight_rows(*self._tables, Z, grad)
+        else:
+            d = self._pair_rows(Z, grad)
         if grad:
             d = d[0], 2.0 * X * d[1]  # the chain rule through z = x * x
         if self.base.family == "se":
@@ -190,7 +226,7 @@ class TunedKernel:
 
     def __call__(self, X1, X2) -> np.ndarray:
         """Cross-covariance matrix between two batches of points."""
-        return self._cross(X1, X2)
+        return self.against(X2)(X1)
 
     def diag(self, X) -> np.ndarray:
         """Prior variances K(x, x)."""
@@ -198,7 +234,7 @@ class TunedKernel:
 
     def cross_grad(self, X1, X2):
         """``self(X1, X2)`` and its gradient dK[i, j, k] = dK(x_i, y_j)/dx_ik."""
-        return self._cross(X1, X2, grad=True)
+        return self.against(X2)(X1, grad=True)
 
     def diag_grad(self, X):
         """``self.diag(X)`` and its gradient dd[i, k] = dK(x_i, x_i)/dx_ik."""

@@ -4,6 +4,7 @@ import ctypes
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -492,6 +493,71 @@ GOLDEN_CELLS = {
     "ucb": [0.7997072829807649] * 5,
     "ard-ei": [0.7997072829807649] * 4 + [0.9898444950047536],
 }
+
+
+def failing_cell(cell):
+    """Stands in for a benchmark cell that raises."""
+    raise ZeroDivisionError("a cell failed")
+
+
+def silent_cell(cell):
+    """Stands in for a benchmark cell whose process dies without a word."""
+    os._exit(3)
+
+
+def failing_or_stuck_cell(cell):
+    """Seed 0 raises at once; every other seed outlasts any test."""
+    if cell[2] == 0:
+        failing_cell(cell)
+    time.sleep(60)
+
+
+class TestForkedWorkers:
+    """The workers `run_benchmark` forks: how their errors surface, and that
+    none of them outlives the call."""
+
+    @staticmethod
+    def run(monkeypatch, cell=None):
+        import tpbo.bench as bench_mod
+
+        if cell is not None:
+            monkeypatch.setattr(bench_mod, "_cell_entry", cell)
+        monkeypatch.setenv("TPBO_THREADS", "2")
+        try:
+            return run_benchmark(tiny_spec(seeds=2, iterations=2))
+        finally:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+
+    def test_records_come_back_and_no_child_is_left(self, monkeypatch):
+        assert len(self.run(monkeypatch)) == 2 * 2 * 2
+
+    def test_cell_error_is_raised_with_its_type_and_message(self, monkeypatch):
+        with pytest.raises(ZeroDivisionError) as info:
+            self.run(monkeypatch, failing_cell)
+        assert str(info.value) == "a cell failed"
+        # the worker's traceback is the cause
+        assert "in failing_cell" in str(info.value.__cause__)
+
+    def test_worker_without_a_result_names_its_exit_status(self, monkeypatch):
+        with pytest.raises(RuntimeError, match="exited with status 3 and sent no result"):
+            self.run(monkeypatch, silent_cell)
+
+    def test_a_cell_error_ends_the_other_workers(self, monkeypatch):
+        start = time.perf_counter()
+        with pytest.raises(ZeroDivisionError, match="a cell failed"):
+            self.run(monkeypatch, failing_or_stuck_cell)
+        assert time.perf_counter() - start < 30.0
+
+    def test_an_interrupted_parent_ends_its_workers(self, monkeypatch):
+        import tpbo.bench as bench_mod
+
+        def interrupted(children):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(bench_mod, "_collect", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            self.run(monkeypatch, failing_or_stuck_cell)
 
 
 class TestGoldenCells:

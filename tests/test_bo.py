@@ -185,6 +185,24 @@ class DeterministicSurrogate:
         return mean, var, dmean, np.zeros(X.shape)
 
 
+class CountingKernel:
+    """A covariance with only the three methods of the protocol, which
+    records the size of every point set it is prepared against."""
+
+    def __init__(self, kernel):
+        self.kernel, self.prepared = kernel, []
+
+    def against(self, D):
+        self.prepared.append(len(D))
+        return self.kernel.against(D)
+
+    def diag(self, X):
+        return self.kernel.diag(X)
+
+    def diag_grad(self, X):
+        return self.kernel.diag_grad(X)
+
+
 class TestMaximizer:
     def test_matches_grid_oracle_1d(self):
         # sd == 0 makes EI equal max(mean - incumbent, 0), so the argmax is
@@ -203,6 +221,30 @@ class TestMaximizer:
         x_grid = grid[int(np.argmax(grid_vals))]
         assert abs(x[0] - x_grid) <= 1e-3
         assert ei(fn(x), 0.0, -1.0) >= float(np.max(grid_vals)) - 1e-6
+
+    @pytest.mark.parametrize("name", ["se", "ard", "polynomial"])
+    def test_each_posterior_prepares_once(self, monkeypatch, name):
+        # the probe batch and every polish step of a pick evaluate one
+        # cross, prepared against the session's observations
+        base = golden_pick_session(name, "ei").gp.kernel if name != "se" else SeKernel(3.0)
+        kernel = CountingKernel(base)
+        pts = np.array([[0.5, -0.5], [-0.25, 0.75]])
+        session = new_session(kernel, AcquisitionSpec(kind="ei", dim=2), seed=11,
+                              noise_var=1e-6, init_points=pts,
+                              init_values=[scaled_himmelblau(p) for p in pts])
+        score = tpbo.bo._acquisition
+        grads = []
+
+        def recording(session, X, y_plus, grad=False):
+            grads.append(grad)
+            return score(session, X, y_plus, grad)
+
+        monkeypatch.setattr(tpbo.bo, "_acquisition", recording)
+        for step in range(3):
+            grads.clear()
+            session = bo_step(session, scaled_himmelblau)
+            assert grads[0] is False and len(grads) > 2 and all(grads[1:])
+            assert kernel.prepared == [len(pts) + t for t in range(step + 1)]
 
     def test_deterministic_given_seed(self):
         a = maximize_acquisition(small_session(seed=123), refine_top=2)
@@ -722,6 +764,15 @@ class TestPolish:
         assert gained == pytest.approx(-(g @ p + 0.5 * p @ B @ p), rel=1e-12, abs=1e-12)
 
 
+    def test_box_step_takes_a_tiny_gradient(self):
+        # at |g| near 1e-150 the Newton step's curvature sum g^2 / d^3
+        # underflows d^3 to 0; the step still follows -g to the radius
+        g = np.array([[1e-150, -2e-150]])
+        p, gained = tpbo.bo._box_step(np.zeros((1, 2)), g, np.zeros((1, 2, 2)), np.array([0.5]))
+        assert np.all(np.isfinite(p)) and np.isfinite(gained[0])
+        assert np.linalg.norm(p) == pytest.approx(0.5, rel=0.01)
+        assert p[0] / np.linalg.norm(p) == pytest.approx(-g[0] / np.linalg.norm(g), rel=1e-12)
+
 GOLDEN_BEST = [
     -0.55625,
     -0.55625,
@@ -773,18 +824,18 @@ GOLDEN_PICKS = {
         [-1.0, -1.0],
     ],
     ("polynomial", "ei"): [
-        [-0.42649921170449884, -1.0],
+        [-0.4264992117044908, -1.0],
         [1.0, 1.0],
         [1.0, -1.0],
-        [0.12966250940116178, -0.47658035247433],
+        [0.12966250940116425, -0.4765803524743266],
         [-1.0, 1.0],
     ],
     ("polynomial", "ucb"): [
         [-1.0, -1.0],
         [1.0, 1.0],
-        [0.08434148442328515, -1.0],
+        [0.08434148442328399, -1.0],
         [1.0, -1.0],
-        [-0.022002007191575787, 1.0],
+        [-0.022002007191575853, 1.0],
     ],
     ("hyperbolic-sine", "ei"): [
         [-1.0, -1.0],

@@ -247,6 +247,47 @@ class TestGradients:
         assert np.array_equal(dmean, np.zeros((2, 2))) and np.array_equal(dvar, dd)
 
 
+class TestPreparedCross:
+    @pytest.mark.parametrize("name", ["se", "ard-se"])
+    def test_stationary_kernels_match_closed_form(self, name):
+        kernel = gradient_kernels()[name]
+        scales = np.array([2.0, 2.0]) if name == "se" else np.array([0.5, 3.0])
+        rng = np.random.default_rng(12)
+        X, D = rng.uniform(-1, 1, (6, 2)), rng.uniform(-1, 1, (4, 2))
+        diff = X[:, None, :] - D[None, :, :]
+        want = np.exp(-0.5 * np.sum(scales * diff * diff, axis=-1))
+        dwant = -scales * diff * want[..., None]
+        cross = kernel.against(D)
+        K, dK = cross(X, grad=True)
+        assert np.array_equal(cross(X), K)
+        assert np.array_equal(kernel(X, D), K) and np.array_equal(kernel.cross_grad(X, D)[1], dK)
+        assert np.max(np.abs(K - want)) <= 1e-12 * np.max(want)
+        assert np.max(np.abs(dK - dwant)) <= 1e-12 * np.max(np.abs(dwant))
+
+    @pytest.mark.parametrize("name", sorted(gradient_kernels()))
+    def test_posterior_prepares_against_its_observations_once(self, name):
+        kernel = gradient_kernels()[name]
+        prepared = []
+
+        class Counting:
+            def against(self, D):
+                prepared.append(D)
+                return kernel.against(D)
+
+            diag, diag_grad = kernel.diag, kernel.diag_grad
+
+        rng = np.random.default_rng(13)
+        X = rng.uniform(-1, 1, (6, 2))
+        gp = GpPosterior.from_data(Counting(), X, rng.normal(size=6), 1e-6)
+        P = rng.uniform(-1, 1, (5, 2))
+        for _ in range(2):
+            got = gp.posterior_batch(P) + gp.posterior_grad(P)[2:]
+        assert len(prepared) == 1 and prepared[0] is gp.obs.points
+        want = GpPosterior.from_data(kernel, X, gp.obs.values, 1e-6)
+        for a, b in zip(got, want.posterior_batch(P) + want.posterior_grad(P)[2:]):
+            assert np.array_equal(a, b)
+
+
 class TestLazyFactorization:
     def test_factored_once_on_first_use(self, monkeypatch):
         calls = []
@@ -270,10 +311,15 @@ class TestLazyFactorization:
     def test_failure_surfaces_on_first_use(self):
         # a negative variance on the Gram diagonal defeats every jitter rung
         class IndefiniteKernel(SeKernel):
-            def __call__(self, X1, X2):
-                K = super().__call__(X1, X2)
-                K[0, 0] = -1.0
-                return K
+            def against(self, D):
+                cross = super().against(D)
+
+                def indefinite(X, grad=False):
+                    K = cross(X)
+                    K[0, 0] = -1.0
+                    return K
+
+                return indefinite
 
         gp = GpPosterior.from_data(IndefiniteKernel(1.0), np.zeros((2, 2)), [0.0, 1.0], 0.0)
         with pytest.raises(NumericalError):
@@ -309,11 +355,16 @@ def scipy_route(kernel, obs, X):
 class NanCrossKernel(SeKernel):
     """SE kernel whose cross-covariance against new points holds a NaN."""
 
-    def __call__(self, X1, X2):
-        K = super().__call__(X1, X2)
-        if X1 is not X2:
-            K[0, 0] = np.nan
-        return K
+    def against(self, D):
+        cross = super().against(D)
+
+        def nan_cross(X, grad=False):
+            out = cross(X, grad)
+            if X is not D:
+                (out[0] if grad else out)[0, 0] = np.nan
+            return out
+
+        return nan_cross
 
 
 class TestLapackRoute:
@@ -340,10 +391,15 @@ class TestLapackRoute:
 
     def test_nonfinite_gram_rejected_before_lapack(self, monkeypatch):
         class NanGramKernel(SeKernel):
-            def __call__(self, X1, X2):
-                K = super().__call__(X1, X2)
-                K[0, 1] = K[1, 0] = np.nan
-                return K
+            def against(self, D):
+                cross = super().against(D)
+
+                def nan_gram(X, grad=False):
+                    K = cross(X)
+                    K[0, 1] = K[1, 0] = np.nan
+                    return K
+
+                return nan_gram
 
         calls = []
         real = scipy.linalg.lapack.dpotrf
@@ -365,11 +421,14 @@ class TestLapackRoute:
             return real(H, **kwargs)
 
         class CornerKernel(SeKernel):
-            def __call__(self, X1, X2):
-                K = np.ones((X1.shape[0], X2.shape[0]))
-                if X1 is X2:
-                    K[0, 0] = corner
-                return K
+            def against(self, D):
+                def corner_cross(X, grad=False):
+                    K = np.ones((X.shape[0], D.shape[0]))
+                    if X is D:
+                        K[0, 0] = corner
+                    return K
+
+                return corner_cross
 
         monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", recording)
         gp = GpPosterior.from_data(CornerKernel(1.0), np.zeros((2, 2)), [0.0, 1.0], 0.0)

@@ -705,3 +705,112 @@ class TestRouteChoice:
         pairs = np.outer(aux[:, 0], aux[:, 0])
         want = [[alpha @ (pairs * x * y) ** 180 @ alpha for y in X2[:, 0]] for x in X1[:, 0]]
         assert t(X1, X2) == pytest.approx(np.array(want), rel=1e-12, abs=0)
+
+
+def pair_reference(t, X, D):
+    """K(x, d) and dK/dx over every auxiliary pair in extended precision,
+    from the kernel's base, auxiliary points and dual coefficients alone:
+    the reference for the prepared cross of either route."""
+    ld = np.longdouble
+    spec = t.base
+    a, w = t.aux_points.astype(ld), t.alpha.astype(ld)
+    X, D = X.astype(ld), D.astype(ld)
+    # coordinate products a_ik a_jk d_k of every pair (i, j) and point d
+    AD = np.einsum("ik,jk,yk->yijk", a, a, D)
+    Z = np.einsum("xk,yijk->xyijk", X, AD)
+    if spec.family == "log-ratio":
+        F = np.log((1 + Z) / (1 - Z))
+        G = np.prod(F, axis=-1)
+        dZ = np.stack([
+            np.prod(np.delete(F, k, axis=-1), axis=-1) * 2 / (1 - Z[..., k] ** 2)
+            for k in range(X.shape[1])
+        ], axis=-1)
+    else:
+        family = "exponential" if spec.family == "se" else spec.family
+        U = Z.sum(-1)
+        G = SERIES[family](U, ld(spec.nu), spec.degree, ld(spec.offset))
+        dZ = SLOPES[family](U, G, ld(spec.nu), spec.degree, ld(spec.offset))[..., None]
+    if spec.family == "se":
+        w = w * np.exp(-0.5 * spec.nu * np.sum(a * a, axis=1))
+    K = np.einsum("i,j,xyij->xy", w, w, G)
+    dK = np.einsum("i,j,xyijk,yijk->xyk", w, w, dZ, AD)
+    if spec.family == "se":
+        c = np.exp(-0.5 * spec.nu * np.sum(X * X, axis=1))[:, None]
+        c = c * np.exp(-0.5 * spec.nu * np.sum(D * D, axis=1))[None, :]
+        K, dK = K * c, dK * c[..., None] - spec.nu * X[:, None, :] * (K * c)[..., None]
+    return K.astype(float), dK.astype(float)
+
+
+class TestPreparedCross:
+    """``TunedKernel.against`` prepares the cross against fixed points once;
+    its values and input gradients match the pair sum on every route."""
+
+    @staticmethod
+    def kernel(family, dim, n_aux):
+        # Inputs inside (-0.9, 0.9) keep every log-ratio coordinate product in (-1, 1).
+        rng = np.random.default_rng(24)
+        spec = FreeKernelSpec(family=family, nu=0.7, degree=3, offset=0.5)
+        t = TunedKernel(spec, rng.uniform(-0.9, 0.9, (n_aux, dim)), rng.normal(size=n_aux))
+        return t, rng.uniform(-0.9, 0.9, (7, dim)), rng.uniform(-0.9, 0.9, (5, dim))
+
+    @staticmethod
+    def check(t, X, D):
+        cross = t.against(D)
+        K, dK = cross(X, grad=True)
+        assert np.array_equal(cross(X), K)
+        assert np.array_equal(t(X, D), K) and np.array_equal(t.cross_grad(X, D)[1], dK)
+        want, dwant = pair_reference(t, X, D)
+        assert dK.shape == X.shape[:1] + D.shape
+        assert np.max(np.abs(K - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.max(np.abs(dK - dwant)) <= 1e-12 * np.max(np.abs(dwant))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("family", DOT_FAMILIES)
+    def test_weight_route(self, family, dim):
+        t, X, D = self.kernel(family, dim, n_aux=30)
+        assert t.route == "weights"
+        self.check(t, X, D)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_pair_route(self, family):
+        t, X, D = self.kernel(family, 3, n_aux=6)
+        assert t.route == "pairs"
+        self.check(t, X, D)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_log_ratio(self, dim):
+        t, X, D = self.kernel("log-ratio", dim, n_aux=30)
+        assert t.route == "pairs"
+        self.check(t, X, D)
+
+    @pytest.mark.parametrize("family", DOT_FAMILIES)
+    def test_weight_route_takes_the_pairs_past_the_box(self, monkeypatch, family):
+        # the table is made once, but a call with some |x_k d_jk| > 1 sums
+        # over the pairs, and one inside the box goes back to the table
+        t, X, D = self.kernel(family, 2, n_aux=30)
+        cross = t.against(D)
+        calls = []
+        real = _accel.weight_cross
+
+        def recording(G, points, grad=False):
+            calls.append(len(points))
+            return real(G, points, grad)
+
+        monkeypatch.setattr(_accel, "weight_cross", recording)
+        far = X.copy()
+        far[0, 0] = 1.05 / np.max(np.abs(D[:, 0]))
+        assert np.max(np.abs(far[:, None, :] * D[None, :, :])) == pytest.approx(1.05)
+        for points, table_calls in ((far, []), (X, [len(X)])):
+            want, dwant = pair_reference(t, points, D)
+            K, dK = cross(points, grad=True)
+            assert calls == table_calls
+            calls.clear()
+            assert np.max(np.abs(K - want)) <= 1e-12 * np.max(np.abs(want))
+            assert np.max(np.abs(dK - dwant)) <= 1e-12 * np.max(np.abs(dwant))
+
+    def test_point_dimension_checked(self):
+        t, X, D = self.kernel("se", 2, n_aux=30)
+        with pytest.raises(ValueError, match="point dimension"):
+            t.against(D)(X[:, :1])
+        with pytest.raises(ValueError, match="point dimension"):
+            t.against(D[:, :1])
