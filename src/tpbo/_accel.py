@@ -10,9 +10,9 @@ prepared against a fixed point set D once and then evaluated against it:
 ``tuned_rows`` over every auxiliary pair (through ``tuned_cross``) or, for
 a dot-series base in one or two dimensions, ``weight_against``'s table of
 monomial coefficients times the powers of D, which ``weight_cross``
-contracts with the powers of x.  ``weight_rows`` evaluates the same
-coefficients on the diagonal rows z = x*x, and ``tuned_se_cross`` scales
-either route's exponential-base sum by the SE norm factors.  Each
+contracts with the powers of x; ``weight_rows``, for the diagonal rows
+z = x*x, is that cross against the one point d = 1.  ``tuned_se_cross``
+scales either route's exponential-base sum by the SE norm factors.  Each
 evaluator takes ``grad`` and does gradient work (for the acquisition
 polish) only when it is set; its values are one computation either way.
 """
@@ -155,7 +155,7 @@ def se_cross(X1: np.ndarray, X2: np.ndarray, nus) -> np.ndarray:
 # the feature weights: S(z) = sum_beta C[beta] z^beta over exponent tuples
 # beta, with C[beta] = s_|beta| |beta|!/beta! u_beta^2, s_r the series'
 # Taylor coefficients and u_beta = sum_i alpha_i a_i^beta (``TunedKernel``
-# builds C).  ``weight_rows`` evaluates that truncated sum.
+# builds C).  ``weight_cross`` evaluates that truncated sum.
 
 
 def tuned_rows(
@@ -226,36 +226,6 @@ def _powers(Z: np.ndarray, R1: int, out=None) -> np.ndarray:
     return np.cumprod(p, axis=2, out=p)
 
 
-def weight_rows(C: np.ndarray, dC: np.ndarray, Z: np.ndarray, grad: bool = False):
-    """sum_beta C[beta] z^beta for every row z of Z; with ``grad``, also its gradient.
-
-    Z has n = 1 or 2 columns.  ``C`` is the (R+1, w) coefficient table over
-    exponents: that of z_1 down its rows and that of z_2 across (w = 1 in
-    1-D).  ``dC`` holds its n slope tables dC/dz_k side by side, (R+1, n w).
-    Each chunk of rows builds the powers z_k^0..z_k^R of every axis in one
-    cumprod; a product with C over the z_1 powers and a contraction with the
-    z_2 powers give the sum, and the same with ``dC`` every slope.  The sum
-    is the same computation with or without ``grad``.
-    """
-    m, n = Z.shape
-    R1, w = C.shape
-    rows = max(1, _CHUNK_ELEMS // ((1 + n) * w + n * R1))
-    out = np.empty(m)
-    dout = np.empty((m, n)) if grad else None
-    powers = np.empty((min(m, rows), n, R1))
-    ones = np.ones((min(m, rows), 1))
-    for r0 in range(0, m, rows):
-        r1 = min(m, r0 + rows)
-        pw = _powers(Z[r0:r1], R1, powers[: r1 - r0])
-        first = pw[:, 0]
-        last = pw[:, 1] if n == 2 else ones[: r1 - r0]
-        out[r0:r1] = np.einsum("rb,rb->r", first @ C, last)
-        if grad:
-            slopes = (first @ dC).reshape(-1, n, w)
-            dout[r0:r1] = np.einsum("rkb,rb->rk", slopes, last)
-    return (out, dout) if grad else out
-
-
 def weight_against(C: np.ndarray, D: np.ndarray) -> np.ndarray:
     """The weight route's table against the fixed points D: the (R+1, |D| w)
     matrix G with G[a, j w + b] = C[a, b] d_j1^a d_j2^b (no d_j2 in 1-D).
@@ -297,13 +267,24 @@ def weight_cross(G: np.ndarray, X: np.ndarray, grad: bool = False):
         T = (p[:, 0] @ G).reshape(r1 - r0, -1, w)
         out[r0:r1] = (T @ last)[:, :, 0]
         if grad:
-            dp = np.zeros_like(p)
-            dp[:, :, 1:] = p[:, :, :-1] * ramp
-            dT = (dp[:, 0] @ G).reshape(T.shape)
+            dp = p[:, :, :-1] * ramp  # dP_k[a] for a >= 1; dP_k[0] = 0 drops out
+            dT = (dp[:, 0] @ G[1:]).reshape(T.shape)
             dout[r0:r1, :, 0] = (dT @ last)[:, :, 0]
             if n == 2:
-                dout[r0:r1, :, 1] = (T @ dp[:, 1, :, None])[:, :, 0]
+                dout[r0:r1, :, 1] = (T[:, :, 1:] @ dp[:, 1, :, None])[:, :, 0]
     return (out, dout) if grad else out
+
+
+def weight_rows(C: np.ndarray, Z: np.ndarray, grad: bool = False):
+    """sum_beta C[beta] z^beta for every row z of Z; with ``grad``, also its
+    (m, n) gradient.
+
+    This is ``weight_cross`` against the one point d = 1, whose table is C
+    itself: the (R+1, w) coefficient table over exponents, that of z_1 down
+    its rows and that of z_2 across (w = 1 in 1-D).
+    """
+    K = weight_cross(C, Z, grad)
+    return (K[0][:, 0], K[1][:, 0]) if grad else K[:, 0]
 
 
 def tuned_cross(rows, X1: np.ndarray, X2: np.ndarray, grad: bool = False):

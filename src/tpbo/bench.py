@@ -390,7 +390,12 @@ def _forked_cells(cells, workers: int) -> list:
     try:
         for _ in range(workers):
             results, result_writer = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(results)
+                os.close(result_writer)
+                raise
             if pid == 0:
                 try:
                     os.close(task_writer)
@@ -428,7 +433,12 @@ def _worker(cells, tasks: int, out: int) -> None:
             chunks.append(_cell_entry(cells[int.from_bytes(index, "little")]))
         payload = pickle.dumps(chunks)
     except BaseException as exc:
-        code, payload = 1, pickle.dumps((exc, traceback.format_exc()))
+        code, text = 1, traceback.format_exc()
+        try:
+            payload = pickle.dumps((exc, text))
+            pickle.loads(payload)  # or the parent could not rebuild it
+        except Exception:
+            payload = pickle.dumps((RuntimeError(f"{type(exc).__name__}: {exc}"), text))
     with open(out, "wb") as fh:
         fh.write(payload)
     for stream in (sys.stdout, sys.stderr):

@@ -134,17 +134,17 @@ class TunedKernel:
             w = w * np.exp(-0.5 * base.nu * (r2[iu] + r2[ju]))
         self._pair_weight = w
         self._series = "exponential" if base.family == "se" else base.family
-        self._order = self._tables = None
+        self._order = self._coefs = None
         if base.family != "log-ratio" and aux.shape[1] <= 2:
             order = _series_order(base, aux.shape[1], float(np.max(np.abs(aux))), iu.size)
-            tables = None if order is None else _monomial_tables(base, aux, al, order)
-            if tables is not None:
-                self._order, self._tables = order, tables
+            coefs = None if order is None else _monomial_coefs(base, aux, al, order)
+            if coefs is not None:
+                self._order, self._coefs = order, coefs
 
     @property
     def route(self) -> str:
         """``"weights"`` or ``"pairs"``: how rows with every |z_k| <= 1 are evaluated."""
-        return "pairs" if self._tables is None else "weights"
+        return "pairs" if self._coefs is None else "weights"
 
     @property
     def order(self):
@@ -189,8 +189,8 @@ class TunedKernel:
             return _accel.tuned_cross(self._pair_rows, X, D, grad)
 
         sums = pairs
-        if self._tables is not None:
-            G = _accel.weight_against(self._tables[0], D)
+        if self._coefs is not None:
+            G = _accel.weight_against(self._coefs, D)
             reach = np.max(np.abs(D), axis=0, initial=0.0)
 
             def sums(X, grad):
@@ -213,8 +213,8 @@ class TunedKernel:
     def _diag(self, X, grad: bool = False):
         X = self._points(X)
         Z = X * X
-        if self._tables is not None and np.max(Z, initial=0.0) <= 1.0:
-            d = _accel.weight_rows(*self._tables, Z, grad)
+        if self._coefs is not None and np.max(Z, initial=0.0) <= 1.0:
+            d = _accel.weight_rows(self._coefs, Z, grad)
         else:
             d = self._pair_rows(Z, grad)
         if grad:
@@ -277,15 +277,14 @@ def _series_order(base: FreeKernelSpec, n: int, rho: float, pairs: int):
     return order if math.comb(order + n, n) < pairs else None
 
 
-def _monomial_tables(base: FreeKernelSpec, aux, alpha, order: int):
-    """The coefficient and slope tables (C, dC) of ``_accel.weight_rows`` up
-    to ``order``, or None if they overflow float64.
+def _monomial_coefs(base: FreeKernelSpec, aux, alpha, order: int):
+    """The coefficient table C of the weight route up to ``order``, or None
+    if it overflows float64.
 
     C_beta = s_|beta| |beta|!/beta! u_beta^2 with u_beta = sum_i alpha_i
-    a_i^beta (alpha_i times e^{-nu|a_i|^2/2} for se); the slope table along
-    axis k holds (beta_k + 1) C_{beta + e_k}.  The sums u_beta cancel across
-    auxiliary points, so the tables are built in extended precision and
-    rounded once.
+    a_i^beta (alpha_i times e^{-nu|a_i|^2/2} for se).  The sums u_beta
+    cancel across auxiliary points, so the table is built in extended
+    precision and rounded once.
     """
     n = aux.shape[1]
     r = np.arange(order + 1)
@@ -317,9 +316,4 @@ def _monomial_tables(base: FreeKernelSpec, aux, alpha, order: int):
     C = g[b1 + b2] * inv_fact[b1] * inv_fact[b2] * u * u
     if not np.max(C) * max(order, 1) < np.finfo(np.float64).max:
         return None
-    C = C.astype(np.float64)
-    slopes = np.zeros((order + 1, n, C.shape[1]))
-    slopes[:-1, 0] = C[1:] * r[1:, None]
-    if n == 2:
-        slopes[:, 1, :-1] = C[:, 1:] * r[1:]
-    return C, slopes.reshape(order + 1, -1)
+    return C.astype(np.float64)

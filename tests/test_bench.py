@@ -505,6 +505,19 @@ def silent_cell(cell):
     os._exit(3)
 
 
+class UnpicklableError(Exception):
+    """An exception that pickles but cannot be rebuilt: its constructor
+    takes two arguments, and it keeps only one in ``args``."""
+
+    def __init__(self, message, extra):
+        super().__init__(message)
+
+
+def unpicklable_cell(cell):
+    """Stands in for a benchmark cell whose exception cannot come back as it is."""
+    raise UnpicklableError("no way back", None)
+
+
 def failing_or_stuck_cell(cell):
     """Seed 0 raises at once; every other seed outlasts any test."""
     if cell[2] == 0:
@@ -538,6 +551,11 @@ class TestForkedWorkers:
         assert str(info.value) == "a cell failed"
         # the worker's traceback is the cause
         assert "in failing_cell" in str(info.value.__cause__)
+
+    def test_cell_error_that_cannot_come_back_keeps_its_message(self, monkeypatch):
+        with pytest.raises(RuntimeError, match="^UnpicklableError: no way back$") as info:
+            self.run(monkeypatch, unpicklable_cell)
+        assert "in unpicklable_cell" in str(info.value.__cause__)
 
     def test_worker_without_a_result_names_its_exit_status(self, monkeypatch):
         with pytest.raises(RuntimeError, match="exited with status 3 and sent no result"):

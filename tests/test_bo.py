@@ -824,18 +824,18 @@ GOLDEN_PICKS = {
         [-1.0, -1.0],
     ],
     ("polynomial", "ei"): [
-        [-0.4264992117044908, -1.0],
+        [-0.426499211704489, -1.0],
         [1.0, 1.0],
         [1.0, -1.0],
-        [0.12966250940116425, -0.4765803524743266],
+        [0.12966250940116342, -0.47658035247432845],
         [-1.0, 1.0],
     ],
     ("polynomial", "ucb"): [
         [-1.0, -1.0],
         [1.0, 1.0],
-        [0.08434148442328399, -1.0],
+        [0.08434148442328494, -1.0],
         [1.0, -1.0],
-        [-0.022002007191575853, 1.0],
+        [-0.022002007191575846, 1.0],
     ],
     ("hyperbolic-sine", "ei"): [
         [-1.0, -1.0],

@@ -532,8 +532,8 @@ def readme_model(tmp_path):
 
 GOLDEN_SUGGESTIONS = [
     "suggestion: 0.25019093320933394,0.794427601939151",
-    "suggestion: -0.015682940945248726,0.012564457470722242",
-    "suggestion: 0.0043716186343563624,-1.0",
+    "suggestion: -0.01568294094524873,0.01256445747072225",
+    "suggestion: 0.0043716186343136475,-1.0",
 ]
 
 GOLDEN_SESSION = """{
@@ -555,8 +555,8 @@ GOLDEN_SESSION = """{
         0.25
       ],
       [
-        -0.015682940945248726,
-        0.012564457470722242
+        -0.01568294094524873,
+        0.01256445747072225
       ]
     ],
     "values": [
@@ -565,7 +565,7 @@ GOLDEN_SESSION = """{
     ]
   },
   "pending": [
-    0.0043716186343563624,
+    0.0043716186343136475,
     -1.0
   ],
   "seed": 7,

@@ -618,7 +618,7 @@ class TestWeightRoute:
     def test_coefficients_match_feature_weights(self, family, dim):
         # C_beta is the squared reweighted weight of the monomial z^beta.
         t, _, _ = self.kernel(family, dim)
-        table = t._tables[0]
+        table = t._coefs
         expansion = expand_features(t.base, n=dim, max_degree=t.order)
         tau = tuned_weights_oracle(t, expansion)
         want = np.zeros_like(table)
