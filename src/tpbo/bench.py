@@ -377,7 +377,9 @@ def _forked_cells(cells, workers: int) -> list:
     write, so every write lands whole and every four-byte read takes one
     index.  A child takes indices until the pipe ends, then sends its
     pickled records, or the exception a cell raised and its traceback,
-    through a result pipe of its own, once, and leaves by ``os._exit``.
+    through a result pipe of its own, once, and leaves by ``os._exit``; an
+    exception that does not survive a pickle round trip is sent as a
+    ``RuntimeError`` naming its type and message.
     The parent re-raises the first exception a child sends, with the
     child's traceback as its cause, and raises a ``RuntimeError`` naming
     the exit status of a child that ends without sending anything.  However
